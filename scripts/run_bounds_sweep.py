@@ -16,20 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from rsvdangles.harness import ExperimentConfig, run_experiment
-
-PRESETS = [
-    {"generator": "snn", "m": 500, "n": 500, "r1": 20, "a": 1.0,
-     "density": 0.05, "seed": 101, "name": "snn_a1"},
-    {"generator": "snn", "m": 500, "n": 500, "r1": 20, "a": 100.0,
-     "density": 0.05, "seed": 102, "name": "snn_a100"},
-    {"generator": "gaussian_decay", "m": 500, "n": 500,
-     "spectrum": {"kind": "slower", "r": 500, "r1": 20},
-     "seed": 103, "name": "gauss_slower"},
-    {"generator": "gaussian_decay", "m": 500, "n": 500,
-     "spectrum": {"kind": "faster", "r": 500, "r1": 20},
-     "seed": 104, "name": "gauss_faster"},
-]
+from rsvdangles.harness import PRESETS, ExperimentConfig, run_experiment
 
 
 def main() -> int:

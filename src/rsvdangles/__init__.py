@@ -20,8 +20,7 @@ from .prior_bounds import (BoundReport, DistortionParams,
                            space_agnostic_lower, space_agnostic_upper,
                            subspace_aware_envelope, subspace_aware_upper,
                            tail_spread)
-from .rsvd import (RsvdOutput, SketchConfig, gaussian_sketch,
-                   orthogonal_complement, rsvd)
+from .rsvd import RsvdOutput, SketchConfig, gaussian_sketch, rsvd
 
 __version__ = "0.1.0"
 
@@ -32,7 +31,7 @@ __all__ = [
     "canonical_cosines", "canonical_sines", "emit_csv", "emit_svg",
     "estimate_cost_model", "fixed_budget_bound", "gap_bounds",
     "gaussian_sketch", "gen_gaussian_decay", "gen_snn", "gen_step_spectrum",
-    "load_mnist", "ortho", "orthogonal_complement", "pad_spectrum",
+    "load_mnist", "ortho", "pad_spectrum",
     "pinv_apply", "read_matrix", "residual_blocks", "residual_ratio_bounds",
     "residual_spectrum", "rsvd", "run_experiment", "seeded_rng",
     "space_agnostic_lower", "space_agnostic_upper", "spectral_norm_power",

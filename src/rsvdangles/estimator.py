@@ -16,16 +16,12 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import Spectrum, seeded_rng
 from .prior_bounds import power_exponent
-
-# Below this magnitude the estimate sits at the edge of double precision and
-# is reported but flagged.
-EPS_FLAG = 1e-14
 
 
 @dataclass
@@ -40,7 +36,6 @@ class EstimateReport:
     n_trials: int
     side: str
     seed: int
-    flagged: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     spectrum_source: str = "true"
 
 
@@ -88,7 +83,6 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         n_trials=n_trials,
         side=side,
         seed=seed,
-        flagged=mean < EPS_FLAG,
     )
 
 

@@ -18,7 +18,7 @@ import json
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -97,9 +97,37 @@ class ExperimentConfig:
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
-        grid = [(int(g["k"]), int(g["l"]), int(g["q"])) for g in raw.pop("grid")]
+        unknown = sorted(raw.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
+        missing = [key for key in ("matrix", "grid") if key not in raw]
+        if missing:
+            raise ValueError(f"missing config key(s): {', '.join(missing)}")
+        grid = []
+        for pos, g in enumerate(raw.pop("grid")):
+            missing = [key for key in ("k", "l", "q") if key not in g]
+            if missing:
+                raise ValueError(f"grid entry {pos} is missing key(s): {', '.join(missing)}")
+            grid.append((int(g["k"]), int(g["l"]), int(g["q"])))
         sides = tuple(raw.pop("sides", ("left", "right")))
         return cls(matrix=raw.pop("matrix"), grid=grid, sides=sides, **raw)
+
+
+# The four synthetic 500x500 presets of the bound-comparison protocol: sparse
+# non-negative with head weights 1 and 100, and Gaussian with slower and
+# faster decay, each with a flat top block of 20.
+PRESETS = [
+    {"generator": "snn", "m": 500, "n": 500, "r1": 20, "a": 1.0,
+     "density": 0.05, "seed": 101, "name": "snn_a1"},
+    {"generator": "snn", "m": 500, "n": 500, "r1": 20, "a": 100.0,
+     "density": 0.05, "seed": 102, "name": "snn_a100"},
+    {"generator": "gaussian_decay", "m": 500, "n": 500,
+     "spectrum": {"kind": "slower", "r": 500, "r1": 20},
+     "seed": 103, "name": "gauss_slower"},
+    {"generator": "gaussian_decay", "m": 500, "n": 500,
+     "spectrum": {"kind": "faster", "r": 500, "r1": 20},
+     "seed": 104, "name": "gauss_faster"},
+]
 
 
 def build_matrix(desc: dict):
@@ -200,6 +228,9 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
         omega1 = factors.v[:, :k].T @ omega
         omega2 = factors.v[:, k:r].T @ omega
 
+    # the projected residual does not depend on the spectrum source
+    resids = {side: residual_spectrum(a, out.u if side == "left" else out.v, side)
+              for side in sides}
     for source, spec in sources:
         try:
             reports = gap_bounds(stats, spec, k)
@@ -232,10 +263,9 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
                 rows += _value_rows(est.mean, "estimate", side, source, ctx_base)
             except ValueError:
                 rows += _error_rows("estimate", side, source, STATUS_TAIL, k, ctx_base)
-            resid = residual_spectrum(a, basis, side)
             try:
                 rows += _report_rows(replace(
-                    residual_ratio_bounds(resid, spec, k, side),
+                    residual_ratio_bounds(resids[side], spec, k, side),
                     spectrum_source=source), ctx_base)
             except ValueError:
                 rows += _error_rows("residual_ratio", side, source,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, as_matrix, spectral_norm_power, svd_full
+from .linalg import Spectrum, as_matrix, svd_full
 from .prior_bounds import BoundReport, make_report
 from .rsvd import RsvdOutput
 
@@ -47,7 +47,6 @@ class ResidualStats:
     """
 
     resid_in_basis_2: float
-    resid_in_basis_fro: float
     resid_beyond_k_2: float
     resid_out_of_basis_2: float
     sigma_hat_next: float
@@ -100,20 +99,18 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     return make_report(vals, "residual_ratio", side, params)
 
 
-def _spec_norm(x: np.ndarray, power_iters: int | None, seed: int) -> float:
-    if power_iters is None:
-        s = np.linalg.svd(x, compute_uv=False)
-        return float(s[0]) if s.size else 0.0
-    return spectral_norm_power(x, iters=power_iters, seed=seed)
+def _spec_norm(x: np.ndarray) -> float:
+    s = np.linalg.svd(x, compute_uv=False)
+    return float(s[0]) if s.size else 0.0
 
 
-def residual_blocks(a, out: RsvdOutput, k: int, sigma_k: float | None = None,
-                    power_iters: int | None = None, power_seed: int = 0) -> ResidualStats:
+def residual_blocks(a, out: RsvdOutput, k: int,
+                    sigma_k: float | None = None) -> ResidualStats:
     """Residual-block norms and gaps for a delivered rank-l approximation.
 
-    Norms are exact by default (dense SVD); pass ``power_iters`` to estimate
-    the three spectral norms with the randomized power method instead. When
-    ``sigma_k`` is omitted it is taken from the exact spectrum of ``a``.
+    The three spectral norms are exact (dense singular values), so the gap
+    bounds built from them are valid certificates. When ``sigma_k`` is
+    omitted it is taken from the exact spectrum of ``a``.
     """
     a = as_matrix(a)
     f = out.factors
@@ -123,15 +120,12 @@ def residual_blocks(a, out: RsvdOutput, k: int, sigma_k: float | None = None,
     if sigma_k is None:
         sigma_k = float(svd_full(a).sigma[k - 1])
     err = a - f.reconstruct()
-    in_basis = err @ f.v
-    in_basis_2 = _spec_norm(in_basis, power_iters, power_seed)
-    in_basis_fro = float(np.linalg.norm(in_basis))
-    beyond_k_2 = _spec_norm(err @ f.v[:, k:], power_iters, power_seed)
-    out_of_basis = a - (a @ f.v) @ f.v.T
-    out_2 = _spec_norm(out_of_basis, power_iters, power_seed)
+    in_basis_2 = _spec_norm(err @ f.v)
+    beyond_k_2 = _spec_norm(err @ f.v[:, k:])
+    out_2 = _spec_norm(a - (a @ f.v) @ f.v.T)
     sigma_hat_next = float(f.sigma[k])
     gaps = _gaps(sigma_k, sigma_hat_next, out_2)
-    return ResidualStats(in_basis_2, in_basis_fro, beyond_k_2, out_2,
+    return ResidualStats(in_basis_2, beyond_k_2, out_2,
                          sigma_hat_next, float(sigma_k), *gaps)
 
 
@@ -167,7 +161,6 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
             "gap assumption violated (sigma_k <= sigma_hat_{k+1} or sigma_k <= residual norm)")
     g1, g2, r1, r2 = _gaps(sigma_k, shat, out2)
     in2 = stats.resid_in_basis_2
-    infro = stats.resid_in_basis_fro
     e32 = stats.resid_beyond_k_2
     base = in2 / r1
     factors = sigma_k / spectrum.values[:k]  # ascending, <= 1
@@ -175,19 +168,17 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
               "gap_sigma_1": g1, "gap_sigma_2": g2,
               "gap_resid_1": r1, "gap_resid_2": r2}
 
-    def rep(vals, kind, side, **extra):
-        return make_report(vals, kind, side, {**common, **extra})
+    def rep(vals, kind, side):
+        return make_report(vals, kind, side, common)
 
     k_left_amp = np.sqrt(1.0 + (factors * e32 / g2) ** 2)
     k_right_amp = np.sqrt((factors * e32 / g1) ** 2 + (out2 / sigma_k) ** 2)
     return [
-        rep(np.full(k, base), "gap_norm_rank_l", "left", frobenius_bound=infro / r1),
-        rep(np.full(k, in2 / r2), "gap_norm_rank_l", "right", frobenius_bound=infro / r2),
-        rep(np.full(k, base * np.sqrt(1.0 + (e32 / g2) ** 2)), "gap_norm_rank_k", "left",
-            frobenius_bound=(infro / r1) * np.sqrt(1.0 + (e32 / g2) ** 2)),
+        rep(np.full(k, base), "gap_norm_rank_l", "left"),
+        rep(np.full(k, in2 / r2), "gap_norm_rank_l", "right"),
+        rep(np.full(k, base * np.sqrt(1.0 + (e32 / g2) ** 2)), "gap_norm_rank_k", "left"),
         rep(np.full(k, base * np.sqrt((e32 / g1) ** 2 + (out2 / sigma_k) ** 2)),
-            "gap_norm_rank_k", "right",
-            frobenius_bound=(infro / r1) * np.sqrt((e32 / g1) ** 2 + (out2 / sigma_k) ** 2)),
+            "gap_norm_rank_k", "right"),
         rep(factors * base, "gap_anglewise_rank_l", "left"),
         rep(factors * (in2 / r2), "gap_anglewise_rank_l", "right"),
         rep(base * k_left_amp, "gap_anglewise_rank_k", "left"),

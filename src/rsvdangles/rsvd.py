@@ -92,20 +92,3 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.
     return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), cfg.q, cfg.seed)
-
-
-def orthogonal_complement(basis) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of range(basis).
-
-    The input must itself have orthonormal columns (checked to 1e-8) and
-    strictly fewer columns than rows.
-    """
-    basis = as_matrix(basis, "basis")
-    rows, cols = basis.shape
-    if cols >= rows:
-        raise ValueError("complement requires cols < rows")
-    gram_err = np.linalg.norm(basis.T @ basis - np.eye(cols), 2)
-    if gram_err > 1e-8:
-        raise ValueError("basis does not have orthonormal columns")
-    q, _ = np.linalg.qr(basis, mode="complete")
-    return q[:, cols:]

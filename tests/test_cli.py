@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.linalg import Spectrum
@@ -103,7 +104,27 @@ def test_estimate_matches_library_call(tmp_path):
     assert np.allclose(got[:, 2], rep.max_band, rtol=1e-15)
 
 
-def test_error_reporting_is_clean(tmp_path):
-    res = run_cli("estimate", str(tmp_path / "missing.txt"), "--k", "2", "--l", "4")
+BAD_CONFIGS = {
+    "unknown_config_key": ({**RUN_CONFIG, "n_seed": 3}, "n_seed"),
+    "missing_config_key": ({key: value for key, value in RUN_CONFIG.items()
+                            if key != "matrix"}, "matrix"),
+    "grid_entry_missing_key": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 8}]}, "q"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing_spectrum_file", *BAD_CONFIGS])
+def test_error_reporting_is_clean(tmp_path, case):
+    if case == "missing_spectrum_file":
+        res = run_cli("estimate", str(tmp_path / "missing.txt"), "--k", "2", "--l", "4")
+        needle = "missing.txt"
+    else:
+        cfg, needle = BAD_CONFIGS[case]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        res = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"))
     assert res.returncode == 1
-    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr
+    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
+    assert len(errors) == 1
+    # the message ends with the offending file or key names
+    assert needle in errors[0].rsplit(": ", 1)[-1]

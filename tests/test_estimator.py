@@ -3,8 +3,7 @@ import time
 import numpy as np
 import pytest
 
-from rsvdangles.estimator import (EPS_FLAG, estimate_cost_model,
-                                  unbiased_estimate)
+from rsvdangles.estimator import estimate_cost_model, unbiased_estimate
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (DistortionParams, space_agnostic_lower,
@@ -53,13 +52,6 @@ class TestReportStructure:
         for j in (0, 3, 5):
             single = self._report(n_trials=1, seed=11 ^ j)
             assert np.array_equal(single.per_trial[0], a.per_trial[j])
-
-    def test_machine_epsilon_flagging(self):
-        spec = Spectrum.from_values([1e5, 1e5, 1.0] + [0.9] * 40)
-        rep = unbiased_estimate(spec, k=2, l=8, q=2, n_trials=3, side="left", seed=0)
-        assert rep.flagged.shape == rep.mean.shape
-        assert np.array_equal(rep.flagged, rep.mean < EPS_FLAG)
-        assert rep.flagged.any()
 
 
 class TestSpaceAgnosticism:

@@ -34,8 +34,8 @@ class TestResidualSpectrum:
     def test_orthogonal_basis_leaves_spectrum_unchanged(self):
         spec = Spectrum.from_values([2.0, 1.5, 1.0])
         pm = gen_gaussian_decay(12, 10, spec, seed=2)
-        from rsvdangles.rsvd import orthogonal_complement
-        v = orthogonal_complement(pm.factors.u)[:, :1]
+        # a unit vector orthogonal to the column space of a
+        v = np.linalg.qr(pm.factors.u, mode="complete")[0][:, 3:4]
         res = residual_spectrum(pm.a, v, "left")
         assert np.allclose(res.values[:3], spec.values, atol=1e-10)
 
@@ -111,16 +111,6 @@ class TestResidualBlocks:
         in_basis = np.linalg.norm(err @ out.v) ** 2
         out_basis = np.linalg.norm(err - (err @ out.v) @ out.v.T) ** 2
         assert np.linalg.norm(err) ** 2 == pytest.approx(in_basis + out_basis, rel=1e-10)
-
-    def test_power_method_path_stays_below_exact(self):
-        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
-        pm = gen_gaussian_decay(50, 40, spec, seed=8)
-        out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=3))
-        exact = residual_blocks(pm.a, out, k=5)
-        sampled = residual_blocks(pm.a, out, k=5, power_iters=40, power_seed=1)
-        for attr in ("resid_in_basis_2", "resid_beyond_k_2", "resid_out_of_basis_2"):
-            assert getattr(sampled, attr) <= getattr(exact, attr) + 1e-12
-            assert getattr(sampled, attr) >= 0.9 * getattr(exact, attr)
 
     def test_gaps_absent_when_assumptions_fail(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])

@@ -4,8 +4,7 @@ import pytest
 from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
-from rsvdangles.rsvd import (SketchConfig, gaussian_sketch,
-                             orthogonal_complement, rsvd)
+from rsvdangles.rsvd import SketchConfig, gaussian_sketch, rsvd
 
 
 class TestGaussianSketch:
@@ -100,29 +99,3 @@ class TestRsvd:
                      for seed in range(20)]
             means.append(np.mean(worst))
         assert means[0] >= means[1] >= means[2]
-
-
-class TestOrthogonalComplement:
-    def test_coordinate_basis(self):
-        comp = orthogonal_complement(np.eye(4)[:, :2])
-        span = comp @ comp.T
-        expect = np.diag([0.0, 0.0, 1.0, 1.0])
-        assert np.allclose(span, expect, atol=1e-12)
-
-    def test_completion_is_square_orthogonal(self):
-        rng = seeded_rng(8)
-        basis = ortho(rng.standard_normal((12, 5)))
-        comp = orthogonal_complement(basis)
-        full = np.hstack([basis, comp])
-        assert np.linalg.norm(full.T @ full - np.eye(12), 2) <= 1e-10
-
-    def test_perpendicular_to_input(self):
-        rng = seeded_rng(9)
-        basis = ortho(rng.standard_normal((30, 7)))
-        comp = orthogonal_complement(basis)
-        assert comp.shape == (30, 23)
-        assert np.linalg.norm(basis.T @ comp, 2) <= 1e-10
-
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            orthogonal_complement(np.ones((4, 2)))
