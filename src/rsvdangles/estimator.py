@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, seeded_rng
+from .linalg import Spectrum, seeded_rng, sv_x_pinv
 from .prior_bounds import power_exponent
 
 
@@ -68,11 +68,10 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         omega = rng.standard_normal((r, l)) / math.sqrt(l)
         w1 = top_w[:, None] * omega[:k]
         w2 = tail_w[:, None] * omega[k:]
-        _, s2, vh2 = np.linalg.svd(w2, full_matrices=False)
-        if s2[0] == 0.0 or s2[-1] <= 1e-12 * s2[0]:
-            raise ValueError("tail too short for estimator")
-        # right factor u2.T has orthonormal rows and cannot change singular values
-        nu = np.linalg.svd((w1 @ vh2.T) / s2, compute_uv=False)
+        try:
+            nu = sv_x_pinv(w1, w2)
+        except ValueError:
+            raise ValueError("tail too short for estimator") from None
         per_trial[j] = 1.0 / np.sqrt(1.0 + nu**2)
     mean = per_trial.mean(axis=0)
     return EstimateReport(

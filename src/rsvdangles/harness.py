@@ -32,7 +32,7 @@ from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
 from .prior_bounds import (BoundReport, DistortionParams, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
-from .rsvd import SketchConfig, gaussian_sketch, rsvd
+from .rsvd import SketchConfig, rsvd
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "matrix,side,k,l,q,seed,i,kind,spectrum_source,value,status"
@@ -94,6 +94,8 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ValueError("config must be a JSON object")
         version = raw.pop("schema_version", None)
         if version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {version!r}")
@@ -103,14 +105,46 @@ class ExperimentConfig:
         missing = [key for key in ("matrix", "grid") if key not in raw]
         if missing:
             raise ValueError(f"missing config key(s): {', '.join(missing)}")
+        for key, (ok, what) in _VALUE_TYPES.items():
+            if key in raw and not ok(raw[key]):
+                raise ValueError(f"config value must be {what}: {key}")
         grid = []
         for pos, g in enumerate(raw.pop("grid")):
+            if not isinstance(g, dict):
+                raise ValueError(f"grid entry {pos} must be an object")
             missing = [key for key in ("k", "l", "q") if key not in g]
             if missing:
                 raise ValueError(f"grid entry {pos} is missing key(s): {', '.join(missing)}")
-            grid.append((int(g["k"]), int(g["l"]), int(g["q"])))
+            for key in ("k", "l", "q"):
+                if not _is_int(g[key]):
+                    raise ValueError(f"grid entry {pos} value must be an integer: {key}")
+            grid.append((g["k"], g["l"], g["q"]))
         sides = tuple(raw.pop("sides", ("left", "right")))
         return cls(matrix=raw.pop("matrix"), grid=grid, sides=sides, **raw)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# JSON value checks per config key: (predicate, what the message asks for)
+_VALUE_TYPES = {
+    "matrix": (lambda v: isinstance(v, dict), "an object"),
+    "grid": (lambda v: isinstance(v, list), "a list"),
+    "sides": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+              "a list of strings"),
+    "estimator_trials": (_is_int, "an integer"),
+    "n_seeds": (_is_int, "an integer"),
+    "base_seed": (_is_int, "an integer"),
+    "jobs": (_is_int, "an integer"),
+    "upper_c": (_is_number, "a number"),
+    "lower_c": (_is_number, "a number"),
+    "outdir": (lambda v: v is None or isinstance(v, str), "a string or null"),
+}
 
 
 # The four synthetic 500x500 presets of the bound-comparison protocol: sparse
@@ -223,10 +257,9 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
     rows: list[Row] = []
 
     if has_known:
-        omega = gaussian_sketch(a.shape[1], l, seed)
         r = true_spec.declared_rank
-        omega1 = factors.v[:, :k].T @ omega
-        omega2 = factors.v[:, k:r].T @ omega
+        omega1 = factors.v[:, :k].T @ out.sketch
+        omega2 = factors.v[:, k:r].T @ out.sketch
 
     # the projected residual does not depend on the spectrum source
     resids = {side: residual_spectrum(a, out.u if side == "left" else out.v, side)

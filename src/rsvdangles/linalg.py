@@ -134,25 +134,26 @@ def svd_full(m) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
-def pinv_apply(m, rhs, rel_cutoff: float = 1e-12) -> np.ndarray:
-    """Apply the Moore-Penrose pseudo-inverse of m to rhs through an economy SVD.
+def sv_x_pinv(x, y) -> np.ndarray:
+    """Singular values of x @ pinv(y) for a tall y of full column rank.
 
-    Singular values below ``rel_cutoff * sigma_max(m)`` are treated as zero,
-    so an all-zero m maps everything to zero.
+    With the reduced QR y = Q R, pinv(y) = inv(R) Q.T, and Q.T has
+    orthonormal rows, so the values are those of solve(R.T, x.T): one QR of
+    the tall block, one small solve and one values-only SVD. Raises
+    ValueError("rank deficient y") when the smallest singular value of y is
+    at most 1e-12 times its largest.
     """
-    m = as_matrix(m, "m")
-    rhs = as_matrix(rhs, "rhs")
-    if not 0.0 <= rel_cutoff < 1.0:
-        raise ValueError("rel_cutoff must lie in [0, 1)")
-    if m.shape[0] != rhs.shape[0]:
-        raise ValueError("m and rhs row counts differ")
-    f = svd_full(m)
-    smax = f.sigma[0] if f.sigma.size else 0.0
-    if smax == 0.0:
-        return np.zeros((m.shape[1], rhs.shape[1]))
-    inv = np.where(f.sigma > rel_cutoff * smax, 1.0, 0.0)
-    inv = np.divide(inv, f.sigma, out=inv, where=f.sigma > 0)
-    return f.v @ (inv[:, None] * (f.u.T @ rhs))
+    x = as_matrix(x, "x")
+    y = as_matrix(y, "y")
+    if y.shape[0] < y.shape[1]:
+        raise ValueError("y must have at least as many rows as columns")
+    if x.shape[1] != y.shape[1]:
+        raise ValueError("x and y column counts differ")
+    r = np.linalg.qr(y, mode="r")
+    s = np.linalg.svd(r, compute_uv=False)
+    if s[-1] <= 1e-12 * s[0]:
+        raise ValueError("rank deficient y")
+    return np.linalg.svd(np.linalg.solve(r.T, x.T), compute_uv=False)
 
 
 def spectral_norm_power(m, iters: int = 50, seed: int = 0) -> float:

@@ -192,11 +192,10 @@ def subspace_aware_upper(spectrum: Spectrum, omega1, omega2, k: int, q: int,
     r = spectrum.declared_rank
     if omega1.shape[0] != k or omega2.shape[0] != r - k or omega1.shape[1] != omega2.shape[1]:
         raise ValueError("projected sketch shapes must be k-by-l and (r-k)-by-l")
-    s1 = np.linalg.svd(omega1, compute_uv=False)
-    if s1[-1] <= 1e-12 * s1[0]:
-        raise ValueError("projected sketch omega1 is rank deficient")
     # pinv through the SVD of omega1; right orthonormal factor drops from the norm
-    u1, sv1, vh1 = np.linalg.svd(omega1, full_matrices=False)
+    _, sv1, vh1 = np.linalg.svd(omega1, full_matrices=False)
+    if sv1[-1] <= 1e-12 * sv1[0]:
+        raise ValueError("projected sketch omega1 is rank deficient")
     ratio = np.linalg.norm((omega2 @ vh1.T) / sv1, 2)
     p = power_exponent(q, side)
     logsig = np.log(spectrum.values[:k])

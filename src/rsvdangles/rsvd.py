@@ -43,9 +43,13 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class RsvdOutput:
+    """Factors of a randomized SVD with the n-by-l Gaussian sketch that
+    produced them (None for factors built another way)."""
+
     factors: SvdFactors
     q_used: int
     seed: int
+    sketch: np.ndarray | None = None
 
     @property
     def u(self) -> np.ndarray:
@@ -91,4 +95,4 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
         x = ortho(a @ ortho(a.T @ x))
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.
-    return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), cfg.q, cfg.seed)
+    return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), cfg.q, cfg.seed, omega)

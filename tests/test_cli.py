@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -11,7 +12,6 @@ from rsvdangles.mmio import read_matrix
 
 
 def run_cli(*args, env_extra=None, cwd=None):
-    import os
     env = dict(os.environ)
     env.pop("RSVDANGLES_OUTDIR", None)
     if env_extra:
@@ -109,6 +109,8 @@ BAD_CONFIGS = {
     "missing_config_key": ({key: value for key, value in RUN_CONFIG.items()
                             if key != "matrix"}, "matrix"),
     "grid_entry_missing_key": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 8}]}, "q"),
+    "string_n_seeds": ({**RUN_CONFIG, "n_seeds": "2"}, "n_seeds"),
+    "top_level_list": ([RUN_CONFIG], "object"),
 }
 
 
@@ -128,3 +130,17 @@ def test_error_reporting_is_clean(tmp_path, case):
     assert len(errors) == 1
     # the message ends with the offending file or key names
     assert needle in errors[0].rsplit(": ", 1)[-1]
+
+
+@pytest.mark.parametrize("preset", [None, "3"])
+def test_import_sets_one_blas_thread_unless_preset(preset):
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import rsvdangles, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
+        capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == (preset or "1")

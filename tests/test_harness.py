@@ -131,6 +131,19 @@ class TestExperimentConfig:
         assert cfg.estimator_trials == 4
         assert cfg.base_seed == 7
 
+    @pytest.mark.parametrize("key, value, needle", [
+        ("n_seeds", "2", "n_seeds"), ("jobs", True, "jobs"),
+        ("base_seed", 1.5, "base_seed"), ("upper_c", "1", "upper_c"),
+        ("sides", "left", "sides"), ("outdir", 3, "outdir"),
+        ("matrix", [], "matrix"), ("grid", [{"k": 5, "l": "8", "q": 0}], "l")])
+    def test_value_types_checked(self, tmp_path, key, value, needle):
+        payload = {"schema_version": 1, "matrix": TINY_MATRIX,
+                   "grid": [{"k": 5, "l": 8, "q": 0}], key: value}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=f"must be .*: {needle}$"):
+            ExperimentConfig.from_json(path)
+
     def test_schema_version_checked(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"schema_version": 99, "matrix": TINY_MATRIX,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, ortho,
-                               pinv_apply, seeded_rng, spectral_norm_power,
+                               seeded_rng, spectral_norm_power, sv_x_pinv,
                                svd_full)
 
 
@@ -82,24 +82,38 @@ class TestSvdFull:
         assert np.allclose(f.sigma[:30], spec.values, rtol=1e-8)
 
 
-class TestPinvApply:
-    def test_diagonal_inverse(self):
-        out = pinv_apply(np.diag([2.0, 4.0]), np.eye(2))
-        assert np.allclose(out, np.diag([0.5, 0.25]), atol=1e-14)
+class TestSvXPinv:
+    @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
+    @pytest.mark.parametrize("shape", [(40, 10, 3), (60, 20, 20), (30, 30, 5), (80, 15, 25)])
+    def test_matches_explicit_pseudo_inverse(self, cond, shape):
+        m, n, p = shape
+        rng = seeded_rng(int(np.log10(cond)) * 100 + m)
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        y = (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+        x = rng.standard_normal((p, n))
+        expect = np.linalg.svd(x @ np.linalg.pinv(y), compute_uv=False)
+        got = sv_x_pinv(x, y)
+        # rank(x @ pinv(y)) <= n: the kernel omits the zeros of a wider product
+        assert got.shape == (min(p, n),)
+        # singular values are perturbed in absolute terms, relative to the largest
+        assert np.max(np.abs(got - expect[:got.size])) <= 1e-8 * expect[0]
+        assert np.all(expect[got.size:] <= 1e-8 * expect[0])
 
-    def test_zero_matrix_maps_to_zero(self):
-        out = pinv_apply(np.zeros((3, 3)), np.ones((3, 2)))
-        assert np.all(out == 0.0)
+    def test_rank_deficient_y_raises(self):
+        rng = seeded_rng(3)
+        base = rng.standard_normal((20, 4))
+        y = np.hstack([base, base[:, :1] + base[:, 1:2]])
+        with pytest.raises(ValueError, match="rank deficient"):
+            sv_x_pinv(rng.standard_normal((3, 5)), y)
+        with pytest.raises(ValueError, match="rank deficient"):
+            sv_x_pinv(np.ones((3, 5)), np.zeros((20, 5)))
 
-    def test_moore_penrose_identity(self):
-        rng = seeded_rng(11)
-        m = rng.standard_normal((8, 5))
-        pinv_i = pinv_apply(m, np.eye(8))
-        assert np.linalg.norm(m @ pinv_i @ m - m) <= 1e-9
-
-    def test_cutoff_validation(self):
-        with pytest.raises(ValueError, match="rel_cutoff"):
-            pinv_apply(np.eye(2), np.eye(2), rel_cutoff=1.0)
+    def test_shape_validation(self):
+        with pytest.raises(ValueError, match="at least as many rows"):
+            sv_x_pinv(np.ones((2, 5)), np.ones((3, 5)))
+        with pytest.raises(ValueError, match="column counts"):
+            sv_x_pinv(np.ones((2, 4)), np.eye(5))
 
 
 class TestSpectralNormPower:

@@ -55,6 +55,8 @@ class TestRsvd:
         assert np.array_equal(o1.u, o2.u)
         assert np.array_equal(o1.sigma, o2.sigma)
         assert np.array_equal(o1.v, o2.v)
+        # the output carries the sketch it was drawn with
+        assert np.array_equal(o1.sketch, gaussian_sketch(20, 6, seed=9))
 
     def test_planted_decay_leading_values_match(self):
         spec = Spectrum.from_values(0.9 ** np.arange(1, 201))
