@@ -8,8 +8,9 @@ per (matrix, side, k, l, q, seed, i, kind, spectrum_source, value, status).
 
 Per-bound failures (violated gap assumptions, tails too short for the
 estimator or the lower bound) are recorded in the status column and never
-abort a sweep. Re-running with an identical config reproduces identical CSV
-bytes.
+abort a sweep; a grid entry the matrix cannot take (l > min(m, n)) is
+rejected before any run. Re-running with an identical config reproduces
+identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -89,6 +89,9 @@ class ExperimentConfig:
         for s in self.sides:
             if s not in ("left", "right"):
                 raise ValueError(f"unknown side {s!r}")
+        for key in ("estimator_trials", "n_seeds", "jobs"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"config value must be >= 1: {key}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -245,15 +248,24 @@ GAP_KINDS = ("gap_norm_rank_l", "gap_norm_rank_k",
              "gap_anglewise_rank_l", "gap_anglewise_rank_k")
 
 
-def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
-                k, l, q, seed, n_trials, upper_c, lower_c) -> list[Row]:
+def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
+    """All rows of one (k, l, q, seed) run on a ``build_matrix`` tuple."""
+    name, a, factors, true_spec, pad_rank, has_known = matrix
+    k, l, q, seed = task
     out = rsvd(a, SketchConfig(k, l, q, seed))
     ctx_base = {"matrix": name, "k": k, "l": l, "q": q, "seed": seed}
     padded = pad_spectrum(Spectrum.from_values(out.sigma), pad_rank)
     sources = (("true", true_spec), ("padded", padded))
-    dp_up = DistortionParams(c1=upper_c, c2=upper_c)
-    dp_low = DistortionParams(c1=lower_c, c2=lower_c)
-    stats = residual_blocks(a, out, k, sigma_k=float(true_spec.values[k - 1]))
+    dp_up = DistortionParams(c1=cfg.upper_c, c2=cfg.upper_c)
+    dp_low = DistortionParams(c1=cfg.lower_c, c2=cfg.lower_c)
+    # The projected residuals do not depend on the spectrum source. The right
+    # one is always taken: its top value is the out-of-basis norm that
+    # residual_blocks needs.
+    resids = {"right": residual_spectrum(a, out.v, "right")}
+    if "left" in cfg.sides:
+        resids["left"] = residual_spectrum(a, out.u, "left")
+    stats = residual_blocks(a, out, k, sigma_k=float(true_spec.values[k - 1]),
+                            right_residual=resids["right"])
     rows: list[Row] = []
 
     if has_known:
@@ -261,15 +273,12 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
         omega1 = factors.v[:, :k].T @ out.sketch
         omega2 = factors.v[:, k:r].T @ out.sketch
 
-    # the projected residual does not depend on the spectrum source
-    resids = {side: residual_spectrum(a, out.u if side == "left" else out.v, side)
-              for side in sides}
     for source, spec in sources:
         try:
             reports = gap_bounds(stats, spec, k)
         except ValueError:
             reports = None
-        for side in sides:
+        for side in cfg.sides:
             basis = out.u if side == "left" else out.v
             truth = (factors.u if side == "left" else factors.v)[:, :k]
             if source == "true":
@@ -292,7 +301,7 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
                     subspace_aware_upper(spec, omega1, omega2, k, q, side),
                     spectrum_source=source), ctx_base)
             try:
-                est = unbiased_estimate(spec, k, l, q, n_trials, side, seed)
+                est = unbiased_estimate(spec, k, l, q, cfg.estimator_trials, side, seed)
                 rows += _value_rows(est.mean, "estimate", side, source, ctx_base)
             except ValueError:
                 rows += _error_rows("estimate", side, source, STATUS_TAIL, k, ctx_base)
@@ -314,23 +323,63 @@ def _run_single(a, factors, true_spec, pad_rank, has_known, name, sides,
     return rows
 
 
+# (matrix, cfg) of the sweep a pool worker serves, set once in each worker
+# process by _init_worker
+_worker_sweep = None
+
+
+def _init_worker(matrix, cfg: ExperimentConfig) -> None:
+    global _worker_sweep
+    _worker_sweep = (matrix, cfg)
+
+
+def _worker_run(task) -> list[Row]:
+    return _run_single(*_worker_sweep, task)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
-    """Execute the full sweep and (when an outdir is set) write CSV and SVGs."""
-    name, a, factors, true_spec, pad_rank, has_known = build_matrix(cfg.matrix)
+    """Execute the full sweep and (when an outdir is set) write CSV and SVGs.
+
+    With ``cfg.jobs > 1`` the runs are shared by ``min(jobs, runs)``
+    workers: the calling process takes a fixed share (every
+    ``min(jobs, runs)``-th run) and forked processes take the rest. This needs the ``fork`` start method (POSIX); where it is
+    missing, ``jobs > 1`` raises ValueError. The rows do not depend on the
+    worker count. As with any fork, the calling process should run no other
+    threads at that point.
+    """
+    matrix = build_matrix(cfg.matrix)
+    name, a = matrix[:2]
+    limit = min(a.shape)
+    for k, l, q in cfg.grid:
+        if l > limit:
+            raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs l <= min(m, n)={limit}")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
 
-    def work(task):
-        k, l, q, seed = task
-        return _run_single(a, factors, true_spec, pad_rank, has_known, name,
-                           cfg.sides, k, l, q, seed, cfg.estimator_trials,
-                           cfg.upper_c, cfg.lower_c)
-
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(work, tasks))
+    workers = min(cfg.jobs, len(tasks))
+    if workers > 1:
+        # Processes, not threads: numpy's values-only SVD does not overlap
+        # across threads. Forked workers inherit the matrix instead of
+        # unpickling it. Imported here so that commands that start no
+        # worker do not pay for the import.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" not in multiprocessing.get_all_start_methods():
+            raise ValueError("jobs > 1 needs the 'fork' start method, "
+                             "which this platform does not have")
+        # The calling process is one of the workers: it runs a fixed share
+        # while the forked ones serve the rest, so one fork fewer is needed.
+        own = tasks[::workers]
+        rest = [t for i, t in enumerate(tasks) if i % workers]
+        with ProcessPoolExecutor(workers - 1,
+                                 mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_init_worker,
+                                 initargs=(matrix, cfg)) as pool:
+            forked = pool.map(_worker_run, rest)
+            chunks = [_run_single(matrix, cfg, task) for task in own]
+            chunks += forked
     else:
-        chunks = [work(t) for t in tasks]
+        chunks = [_run_single(matrix, cfg, task) for task in tasks]
     rows = sorted((r for chunk in chunks for r in chunk), key=_SORT_KEY)
 
     if cfg.outdir:
@@ -521,17 +570,16 @@ _KIND_COLORS = {
 
 def experiment_panels(rows: list[Row]):
     """Group experiment rows into one panel per (matrix, k, l, side, q)."""
-    keys = sorted({(r.matrix, r.k, r.l, r.side, r.q) for r in rows})
-    for matrix, k, l, side, q in keys:
-        sel = [r for r in rows
-               if (r.matrix, r.k, r.l, r.side, r.q) == (matrix, k, l, side, q)]
+    # panel key -> (kind, source) -> angle index -> finite values in row order
+    groups: dict[tuple, dict[tuple, dict[int, list[float]]]] = {}
+    for r in rows:
+        pts = groups.setdefault((r.matrix, r.k, r.l, r.side, r.q), {}).setdefault(
+            (r.kind, r.spectrum_source), {})
+        if math.isfinite(r.value):
+            pts.setdefault(r.i, []).append(r.value)
+    for (matrix, k, l, side, q), combos in sorted(groups.items()):
         series = []
-        combos = sorted({(r.kind, r.spectrum_source) for r in sel})
-        for kind, source in combos:
-            pts: dict[int, list[float]] = {}
-            for r in sel:
-                if r.kind == kind and r.spectrum_source == source and np.isfinite(r.value):
-                    pts.setdefault(r.i, []).append(r.value)
+        for (kind, source), pts in sorted(combos.items()):
             if not pts:
                 continue
             xs = sorted(pts)

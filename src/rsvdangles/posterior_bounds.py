@@ -104,13 +104,15 @@ def _spec_norm(x: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def residual_blocks(a, out: RsvdOutput, k: int,
-                    sigma_k: float | None = None) -> ResidualStats:
+def residual_blocks(a, out: RsvdOutput, k: int, sigma_k: float | None = None,
+                    right_residual: Spectrum | None = None) -> ResidualStats:
     """Residual-block norms and gaps for a delivered rank-l approximation.
 
     The three spectral norms are exact (dense singular values), so the gap
     bounds built from them are valid certificates. When ``sigma_k`` is
-    omitted it is taken from the exact spectrum of ``a``.
+    omitted it is taken from the exact spectrum of ``a``. A caller that
+    already holds ``residual_spectrum(a, out.v, "right")`` passes it as
+    ``right_residual``; its top value is the out-of-basis norm.
     """
     a = as_matrix(a)
     f = out.factors
@@ -122,7 +124,9 @@ def residual_blocks(a, out: RsvdOutput, k: int,
     err = a - f.reconstruct()
     in_basis_2 = _spec_norm(err @ f.v)
     beyond_k_2 = _spec_norm(err @ f.v[:, k:])
-    out_2 = _spec_norm(a - (a @ f.v) @ f.v.T)
+    if right_residual is None:
+        right_residual = residual_spectrum(a, f.v, "right")
+    out_2 = float(right_residual.values[0])
     sigma_hat_next = float(f.sigma[k])
     gaps = _gaps(sigma_k, sigma_hat_next, out_2)
     return ResidualStats(in_basis_2, beyond_k_2, out_2,

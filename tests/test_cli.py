@@ -46,11 +46,16 @@ def test_gen_writes_matrix_and_descriptor(tmp_path):
 def test_run_executes_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
-    out = tmp_path / "results"
-    res = run_cli("run", str(cfg_path), "--outdir", str(out), "--jobs", "2")
-    assert res.returncode == 0, res.stderr
-    assert (out / "snn_tiny_bounds.csv").exists()
-    assert list(out.glob("*.svg"))
+    outputs = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        res = run_cli("run", str(cfg_path), "--outdir", str(out), "--jobs", jobs)
+        assert res.returncode == 0, res.stderr
+        assert (out / "snn_tiny_bounds.csv").exists()
+        assert list(out.glob("*.svg"))
+        outputs[jobs] = {p.name: p.read_bytes() for p in out.iterdir()}
+    # worker processes write the same CSV and SVG bytes as the serial run
+    assert outputs["2"] == outputs["1"]
 
 
 def test_run_seed_and_trials_flags_change_rows(tmp_path):
@@ -104,13 +109,23 @@ def test_estimate_matches_library_call(tmp_path):
     assert np.allclose(got[:, 2], rep.max_band, rtol=1e-15)
 
 
+# case -> (config, extra run flags, needle the message ends with)
 BAD_CONFIGS = {
-    "unknown_config_key": ({**RUN_CONFIG, "n_seed": 3}, "n_seed"),
+    "unknown_config_key": ({**RUN_CONFIG, "n_seed": 3}, [], "n_seed"),
     "missing_config_key": ({key: value for key, value in RUN_CONFIG.items()
-                            if key != "matrix"}, "matrix"),
-    "grid_entry_missing_key": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 8}]}, "q"),
-    "string_n_seeds": ({**RUN_CONFIG, "n_seeds": "2"}, "n_seeds"),
-    "top_level_list": ([RUN_CONFIG], "object"),
+                            if key != "matrix"}, [], "matrix"),
+    "grid_entry_missing_key": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 8}]}, [], "q"),
+    "string_n_seeds": ({**RUN_CONFIG, "n_seeds": "2"}, [], "n_seeds"),
+    "top_level_list": ([RUN_CONFIG], [], "object"),
+    "zero_estimator_trials": ({**RUN_CONFIG, "estimator_trials": 0}, [],
+                              "estimator_trials"),
+    "zero_n_seeds": ({**RUN_CONFIG, "n_seeds": 0}, [], "n_seeds"),
+    "zero_jobs": ({**RUN_CONFIG, "jobs": 0}, [], "jobs"),
+    "trials_flag_zero": (RUN_CONFIG, ["--trials", "0"], "estimator_trials"),
+    "jobs_flag_zero": (RUN_CONFIG, ["--jobs", "0"], "jobs"),
+    # the 35x30 matrix cannot take l=40: rejected before any worker starts
+    "grid_l_exceeds_matrix": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 40, "q": 1}]},
+                              ["--jobs", "2"], "l=40"),
 }
 
 
@@ -120,16 +135,36 @@ def test_error_reporting_is_clean(tmp_path, case):
         res = run_cli("estimate", str(tmp_path / "missing.txt"), "--k", "2", "--l", "4")
         needle = "missing.txt"
     else:
-        cfg, needle = BAD_CONFIGS[case]
+        cfg, flags, needle = BAD_CONFIGS[case]
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        res = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"))
+        res = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"), *flags)
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
     assert len(errors) == 1
     # the message ends with the offending file or key names
     assert needle in errors[0].rsplit(": ", 1)[-1]
+
+
+def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, harness
+
+    run_single, caller = harness._run_single, os.getpid()
+
+    def fail_in_forked_worker(*args):
+        if os.getpid() != caller:
+            raise ValueError("raised in a worker process")
+        return run_single(*args)
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(harness, "_run_single", fail_in_forked_worker)
+    monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RUN_CONFIG))
+    rc = cli.main(["run", str(cfg_path), "--outdir", str(tmp_path / "out"), "--jobs", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
 
 
 @pytest.mark.parametrize("preset", [None, "3"])

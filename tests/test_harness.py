@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -55,6 +57,14 @@ def rows():
     return run_experiment(tiny_config())
 
 
+@pytest.fixture
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a worker process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+
+
 class TestRunExperiment:
     def test_row_count_matches_counting_formula(self, rows):
         # combos per side: 2 truth kinds (true source only) + 9 value kinds
@@ -81,6 +91,29 @@ class TestRunExperiment:
         emit_csv(rows, p1)
         emit_csv(rows_jobs, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_pool_leaves_no_worker_processes(self):
+        run_experiment(tiny_config(jobs=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("forbid_fork")
+    @pytest.mark.parametrize("jobs, n_seeds", [(1, 2), (3, 1)])
+    def test_single_worker_starts_no_process(self, jobs, n_seeds):
+        run_experiment(tiny_config(grid=[(5, 8, 0)], jobs=jobs, n_seeds=n_seeds))
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_jobs_rejected_without_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        with pytest.raises(ValueError, match="'fork' start method"):
+            run_experiment(tiny_config(jobs=2))
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_grid_checked_against_matrix_before_any_run(self):
+        snn = {"generator": "snn", "m": 35, "n": 30, "r1": 4, "a": 5.0,
+               "density": 0.3, "seed": 9, "name": "snn_tiny"}
+        cfg = tiny_config(matrix=snn, grid=[(4, 8, 1), (4, 40, 1)], jobs=2)
+        with pytest.raises(ValueError, match=r"\(k=4, l=40, q=1\).*min\(m, n\)=30"):
+            run_experiment(cfg)
 
     def test_errors_recorded_not_raised(self, rows):
         # 40x40 at l = rank/5 keeps gaps healthy, so force a tail_short case:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,18 @@ class TestResidualBlocks:
         in_basis = np.linalg.norm(err @ out.v) ** 2
         out_basis = np.linalg.norm(err - (err @ out.v) @ out.v.T) ** 2
         assert np.linalg.norm(err) ** 2 == pytest.approx(in_basis + out_basis, rel=1e-10)
+
+    def test_right_residual_gives_identical_stats(self):
+        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
+        pm = gen_gaussian_decay(50, 40, spec, seed=7)
+        out = rsvd(pm.a, SketchConfig(5, 12, 1, seed=2))
+        computed = residual_blocks(pm.a, out, k=5)
+        passed = residual_blocks(pm.a, out, k=5,
+                                 right_residual=residual_spectrum(pm.a, out.v, "right"))
+        assert passed.gaps_present
+        # a passed-in right residual gives the same bits as the computed one
+        assert ([np.float64(x).tobytes() for x in astuple(passed)]
+                == [np.float64(x).tobytes() for x in astuple(computed)])
 
     def test_gaps_absent_when_assumptions_fail(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
