@@ -36,7 +36,6 @@ class EstimateReport:
     n_trials: int
     side: str
     seed: int
-    spectrum_source: str = "true"
 
 
 def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,

@@ -8,9 +8,9 @@ per (matrix, side, k, l, q, seed, i, kind, spectrum_source, value, status).
 
 Per-bound failures (violated gap assumptions, tails too short for the
 estimator or the lower bound) are recorded in the status column and never
-abort a sweep; a grid entry the matrix cannot take (l > min(m, n)) is
-rejected before any run. Re-running with an identical config reproduces
-identical CSV bytes.
+abort a sweep; a grid entry the matrix cannot take (l above rank(A), which
+is at most min(m, n)) is rejected before any run. Re-running with an
+identical config reproduces identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .matgen import (gen_gaussian_decay, gen_snn, gen_step_spectrum,
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (BoundReport, DistortionParams, space_agnostic_lower,
+from .prior_bounds import (BoundReport, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, rsvd
 
@@ -219,14 +219,14 @@ def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def _report_rows(report: BoundReport, ctx: dict) -> list[Row]:
+def _report_rows(report: BoundReport, source: str, ctx: dict) -> list[Row]:
     raw = report.params.get("raw_values")
     rows = []
     for i, v in enumerate(report.values, start=1):
         status = STATUS_OK
         if raw is not None and raw[i - 1] > 1.0:
             status = STATUS_TRIVIAL
-        rows.append(Row(kind=report.kind, spectrum_source=report.spectrum_source,
+        rows.append(Row(kind=report.kind, spectrum_source=source,
                         side=report.side, i=i, value=float(v), status=status, **ctx))
     return rows
 
@@ -256,16 +256,13 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     ctx_base = {"matrix": name, "k": k, "l": l, "q": q, "seed": seed}
     padded = pad_spectrum(Spectrum.from_values(out.sigma), pad_rank)
     sources = (("true", true_spec), ("padded", padded))
-    dp_up = DistortionParams(c1=cfg.upper_c, c2=cfg.upper_c)
-    dp_low = DistortionParams(c1=cfg.lower_c, c2=cfg.lower_c)
     # The projected residuals do not depend on the spectrum source. The right
     # one is always taken: its top value is the out-of-basis norm that
     # residual_blocks needs.
     resids = {"right": residual_spectrum(a, out.v, "right")}
     if "left" in cfg.sides:
         resids["left"] = residual_spectrum(a, out.u, "left")
-    stats = residual_blocks(a, out, k, sigma_k=float(true_spec.values[k - 1]),
-                            right_residual=resids["right"])
+    stats = residual_blocks(a, out, k, resids["right"])
     rows: list[Row] = []
 
     if has_known:
@@ -286,29 +283,27 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
                                     "true_angle", side, source, ctx_base)
                 rows += _value_rows(canonical_sines(basis[:, :k], truth),
                                     "true_angle_rank_k", side, source, ctx_base)
-            rows += _report_rows(replace(
-                space_agnostic_upper(spec, k, l, q, side, dp_up),
-                spectrum_source=source), ctx_base)
+            rows += _report_rows(space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
+                                 source, ctx_base)
             try:
-                rows += _report_rows(replace(
-                    space_agnostic_lower(spec, k, l, q, side, dp_low),
-                    spectrum_source=source), ctx_base)
+                rows += _report_rows(
+                    space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c),
+                    source, ctx_base)
             except ValueError:
                 rows += _error_rows("space_agnostic_lower", side, source,
                                     STATUS_TAIL, k, ctx_base)
             if has_known:
-                rows += _report_rows(replace(
+                rows += _report_rows(
                     subspace_aware_upper(spec, omega1, omega2, k, q, side),
-                    spectrum_source=source), ctx_base)
+                    source, ctx_base)
             try:
                 est = unbiased_estimate(spec, k, l, q, cfg.estimator_trials, side, seed)
                 rows += _value_rows(est.mean, "estimate", side, source, ctx_base)
             except ValueError:
                 rows += _error_rows("estimate", side, source, STATUS_TAIL, k, ctx_base)
             try:
-                rows += _report_rows(replace(
-                    residual_ratio_bounds(resids[side], spec, k, side),
-                    spectrum_source=source), ctx_base)
+                rows += _report_rows(residual_ratio_bounds(resids[side], spec, k, side),
+                                     source, ctx_base)
             except ValueError:
                 rows += _error_rows("residual_ratio", side, source,
                                     STATUS_TAIL, k, ctx_base)
@@ -318,8 +313,7 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
             else:
                 for rep in reports:
                     if rep.side == side:
-                        rows += _report_rows(replace(rep, spectrum_source=source),
-                                             ctx_base)
+                        rows += _report_rows(rep, source, ctx_base)
     return rows
 
 
@@ -348,11 +342,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     threads at that point.
     """
     matrix = build_matrix(cfg.matrix)
-    name, a = matrix[:2]
-    limit = min(a.shape)
+    name, a, _, true_spec = matrix[:4]
+    # A sketch wider than the rank collapses, so such an entry could not run.
+    rank = true_spec.declared_rank
     for k, l, q in cfg.grid:
-        if l > limit:
-            raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs l <= min(m, n)={limit}")
+        if l > rank:
+            raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs l <= rank(A)={rank}"
+                             f" (min(m, n)={min(a.shape)})")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
 

@@ -155,27 +155,3 @@ def sv_x_pinv(x, y) -> np.ndarray:
         raise ValueError("rank deficient y")
     return np.linalg.svd(np.linalg.solve(r.T, x.T), compute_uv=False)
 
-
-def spectral_norm_power(m, iters: int = 50, seed: int = 0) -> float:
-    """Randomized power-method estimate of the spectral norm.
-
-    The returned value never exceeds sigma_1(m) and is non-decreasing in
-    ``iters`` for a fixed seed (it is the square root of the Rayleigh
-    quotient of m.T @ m along the power iterates).
-    """
-    m = as_matrix(m)
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    rng = seeded_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        return 0.0
-    v /= norm
-    for _ in range(iters):
-        z = m.T @ (m @ v)
-        norm = np.linalg.norm(z)
-        if norm == 0.0:
-            return 0.0
-        v = z / norm
-    return float(np.linalg.norm(m @ v))

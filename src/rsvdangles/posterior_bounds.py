@@ -33,32 +33,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, as_matrix, svd_full
+from .linalg import Spectrum, as_matrix
 from .prior_bounds import BoundReport, make_report
 from .rsvd import RsvdOutput
 
 
 @dataclass(frozen=True)
 class ResidualStats:
-    """Residual norms of a rank-l approximation plus the index-k gaps.
-
-    Gap fields are None when the assumptions sigma_k > sigma_hat_{k+1} and
-    sigma_k > out-of-basis norm fail; that is a value state, not an error.
-    """
+    """Residual-block norms of a rank-l approximation and sigma_hat_{k+1}."""
 
     resid_in_basis_2: float
     resid_beyond_k_2: float
     resid_out_of_basis_2: float
     sigma_hat_next: float
-    sigma_k: float
-    gap_sigma_1: float | None = None
-    gap_sigma_2: float | None = None
-    gap_resid_1: float | None = None
-    gap_resid_2: float | None = None
-
-    @property
-    def gaps_present(self) -> bool:
-        return self.gap_resid_1 is not None
 
 
 def residual_spectrum(a, basis, side: str) -> Spectrum:
@@ -104,45 +91,24 @@ def _spec_norm(x: np.ndarray) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def residual_blocks(a, out: RsvdOutput, k: int, sigma_k: float | None = None,
-                    right_residual: Spectrum | None = None) -> ResidualStats:
-    """Residual-block norms and gaps for a delivered rank-l approximation.
+def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> ResidualStats:
+    """Residual-block norms for a delivered rank-l approximation.
 
     The three spectral norms are exact (dense singular values), so the gap
-    bounds built from them are valid certificates. When ``sigma_k`` is
-    omitted it is taken from the exact spectrum of ``a``. A caller that
-    already holds ``residual_spectrum(a, out.v, "right")`` passes it as
-    ``right_residual``; its top value is the out-of-basis norm.
+    bounds built from them are valid certificates. ``right_residual`` is
+    ``residual_spectrum(a, out.v, "right")``; its top value is the
+    out-of-basis norm.
     """
     a = as_matrix(a)
     f = out.factors
     l = f.width
     if not 1 <= k < l:
         raise ValueError("need 1 <= k < l")
-    if sigma_k is None:
-        sigma_k = float(svd_full(a).sigma[k - 1])
     err = a - f.reconstruct()
     in_basis_2 = _spec_norm(err @ f.v)
     beyond_k_2 = _spec_norm(err @ f.v[:, k:])
-    if right_residual is None:
-        right_residual = residual_spectrum(a, f.v, "right")
-    out_2 = float(right_residual.values[0])
-    sigma_hat_next = float(f.sigma[k])
-    gaps = _gaps(sigma_k, sigma_hat_next, out_2)
-    return ResidualStats(in_basis_2, beyond_k_2, out_2,
-                         sigma_hat_next, float(sigma_k), *gaps)
-
-
-def _gaps(sigma_k: float, sigma_hat_next: float, out_2: float):
-    if sigma_k <= sigma_hat_next or sigma_k <= out_2:
-        return (None, None, None, None)
-    d_sigma = sigma_k**2 - sigma_hat_next**2
-    d_resid = sigma_k**2 - out_2**2
-    g1 = d_sigma / sigma_k
-    g2 = d_sigma / sigma_hat_next if sigma_hat_next > 0 else np.inf
-    r1 = d_resid / sigma_k
-    r2 = d_resid / out_2 if out_2 > 0 else np.inf
-    return (g1, g2, r1, r2)
+    return ResidualStats(in_basis_2, beyond_k_2, float(right_residual.values[0]),
+                         float(f.sigma[k]))
 
 
 def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundReport]:
@@ -152,8 +118,8 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     scalar replicated across indices) and gap_anglewise_rank_l /
     gap_anglewise_rank_k (per-index variants), each for side "left"
     (comparing against the rank-l or rank-k left basis) and "right". The
-    gaps are recomputed from ``spectrum`` so one call per spectrum source
-    stays self-consistent. Raises when the gap assumptions fail.
+    gaps are computed here from the sigma_k of ``spectrum``, so each
+    spectrum source gets its own. Raises when the gap assumptions fail.
     """
     if k > spectrum.size or k < 1:
         raise ValueError("k out of range for the spectrum")
@@ -163,7 +129,12 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     if sigma_k <= shat or sigma_k <= out2:
         raise ValueError(
             "gap assumption violated (sigma_k <= sigma_hat_{k+1} or sigma_k <= residual norm)")
-    g1, g2, r1, r2 = _gaps(sigma_k, shat, out2)
+    d_sigma = sigma_k**2 - shat**2
+    d_resid = sigma_k**2 - out2**2
+    g1 = d_sigma / sigma_k
+    g2 = d_sigma / shat if shat > 0 else np.inf
+    r1 = d_resid / sigma_k
+    r2 = d_resid / out2 if out2 > 0 else np.inf
     in2 = stats.resid_in_basis_2
     e32 = stats.resid_beyond_k_2
     base = in2 / r1

@@ -1,10 +1,11 @@
 """Prior (a priori) canonical-angle bounds that need only the spectrum.
 
 The space-agnostic bounds depend on the singular values of the target
-matrix, the sketch width l, the power count q, and two distortion factors
+matrix, the sketch width l, the power count q, and one distortion
+multiplier c > 0 that scales both distortion factors
 
-    head distortion = c1 * sqrt(k / l)
-    tail distortion = c2 * sqrt(l / (r - k))    (or sqrt(l / tail_spread))
+    head distortion = c * sqrt(k / l)
+    tail distortion = c * sqrt(l / (r - k))
 
 For the left singular subspace the spectrum enters with exponent 4q + 2; the
 right subspace sees one extra half power iteration, exponent 4q + 4. All
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .linalg import Spectrum, as_matrix
 
@@ -42,49 +42,17 @@ class BoundReport:
     values: np.ndarray
     kind: str
     side: str
-    spectrum_source: str = "true"
     params: dict = field(default_factory=dict)
 
 
-def make_report(raw, kind: str, side: str, params: dict | None = None,
-                spectrum_source: str = "true") -> BoundReport:
+def make_report(raw, kind: str, side: str, params: dict | None = None) -> BoundReport:
     raw = np.asarray(raw, dtype=np.float64)
     params = dict(params or {})
     clipped = np.clip(raw, 0.0, 1.0)
     if (raw != clipped).any():
         params["raw_values"] = raw
         params["trivial"] = bool((raw > 1.0).any())
-    return BoundReport(clipped, kind, side, spectrum_source, params)
-
-
-@dataclass(frozen=True)
-class DistortionParams:
-    """Multipliers for the two distortion factors of the space-agnostic bounds.
-
-    ``tail_mode`` selects the denominator inside the tail distortion:
-    "count" uses r - k (the practical recipe, ignoring tail decay), "spread"
-    uses the effective tail rank from :func:`tail_spread`.
-    """
-
-    c1: float = 1.0
-    c2: float = 1.0
-    tail_mode: str = "count"
-
-    def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("distortion multipliers must be positive")
-        if self.tail_mode not in ("count", "spread"):
-            raise ValueError("tail_mode must be 'count' or 'spread'")
-
-    def head(self, k: int, l: int) -> float:
-        return self.c1 * math.sqrt(k / l)
-
-    def tail(self, spectrum: Spectrum, k: int, l: int, q: int) -> float:
-        if self.tail_mode == "spread":
-            denom = tail_spread(spectrum, k, q)
-        else:
-            denom = spectrum.declared_rank - k
-        return self.c2 * math.sqrt(l / denom)
+    return BoundReport(clipped, kind, side, params)
 
 
 def power_exponent(q, side: str) -> float:
@@ -94,18 +62,16 @@ def power_exponent(q, side: str) -> float:
     return 4.0 * q + (2.0 if side == "left" else 4.0)
 
 
-def tail_spread(spectrum: Spectrum, k: int, q: int) -> float:
-    """Effective rank of the tail: (sum sigma^(4q+2))^2 / sum sigma^(2(4q+2)).
-
-    Lies in [1, r - k]; equals r - k exactly for a flat tail and approaches 1
-    when one tail value dominates. Computed in the log domain.
-    """
-    t = spectrum.tail(k)
-    if t.size == 0:
-        raise ValueError("empty tail")
-    p = 4.0 * q + 2.0
-    logs = np.log(t)
-    return float(np.exp(2.0 * logsumexp(p * logs) - logsumexp(2.0 * p * logs)))
+def _logsumexp(x: np.ndarray) -> np.float64:
+    """log(sum(exp(x))) for a nonempty 1-d array, as scipy.special.logsumexp
+    computes it: the entries tied with the largest one, ``top``, leave the
+    sum (set to -inf in place, so the summation order is unchanged) and come
+    back as log1p(rest / ties) + log(ties) + top."""
+    top = x.max()
+    ties = x == top
+    n_ties = np.float64(np.count_nonzero(ties))
+    rest = np.sum(np.exp(np.where(ties, -np.inf, x) - top)) / n_ties
+    return np.log1p(rest) + np.log(n_ties) + top
 
 
 def _bound_values(spectrum: Spectrum, k: int, l: int, p: float, mult: float) -> np.ndarray:
@@ -114,7 +80,7 @@ def _bound_values(spectrum: Spectrum, k: int, l: int, p: float, mult: float) -> 
     t = spectrum.tail(k)
     if t.size == 0:
         raise ValueError("empty tail")
-    log_tail = logsumexp(p * np.log(t))
+    log_tail = _logsumexp(p * np.log(t))
     top = np.log(spectrum.values[:k])
     term = math.log(mult) + math.log(l) + p * top - log_tail
     return np.exp(-0.5 * np.logaddexp(0.0, term))
@@ -129,42 +95,45 @@ def _check_bound_args(spectrum: Spectrum, k: int, l: int, q: int) -> None:
         raise ValueError("q must be >= 0")
 
 
-def space_agnostic_upper(spectrum: Spectrum, k: int, l: int, q: int, side: str,
-                         dp: DistortionParams | None = None) -> BoundReport:
+def _distortions(spectrum: Spectrum, k: int, l: int, c: float) -> tuple[float, float]:
+    """(head, tail) distortion factors c*sqrt(k/l) and c*sqrt(l/(r-k))."""
+    if c <= 0:
+        raise ValueError("distortion multiplier must be positive")
+    return c * math.sqrt(k / l), c * math.sqrt(l / (spectrum.declared_rank - k))
+
+
+def space_agnostic_upper(spectrum: Spectrum, k: int, l: int, q: int, side: str, *,
+                         c: float = 1.0) -> BoundReport:
     """Spectrum-only upper bound on the sines of the canonical angles.
 
     Multiplier (1 - head) / (1 + tail) on l * sigma_i^p / sum_tail sigma^p.
     Requires head distortion < 1; the tail distortion may exceed 1 (it only
     weakens the bound).
     """
-    dp = dp or DistortionParams()
     _check_bound_args(spectrum, k, l, q)
-    eps_head = dp.head(k, l)
-    eps_tail = dp.tail(spectrum, k, l, q)
+    eps_head, eps_tail = _distortions(spectrum, k, l, c)
     if eps_head >= 1.0:
-        raise ValueError("head distortion out of range (need c1 * sqrt(k/l) < 1)")
+        raise ValueError("head distortion out of range (need c * sqrt(k/l) < 1)")
     p = power_exponent(q, side)
     mult = (1.0 - eps_head) / (1.0 + eps_tail)
     vals = _bound_values(spectrum, k, l, p, mult)
     params = {"head_distortion": eps_head, "tail_distortion": eps_tail,
-              "multiplier": mult, "exponent": p, "c1": dp.c1, "c2": dp.c2}
+              "multiplier": mult, "exponent": p, "c": c}
     return make_report(vals, "space_agnostic_upper", side, params)
 
 
-def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str,
-                         dp: DistortionParams | None = None) -> BoundReport:
+def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, *,
+                         c: float = 2.0) -> BoundReport:
     """Spectrum-only lower bound, multiplier (1 + head) / |1 - tail|.
 
-    Defaults to doubled distortion multipliers (c1 = c2 = 2), matching the
+    Defaults to the doubled distortion multiplier c = 2, matching the
     aggressive-oversampling validation protocol. A tail distortion of exactly
     1 makes the multiplier singular and raises ValueError("insufficient
     tail"); beyond 1 the concentration argument degrades and the reflected
     denominator |1 - tail| keeps the bound finite and conservative.
     """
-    dp = dp or DistortionParams(c1=2.0, c2=2.0)
     _check_bound_args(spectrum, k, l, q)
-    eps_head = dp.head(k, l)
-    eps_tail = dp.tail(spectrum, k, l, q)
+    eps_head, eps_tail = _distortions(spectrum, k, l, c)
     denom = abs(1.0 - eps_tail)
     if denom < 1e-12:
         raise ValueError("insufficient tail")
@@ -172,7 +141,7 @@ def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str,
     mult = (1.0 + eps_head) / denom
     vals = _bound_values(spectrum, k, l, p, mult)
     params = {"head_distortion": eps_head, "tail_distortion": eps_tail,
-              "multiplier": mult, "exponent": p, "c1": dp.c1, "c2": dp.c2,
+              "multiplier": mult, "exponent": p, "c": c,
               "tail_reflected": eps_tail > 1.0}
     return make_report(vals, "space_agnostic_lower", side, params)
 

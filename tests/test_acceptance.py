@@ -26,8 +26,7 @@ from rsvdangles.harness import (GAP_KINDS, PRESETS, STATUS_GAP, BalanceConfig,
                                 run_experiment)
 from rsvdangles.linalg import Spectrum, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
-from rsvdangles.prior_bounds import (DistortionParams, space_agnostic_lower,
-                                     space_agnostic_upper)
+from rsvdangles.prior_bounds import space_agnostic_lower, space_agnostic_upper
 from rsvdangles.rsvd import SketchConfig, rsvd
 
 K = 50
@@ -35,8 +34,6 @@ SAMPLE_SIZES = (80, 200)
 POWERS = (0, 1)
 SIDES = ("left", "right")
 N_SEEDS = 10
-UNIT = DistortionParams(1.0, 1.0)
-DOUBLED = DistortionParams(2.0, 2.0)
 
 PRESET_NAMES = tuple(desc["name"] for desc in PRESETS)
 
@@ -219,10 +216,10 @@ def test_criterion_6_space_agnosticism_is_bitwise():
     est_b = unbiased_estimate(b.spectrum(), k, l, q, 5, "left", seed=9)
     identical = (np.array_equal(est_a.per_trial, est_b.per_trial)
                  and np.array_equal(est_a.mean, est_b.mean))
-    for fn, dp in ((space_agnostic_upper, UNIT), (space_agnostic_lower, DOUBLED)):
+    for fn, c in ((space_agnostic_upper, 1.0), (space_agnostic_lower, 2.0)):
         for side in SIDES:
-            ra = fn(a.spectrum(), k, l, q, side, dp)
-            rb = fn(b.spectrum(), k, l, q, side, dp)
+            ra = fn(a.spectrum(), k, l, q, side, c=c)
+            rb = fn(b.spectrum(), k, l, q, side, c=c)
             identical = identical and np.array_equal(ra.values, rb.values)
     assert criterion(
         6, identical,

@@ -126,6 +126,12 @@ BAD_CONFIGS = {
     # the 35x30 matrix cannot take l=40: rejected before any worker starts
     "grid_l_exceeds_matrix": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 40, "q": 1}]},
                               ["--jobs", "2"], "l=40"),
+    # a rank-6 matrix cannot take l=8 though 8 <= min(m, n)=30
+    "grid_l_exceeds_rank": ({**RUN_CONFIG, "grid": [{"k": 2, "l": 8, "q": 0}],
+                             "matrix": {"generator": "gaussian_decay", "m": 30, "n": 30,
+                                        "spectrum": {"kind": "slower", "r": 6, "r1": 2},
+                                        "seed": 1, "name": "rank6"}},
+                            ["--jobs", "2"], "(k=2, l=8, q=0) needs l <= rank(A)=6"),
 }
 
 
@@ -179,3 +185,12 @@ def test_import_sets_one_blas_thread_unless_preset(preset):
         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == (preset or "1")
+
+
+def test_cli_import_leaves_scipy_out():
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import rsvdangles.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False"

@@ -6,7 +6,7 @@ import pytest
 from rsvdangles.estimator import estimate_cost_model, unbiased_estimate
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (DistortionParams, space_agnostic_lower,
+from rsvdangles.prior_bounds import (space_agnostic_lower,
                                      space_agnostic_upper)
 
 
@@ -85,8 +85,8 @@ class TestStatisticalBehavior:
     def test_mean_lies_between_prior_bounds_on_step_spectrum(self):
         k, l, q = 25, 100, 0
         spec = gen_step_spectrum(k, 20.0, 1.2)
-        up = space_agnostic_upper(spec, k, l, q, "left", DistortionParams(1.0, 1.0))
-        lo = space_agnostic_lower(spec, k, l, q, "left", DistortionParams(2.0, 2.0))
+        up = space_agnostic_upper(spec, k, l, q, "left", c=1.0)
+        lo = space_agnostic_lower(spec, k, l, q, "left", c=2.0)
         inside = total = 0
         for seed in range(20):
             est = unbiased_estimate(spec, k, l, q, 200, "left", seed)

@@ -14,7 +14,7 @@ from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
                                 run_experiment)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import DistortionParams, space_agnostic_upper
+from rsvdangles.prior_bounds import space_agnostic_upper
 
 TINY_MATRIX = {"generator": "gaussian_decay", "m": 40, "n": 40,
                "spectrum": {"kind": "slower", "r": 40, "r1": 5},
@@ -47,8 +47,8 @@ class TestPadSpectrum:
         approx = Spectrum.from_values(true.values[:10] * 0.999)
         padded = pad_spectrum(approx, 40)
         for q in (0, 1):
-            t = space_agnostic_upper(true, 3, 6, q, "left", DistortionParams(1., 1.))
-            p = space_agnostic_upper(padded, 3, 6, q, "left", DistortionParams(1., 1.))
+            t = space_agnostic_upper(true, 3, 6, q, "left", c=1.0)
+            p = space_agnostic_upper(padded, 3, 6, q, "left", c=1.0)
             assert (p.values >= t.values).all()
 
 
@@ -216,8 +216,7 @@ class TestBudgetCurve:
         step = gen_step_spectrum(k, beta, gap)
         for q in (0, 2):  # powers where budget/(2q+1) is integral
             l = int(alpha * k) // (2 * q + 1)
-            rep = space_agnostic_upper(step, k, l, q, "left",
-                                       DistortionParams(gamma, gamma))
+            rep = space_agnostic_upper(step, k, l, q, "left", c=gamma)
             assert fixed_budget_bound(q, cfg) == pytest.approx(
                 rep.values[0], abs=1e-12)
 

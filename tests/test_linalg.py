@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, ortho,
-                               seeded_rng, spectral_norm_power, sv_x_pinv,
-                               svd_full)
+                               seeded_rng, sv_x_pinv, svd_full)
 
 
 def test_as_matrix_rejects_nonfinite_and_empty():
@@ -114,34 +113,6 @@ class TestSvXPinv:
             sv_x_pinv(np.ones((2, 5)), np.ones((3, 5)))
         with pytest.raises(ValueError, match="column counts"):
             sv_x_pinv(np.ones((2, 4)), np.eye(5))
-
-
-class TestSpectralNormPower:
-    def test_known_top_value(self):
-        est = spectral_norm_power(np.diag([5.0, 1.0, 1.0]), iters=50, seed=0)
-        assert abs(est - 5.0) <= 1e-6
-
-    def test_zero_matrix(self):
-        assert spectral_norm_power(np.zeros((4, 4)), iters=5, seed=0) == 0.0
-
-    def test_rank_one_exact_after_single_iteration(self):
-        rng = seeded_rng(3)
-        u = rng.standard_normal(12)
-        v = rng.standard_normal(9)
-        u /= np.linalg.norm(u)
-        v /= np.linalg.norm(v)
-        est = spectral_norm_power(np.outer(u, v), iters=1, seed=4)
-        assert abs(est - 1.0) <= 1e-10
-
-    @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_never_exceeds_top_and_monotone_in_iters(self, seed):
-        rng = seeded_rng(seed)
-        a = rng.standard_normal((rng.integers(3, 25), rng.integers(3, 25)))
-        top = np.linalg.svd(a, compute_uv=False)[0]
-        estimates = [spectral_norm_power(a, iters=i, seed=99) for i in (1, 3, 8, 20)]
-        assert all(e <= top + 1e-12 for e in estimates)
-        assert all(b >= a_ - 1e-12 for a_, b in zip(estimates, estimates[1:]))
 
 
 class TestMatrixInequalities:

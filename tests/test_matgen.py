@@ -7,7 +7,6 @@ from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, svd_full
 from rsvdangles.matgen import (gen_gaussian_decay, gen_snn, gen_step_spectrum,
                                load_mnist, spectrum_faster, spectrum_slower)
-from rsvdangles.prior_bounds import tail_spread
 
 
 class TestGaussianDecay:
@@ -83,7 +82,7 @@ class TestStepSpectrum:
 
     def test_flat_tail_spread_equals_count(self):
         spec = gen_step_spectrum(10, 32.0, 1.5)
-        assert tail_spread(spec, 10, q=2) == pytest.approx(320.0, abs=1e-9)
+        assert np.array_equal(spec.tail(10), np.ones(320))
 
     def test_validation(self):
         with pytest.raises(ValueError, match="gap"):

@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,11 @@ from rsvdangles.rsvd import RsvdOutput, SketchConfig, rsvd
 def exact_rank_l_output(a, l):
     """Rank-l truncation of the exact SVD packaged as an algorithm output."""
     f = svd_full(a)
-    return RsvdOutput(SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l]), 0, 0)
+    return RsvdOutput(SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l]), 0)
+
+
+def residual_stats(a, out, k):
+    return residual_blocks(a, out, k, residual_spectrum(a, out.v, "right"))
 
 
 class TestResidualSpectrum:
@@ -86,24 +88,25 @@ class TestRatioBounds:
 class TestResidualBlocks:
     def test_diagonal_hand_values(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
+        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
         assert stats.resid_in_basis_2 == pytest.approx(0.0, abs=1e-12)
         assert stats.resid_beyond_k_2 == pytest.approx(0.0, abs=1e-12)
         assert stats.resid_out_of_basis_2 == pytest.approx(1.0, abs=1e-12)
         assert stats.sigma_hat_next == pytest.approx(2.0)
-        assert stats.gap_sigma_1 == pytest.approx((16.0 - 4.0) / 4.0)
-        assert stats.gap_sigma_2 == pytest.approx((16.0 - 4.0) / 2.0)
-        assert stats.gap_resid_1 == pytest.approx((16.0 - 1.0) / 4.0)
-        assert stats.gap_resid_2 == pytest.approx((16.0 - 1.0) / 1.0)
+        gaps = gap_bounds(stats, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)[0].params
+        assert gaps["gap_sigma_1"] == pytest.approx((16.0 - 4.0) / 4.0)
+        assert gaps["gap_sigma_2"] == pytest.approx((16.0 - 4.0) / 2.0)
+        assert gaps["gap_resid_1"] == pytest.approx((16.0 - 1.0) / 4.0)
+        assert gaps["gap_resid_2"] == pytest.approx((16.0 - 1.0) / 1.0)
 
     def test_full_rank_capture_zeroes_all_norms(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.4])
         pm = gen_gaussian_decay(14, 12, spec, seed=6)
         out = rsvd(pm.a, SketchConfig(2, 4, 1, seed=1))
-        stats = residual_blocks(pm.a, out, k=2)
+        stats = residual_stats(pm.a, out, k=2)
         assert stats.resid_in_basis_2 <= 1e-10
         assert stats.resid_out_of_basis_2 <= 1e-10
-        assert stats.gaps_present
+        assert len(gap_bounds(stats, spec, 2)) == 8
 
     def test_pythagorean_split_of_residual(self):
         spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
@@ -114,30 +117,19 @@ class TestResidualBlocks:
         out_basis = np.linalg.norm(err - (err @ out.v) @ out.v.T) ** 2
         assert np.linalg.norm(err) ** 2 == pytest.approx(in_basis + out_basis, rel=1e-10)
 
-    def test_right_residual_gives_identical_stats(self):
-        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
-        pm = gen_gaussian_decay(50, 40, spec, seed=7)
-        out = rsvd(pm.a, SketchConfig(5, 12, 1, seed=2))
-        computed = residual_blocks(pm.a, out, k=5)
-        passed = residual_blocks(pm.a, out, k=5,
-                                 right_residual=residual_spectrum(pm.a, out.v, "right"))
-        assert passed.gaps_present
-        # a passed-in right residual gives the same bits as the computed one
-        assert ([np.float64(x).tobytes() for x in astuple(passed)]
-                == [np.float64(x).tobytes() for x in astuple(computed)])
-
     def test_gaps_absent_when_assumptions_fail(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1, sigma_k=0.9)
-        assert not stats.gaps_present
-        assert stats.gap_sigma_1 is None
+        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
+        spec = Spectrum.from_values([0.9, 0.5, 0.25, 0.1])  # sigma_k below both norms
+        with pytest.raises(ValueError, match="gap assumption violated"):
+            gap_bounds(stats, spec, 1)
 
 
 class TestGapBounds:
     def test_zero_residuals_give_zero_rank_l_bounds(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         out = exact_rank_l_output(a, 3)
-        stats = residual_blocks(a, out, k=2)
+        stats = residual_stats(a, out, k=2)
         spec = Spectrum.from_values([4.0, 2.0, 1.0, 0.5])
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 2)}
         for side in ("left", "right"):
@@ -148,7 +140,7 @@ class TestGapBounds:
         spec = Spectrum.from_values([2.0, 2.0, 2.0, 1.0, 0.5])
         pm = gen_gaussian_decay(20, 18, spec, seed=9)
         out = rsvd(pm.a, SketchConfig(3, 4, 1, seed=4))
-        stats = residual_blocks(pm.a, out, k=3, sigma_k=2.0)
+        stats = residual_stats(pm.a, out, k=3)
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 3)}
         for side in ("left", "right"):
             norm = reports[("gap_norm_rank_l", side)].values
@@ -159,22 +151,23 @@ class TestGapBounds:
         spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
         pm = gen_gaussian_decay(60, 50, spec, seed=10)
         out = rsvd(pm.a, SketchConfig(6, 15, 0, seed=5))
-        stats = residual_blocks(pm.a, out, k=6)
+        stats = residual_stats(pm.a, out, k=6)
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 6)}
         left = reports[("gap_norm_rank_l", "left")].values
         right = reports[("gap_norm_rank_l", "right")].values
+        gaps = reports[("gap_norm_rank_l", "left")].params
         ratio = stats.resid_out_of_basis_2 / spec.values[5]
-        expect_left = min(stats.resid_in_basis_2 / stats.gap_resid_1, 1.0)
-        expect_right = min(stats.resid_in_basis_2 / stats.gap_resid_2, 1.0)
+        expect_left = min(stats.resid_in_basis_2 / gaps["gap_resid_1"], 1.0)
+        expect_right = min(stats.resid_in_basis_2 / gaps["gap_resid_2"], 1.0)
         assert np.allclose(left, expect_left, rtol=1e-12)
         assert np.allclose(right, expect_right, rtol=1e-12)
         # the right bound is the left one shrunk by the residual-to-sigma ratio
-        assert stats.gap_resid_1 / stats.gap_resid_2 == pytest.approx(ratio, rel=1e-12)
+        assert gaps["gap_resid_1"] / gaps["gap_resid_2"] == pytest.approx(ratio, rel=1e-12)
         assert (right <= left + 1e-15).all()
 
     def test_gap_violation_raises(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
+        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
         spec = Spectrum.from_values([1.5, 1.0, 0.5, 0.25])  # sigma_k below sigma_hat_next
         with pytest.raises(ValueError, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
@@ -184,9 +177,9 @@ class TestGapBounds:
         pm = gen_gaussian_decay(60, 50, spec, seed=11)
         out = rsvd(pm.a, SketchConfig(6, 15, 1, seed=6))
         for c in (1e-4, 1e4):
-            base = residual_blocks(pm.a, out, k=6, sigma_k=spec.values[5])
+            base = residual_stats(pm.a, out, k=6)
             out_c = rsvd(c * pm.a, SketchConfig(6, 15, 1, seed=6))
-            scaled = residual_blocks(c * pm.a, out_c, k=6, sigma_k=c * spec.values[5])
+            scaled = residual_stats(c * pm.a, out_c, k=6)
             a_reports = gap_bounds(base, spec, 6)
             b_reports = gap_bounds(scaled, spec.scaled(c), 6)
             for ra, rb in zip(a_reports, b_reports):
@@ -199,7 +192,7 @@ class TestGapBounds:
         for seed in range(3):
             for q in (0, 1):
                 out = rsvd(pm.a, SketchConfig(k, l, q, seed))
-                stats = residual_blocks(pm.a, out, k, sigma_k=spec.values[k - 1])
+                stats = residual_stats(pm.a, out, k)
                 reports = gap_bounds(stats, spec, k)
                 truth = {
                     ("left", "rank_l"): canonical_sines(out.u, pm.factors.u[:, :k]),

@@ -2,45 +2,49 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import Spectrum, seeded_rng
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (DistortionParams, power_exponent,
-                                     space_agnostic_lower,
+from rsvdangles.prior_bounds import (power_exponent, space_agnostic_lower,
                                      space_agnostic_upper,
                                      subspace_aware_envelope,
-                                     subspace_aware_upper, tail_spread,
-                                     _bound_values)
-
-UNIT = DistortionParams(1.0, 1.0)
-DOUBLED = DistortionParams(2.0, 2.0)
+                                     subspace_aware_upper, _bound_values,
+                                     _logsumexp)
 
 
-class TestTailSpread:
-    def test_flat_tail_equals_count(self):
-        spec = Spectrum.from_values([5.0] + [0.5] * 37)
-        assert tail_spread(spec, 1, q=3) == pytest.approx(37.0, abs=1e-9)
+class TestLogSumExp:
+    def test_exact_values(self):
+        for n in (1, 2, 7, 1000):
+            assert _logsumexp(np.zeros(n)) == np.log(n)
+        assert _logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
 
-    def test_single_dominant_tail_value(self):
-        spec = Spectrum.from_values([3.0, 1.0, 1e-9, 1e-9])
-        assert tail_spread(spec, 1, q=0) == pytest.approx(1.0, abs=1e-6)
+    def test_matches_scipy_bit_for_bit(self):
+        special = pytest.importorskip("scipy.special")
+        # spectrum tails raised to the bound exponents 4q+2 and 4q+4 (up to 44)
+        powered = st.tuples(
+            st.integers(0, 10), st.booleans(),
+            st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=300),
+        ).map(lambda t: [(4 * t[0] + (4 if t[1] else 2)) * math.log(v) for v in t[2]])
+        ties = st.lists(st.sampled_from([-2.5, 0.0, 1.0 / 3.0, 44.0]),
+                        min_size=1, max_size=600)
+        anything = st.lists(st.floats(-700.0, 700.0), min_size=1, max_size=300)
 
-    def test_two_equal_values(self):
-        spec = Spectrum.from_values([2.0, 1.0, 1.0])
-        # (1 + 1)^2 / (1 + 1) with every power of 1 equal to 1
-        assert tail_spread(spec, 1, q=1) == pytest.approx(2.0, abs=1e-12)
+        @settings(max_examples=300, deadline=None)
+        @given(st.one_of(powered, ties, anything))
+        def check(xs):
+            x = np.array(xs)
+            assert (np.float64(_logsumexp(x)).tobytes()
+                    == np.float64(special.logsumexp(x)).tobytes())
 
-    def test_empty_tail_raises(self):
-        spec = Spectrum.from_values([2.0, 1.0, 0.0])
-        with pytest.raises(ValueError, match="empty tail"):
-            tail_spread(spec, 2, q=0)
+        check()
 
 
 class TestUpperBound:
     def test_closed_form_hand_value(self):
         # (1 + (1-0.5)/(1+1.0) * (4/4) * 2^2)^(-1/2) = 2^(-1/2)
         spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
-        rep = space_agnostic_upper(spec, k=1, l=4, q=0, side="left", dp=UNIT)
+        rep = space_agnostic_upper(spec, k=1, l=4, q=0, side="left", c=1.0)
         assert rep.params["head_distortion"] == pytest.approx(0.5)
         assert rep.params["tail_distortion"] == pytest.approx(1.0)
         expect = (1.0 + 0.25 * (4.0 / 4.0) * 4.0) ** -0.5
@@ -51,7 +55,7 @@ class TestUpperBound:
         vals = np.array([4.0, 2.5, 1.3, 0.9, 0.7, 0.45, 0.31, 0.2])
         spec = Spectrum.from_values(vals)
         k, l, q = 3, 5, 1
-        rep = space_agnostic_upper(spec, k, l, q, "left", dp=UNIT)
+        rep = space_agnostic_upper(spec, k, l, q, "left", c=1.0)
         e1, e2 = math.sqrt(k / l), math.sqrt(l / (8 - k))
         p = 4 * q + 2
         tail = np.sum(vals[k:] ** p)
@@ -62,14 +66,14 @@ class TestUpperBound:
         prev = 1.0
         for g in (2.0, 8.0, 64.0, 1e4, 1e8):
             spec = Spectrum.from_values([g] + [1.0] * 9)
-            val = space_agnostic_upper(spec, 1, 4, 0, "left", dp=UNIT).values[0]
+            val = space_agnostic_upper(spec, 1, 4, 0, "left", c=1.0).values[0]
             assert val < prev
             prev = val
         assert prev <= 1e-7
 
     def test_non_increasing_in_q_on_step_spectrum(self):
         spec = gen_step_spectrum(10, 32.0, 1.2)
-        series = [space_agnostic_upper(spec, 10, 40, q, "left", dp=UNIT).values
+        series = [space_agnostic_upper(spec, 10, 40, q, "left", c=1.0).values
                   for q in range(4)]
         for a, b in zip(series, series[1:]):
             assert (b <= a + 1e-15).all()
@@ -77,28 +81,19 @@ class TestUpperBound:
     def test_head_distortion_must_stay_below_one(self):
         spec = Spectrum.from_values([2.0] + [1.0] * 9)
         with pytest.raises(ValueError, match="head distortion"):
-            space_agnostic_upper(spec, 4, 5, 0, "left", dp=DistortionParams(2.0, 1.0))
+            space_agnostic_upper(spec, 4, 5, 0, "left", c=2.0)
 
     def test_values_ascend_with_angle_index(self):
         spec = Spectrum.from_values(np.geomspace(8.0, 0.25, 20))
-        rep = space_agnostic_upper(spec, 6, 10, 1, "left", dp=UNIT)
+        rep = space_agnostic_upper(spec, 6, 10, 1, "left", c=1.0)
         assert (np.diff(rep.values) >= -1e-15).all()
-
-    def test_spread_mode_loosens_on_decaying_tail(self):
-        vals = np.concatenate([[4.0, 3.0], np.geomspace(1.0, 1e-4, 30)])
-        spec = Spectrum.from_values(vals)
-        count = space_agnostic_upper(spec, 2, 6, 1, "left", dp=UNIT)
-        spread = space_agnostic_upper(
-            spec, 2, 6, 1, "left", dp=DistortionParams(1.0, 1.0, tail_mode="spread"))
-        assert spread.params["tail_distortion"] > count.params["tail_distortion"]
-        assert (spread.values >= count.values).all()
 
 
 class TestLowerBound:
     def test_closed_form_hand_value(self):
         # multiplier (1+0.5)/(1-sqrt(0.5)), spectrum (2, 1*8), k=1, l=4
         spec = Spectrum.from_values([2.0] + [1.0] * 8)
-        rep = space_agnostic_lower(spec, 1, 4, 0, "left", dp=UNIT)
+        rep = space_agnostic_lower(spec, 1, 4, 0, "left", c=1.0)
         mult = (1.0 + 0.5) / (1.0 - math.sqrt(4.0 / 8.0))
         expect = (1.0 + mult * (4.0 / 8.0) * 4.0) ** -0.5
         assert rep.values[0] == pytest.approx(expect, abs=1e-12)
@@ -107,7 +102,7 @@ class TestLowerBound:
     def test_tail_distortion_of_exactly_one_is_singular(self):
         spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="insufficient tail"):
-            space_agnostic_lower(spec, 1, 4, 0, "left", dp=UNIT)
+            space_agnostic_lower(spec, 1, 4, 0, "left", c=1.0)
 
     def test_reflected_branch_beyond_one_stays_finite(self):
         spec = Spectrum.from_values([2.0] + [1.0] * 8)
@@ -119,14 +114,14 @@ class TestLowerBound:
     def test_lower_below_upper_on_shared_valid_configuration(self):
         spec = Spectrum.from_values(np.geomspace(6.0, 0.5, 40))
         for q in (0, 1):
-            up = space_agnostic_upper(spec, 5, 10, q, "left", dp=UNIT)
-            lo = space_agnostic_lower(spec, 5, 10, q, "left", dp=UNIT)
+            up = space_agnostic_upper(spec, 5, 10, q, "left", c=1.0)
+            lo = space_agnostic_lower(spec, 5, 10, q, "left", c=1.0)
             assert (lo.values <= up.values).all()
 
     def test_default_multipliers_are_doubled(self):
         spec = Spectrum.from_values(np.geomspace(6.0, 0.5, 40))
         rep = space_agnostic_lower(spec, 5, 10, 0, "left")
-        assert rep.params["c1"] == 2.0 and rep.params["c2"] == 2.0
+        assert rep.params["c"] == 2.0
 
 
 class TestScalingInvariance:
@@ -134,9 +129,9 @@ class TestScalingInvariance:
     def test_bounds_invariant_under_uniform_scaling(self, c):
         spec = Spectrum.from_values(np.geomspace(3.0, 0.2, 30))
         scaled = spec.scaled(c)
-        for fn, dp in ((space_agnostic_upper, UNIT), (space_agnostic_lower, UNIT)):
-            a = fn(spec, 4, 8, 2, "left", dp=dp)
-            b = fn(scaled, 4, 8, 2, "left", dp=dp)
+        for fn in (space_agnostic_upper, space_agnostic_lower):
+            a = fn(spec, 4, 8, 2, "left", c=1.0)
+            b = fn(scaled, 4, 8, 2, "left", c=1.0)
             assert np.allclose(a.values, b.values, rtol=1e-12)
 
 
@@ -145,7 +140,7 @@ class TestExponentRule:
         assert power_exponent(3, "right") == power_exponent(3.5, "left")
         spec = Spectrum.from_values(np.geomspace(5.0, 0.3, 25))
         k, l, q = 4, 8, 2
-        right = space_agnostic_upper(spec, k, l, q, "right", dp=UNIT)
+        right = space_agnostic_upper(spec, k, l, q, "right", c=1.0)
         mult = right.params["multiplier"]
         half_step = _bound_values(spec, k, l, power_exponent(q + 0.5, "left"), mult)
         assert np.allclose(right.values, half_step, rtol=1e-14)
