@@ -28,7 +28,7 @@ from .matgen import (PlantedMatrix, gen_gaussian_decay, gen_snn,
 from .mmio import read_matrix, write_matrix
 from .posterior_bounds import (ResidualStats, gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (BoundReport, space_agnostic_lower,
+from .prior_bounds import (BoundReport, sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_envelope,
                            subspace_aware_upper)
 from .rsvd import RsvdOutput, SketchConfig, gaussian_sketch, rsvd
@@ -45,7 +45,7 @@ __all__ = [
     "load_mnist", "ortho", "pad_spectrum",
     "read_matrix", "residual_blocks", "residual_ratio_bounds",
     "residual_spectrum", "rsvd", "run_experiment", "seeded_rng",
-    "space_agnostic_lower", "space_agnostic_upper",
+    "sketch_ratio", "space_agnostic_lower", "space_agnostic_upper",
     "spectrum_faster", "spectrum_slower", "subspace_aware_envelope",
     "subspace_aware_upper", "sv_x_pinv", "svd_full",
     "unbiased_estimate", "write_matrix",

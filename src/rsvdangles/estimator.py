@@ -34,8 +34,6 @@ class EstimateReport:
     min_band: np.ndarray
     max_band: np.ndarray
     n_trials: int
-    side: str
-    seed: int
 
 
 def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
@@ -79,8 +77,6 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         min_band=per_trial.min(axis=0),
         max_band=per_trial.max(axis=0),
         n_trials=n_trials,
-        side=side,
-        seed=seed,
     )
 
 

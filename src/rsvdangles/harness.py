@@ -8,9 +8,9 @@ per (matrix, side, k, l, q, seed, i, kind, spectrum_source, value, status).
 
 Per-bound failures (violated gap assumptions, tails too short for the
 estimator or the lower bound) are recorded in the status column and never
-abort a sweep; a grid entry the matrix cannot take (l above rank(A), which
-is at most min(m, n)) is rejected before any run. Re-running with an
-identical config reproduces identical CSV bytes.
+abort a sweep; a grid entry that cannot run (l above rank(A), which is at
+most min(m, n), or upper_c * sqrt(k/l) >= 1) is rejected before any run.
+Re-running with an identical config reproduces identical CSV bytes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .matgen import (gen_gaussian_decay, gen_snn, gen_step_spectrum,
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (BoundReport, space_agnostic_lower,
+from .prior_bounds import (sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, rsvd
 
@@ -173,7 +173,10 @@ def build_matrix(desc: dict):
     Returns (name, a, factors, true_spectrum, pad_rank, has_known_factors).
     File-backed and image matrices get exact factors from a dense SVD for
     ground-truth evaluation, but are treated as having unknown subspaces for
-    the comparator bound; their padding rank is min(m, n).
+    the comparator bound; their padding rank is min(m, n). A spectrum from a
+    dense SVD (file-backed, image and ``snn`` matrices) has numerical rank:
+    values at or below numpy's ``matrix_rank`` tolerance max(m, n) * eps *
+    sigma_1 are round-off and become exact zeros.
     """
     gen = desc.get("generator")
     if gen == "gaussian_decay":
@@ -186,7 +189,7 @@ def build_matrix(desc: dict):
         pm = gen_snn(int(desc["m"]), int(desc["n"]), int(desc["r1"]),
                      float(desc["a"]), float(desc.get("density", 0.05)),
                      int(desc.get("seed", 0)), name=desc.get("name", "snn"))
-        spec = pm.spectrum()
+        spec = _computed_spectrum(pm.a, pm.factors.sigma)
         return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
     if gen == "mnist":
         a = load_mnist(desc["path"], int(desc["n_samples"]), int(desc.get("seed", 0)))
@@ -197,7 +200,12 @@ def build_matrix(desc: dict):
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
     f = svd_full(a)
-    return name, a, f, Spectrum.from_values(f.sigma), min(a.shape), False
+    return name, a, f, _computed_spectrum(a, f.sigma), min(a.shape), False
+
+
+def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
+    tol = max(a.shape) * np.finfo(np.float64).eps * sigma[0]
+    return Spectrum.from_values(np.where(sigma > tol, sigma, 0.0))
 
 
 def _spectrum_from_desc(sd: dict) -> Spectrum:
@@ -219,28 +227,13 @@ def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def _report_rows(report: BoundReport, source: str, ctx: dict) -> list[Row]:
-    raw = report.params.get("raw_values")
-    rows = []
-    for i, v in enumerate(report.values, start=1):
-        status = STATUS_OK
-        if raw is not None and raw[i - 1] > 1.0:
-            status = STATUS_TRIVIAL
-        rows.append(Row(kind=report.kind, spectrum_source=source,
-                        side=report.side, i=i, value=float(v), status=status, **ctx))
-    return rows
-
-
-def _error_rows(kind: str, side: str, source: str, status: str, k: int,
-                ctx: dict) -> list[Row]:
-    return [Row(kind=kind, spectrum_source=source, side=side, i=i,
-                value=float("nan"), status=status, **ctx)
-            for i in range(1, k + 1)]
-
-
-def _value_rows(values, kind: str, side: str, source: str, ctx: dict) -> list[Row]:
-    return [Row(kind=kind, spectrum_source=source, side=side, i=i,
-                value=float(v), status=STATUS_OK, **ctx)
+def _rows(ctx: dict, kind: str, values, status: str = STATUS_OK,
+          trivial=None) -> list[Row]:
+    """One row per angle index of ``values``; the indices flagged in
+    ``trivial`` (a bound report's mask) get the trivial-bound status."""
+    return [Row(kind=kind, i=i, value=float(v),
+                status=STATUS_TRIVIAL if trivial is not None and trivial[i - 1] else status,
+                **ctx)
             for i, v in enumerate(values, start=1)]
 
 
@@ -253,9 +246,7 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     name, a, factors, true_spec, pad_rank, has_known = matrix
     k, l, q, seed = task
     out = rsvd(a, SketchConfig(k, l, q, seed))
-    ctx_base = {"matrix": name, "k": k, "l": l, "q": q, "seed": seed}
     padded = pad_spectrum(Spectrum.from_values(out.sigma), pad_rank)
-    sources = (("true", true_spec), ("padded", padded))
     # The projected residuals do not depend on the spectrum source. The right
     # one is always taken: its top value is the out-of-basis norm that
     # residual_blocks needs.
@@ -263,57 +254,50 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     if "left" in cfg.sides:
         resids["left"] = residual_spectrum(a, out.u, "left")
     stats = residual_blocks(a, out, k, resids["right"])
+    if has_known:
+        # the sketch ratio depends on neither the spectrum source nor the side
+        r = true_spec.declared_rank
+        ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
+                             factors.v[:, k:r].T @ out.sketch)
+    nan = np.full(k, np.nan)
     rows: list[Row] = []
 
-    if has_known:
-        r = true_spec.declared_rank
-        omega1 = factors.v[:, :k].T @ out.sketch
-        omega2 = factors.v[:, k:r].T @ out.sketch
-
-    for source, spec in sources:
+    for source, spec in (("true", true_spec), ("padded", padded)):
         try:
-            reports = gap_bounds(stats, spec, k)
+            gaps = gap_bounds(stats, spec, k)
         except ValueError:
-            reports = None
+            gaps = None
         for side in cfg.sides:
-            basis = out.u if side == "left" else out.v
-            truth = (factors.u if side == "left" else factors.v)[:, :k]
+            ctx = {"matrix": name, "side": side, "k": k, "l": l, "q": q, "seed": seed,
+                   "spectrum_source": source}
+            reports = [space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c)]
             if source == "true":
-                rows += _value_rows(canonical_sines(basis, truth),
-                                    "true_angle", side, source, ctx_base)
-                rows += _value_rows(canonical_sines(basis[:, :k], truth),
-                                    "true_angle_rank_k", side, source, ctx_base)
-            rows += _report_rows(space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
-                                 source, ctx_base)
+                basis = out.u if side == "left" else out.v
+                truth = (factors.u if side == "left" else factors.v)[:, :k]
+                rows += _rows(ctx, "true_angle", canonical_sines(basis, truth))
+                rows += _rows(ctx, "true_angle_rank_k", canonical_sines(basis[:, :k], truth))
             try:
-                rows += _report_rows(
-                    space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c),
-                    source, ctx_base)
+                reports.append(space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c))
             except ValueError:
-                rows += _error_rows("space_agnostic_lower", side, source,
-                                    STATUS_TAIL, k, ctx_base)
+                rows += _rows(ctx, "space_agnostic_lower", nan, STATUS_TAIL)
             if has_known:
-                rows += _report_rows(
-                    subspace_aware_upper(spec, omega1, omega2, k, q, side),
-                    source, ctx_base)
+                reports.append(subspace_aware_upper(spec, ratio, k, q, side))
             try:
                 est = unbiased_estimate(spec, k, l, q, cfg.estimator_trials, side, seed)
-                rows += _value_rows(est.mean, "estimate", side, source, ctx_base)
+                rows += _rows(ctx, "estimate", est.mean)
             except ValueError:
-                rows += _error_rows("estimate", side, source, STATUS_TAIL, k, ctx_base)
+                rows += _rows(ctx, "estimate", nan, STATUS_TAIL)
             try:
-                rows += _report_rows(residual_ratio_bounds(resids[side], spec, k, side),
-                                     source, ctx_base)
+                reports.append(residual_ratio_bounds(resids[side], spec, k, side))
             except ValueError:
-                rows += _error_rows("residual_ratio", side, source,
-                                    STATUS_TAIL, k, ctx_base)
-            if reports is None:
+                rows += _rows(ctx, "residual_ratio", nan, STATUS_TAIL)
+            if gaps is None:
                 for kind in GAP_KINDS:
-                    rows += _error_rows(kind, side, source, STATUS_GAP, k, ctx_base)
+                    rows += _rows(ctx, kind, nan, STATUS_GAP)
             else:
-                for rep in reports:
-                    if rep.side == side:
-                        rows += _report_rows(rep, source, ctx_base)
+                reports += [rep for rep in gaps if rep.side == side]
+            for rep in reports:
+                rows += _rows(ctx, rep.kind, rep.values, trivial=rep.trivial)
     return rows
 
 
@@ -343,12 +327,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """
     matrix = build_matrix(cfg.matrix)
     name, a, _, true_spec = matrix[:4]
-    # A sketch wider than the rank collapses, so such an entry could not run.
+    # A sketch wider than the rank collapses, and the space-agnostic upper
+    # bound needs a head distortion upper_c * sqrt(k/l) below 1, so such an
+    # entry could not run.
     rank = true_spec.declared_rank
     for k, l, q in cfg.grid:
         if l > rank:
             raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs l <= rank(A)={rank}"
                              f" (min(m, n)={min(a.shape)})")
+        if cfg.upper_c * math.sqrt(k / l) >= 1.0:
+            raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs"
+                             f" upper_c * sqrt(k/l) < 1 (upper_c={cfg.upper_c})")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
 
@@ -517,19 +506,6 @@ def emit_csv(rows: list[Row], path) -> None:
         for r in rows:
             fh.write(f"{r.matrix},{r.side},{r.k},{r.l},{r.q},{r.seed},{r.i},"
                      f"{r.kind},{r.spectrum_source},{r.value:.17g},{r.status}\n")
-
-
-def read_csv(path) -> list[Row]:
-    rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header")
-        for line in fh:
-            m, side, k, l, q, seed, i, kind, src, value, status = line.strip().split(",")
-            rows.append(Row(m, side, int(k), int(l), int(q), int(seed), int(i),
-                            kind, src, float(value), status))
-    return rows
 
 
 @dataclass(frozen=True)

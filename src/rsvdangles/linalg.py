@@ -75,9 +75,6 @@ class Spectrum:
         """Positive values strictly below index k (the tail used by all bounds)."""
         return self.values[k:self.declared_rank]
 
-    def scaled(self, c: float) -> "Spectrum":
-        return Spectrum(self.values * float(c), self.declared_rank)
-
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -102,9 +99,6 @@ class SvdFactors:
 
     def reconstruct(self) -> np.ndarray:
         return (self.u * self.sigma) @ self.v.T
-
-    def spectrum(self) -> Spectrum:
-        return Spectrum.from_values(self.sigma)
 
 
 def ortho(m) -> np.ndarray:

@@ -19,20 +19,11 @@ from .linalg import Spectrum, SvdFactors, as_matrix, ortho, seeded_rng, svd_full
 
 @dataclass(frozen=True)
 class PlantedMatrix:
-    """A generated matrix together with its factors and a descriptor.
-
-    ``descriptor["factors_kind"]`` is "planted" when the factors are exact by
-    construction and "computed" when they come from a dense SVD of the built
-    matrix (the sparse non-negative family).
-    """
+    """A generated matrix together with its factors and its name."""
 
     a: np.ndarray
     factors: SvdFactors
-    descriptor: dict
-
-    @property
-    def name(self) -> str:
-        return self.descriptor.get("name", "matrix")
+    name: str
 
     def spectrum(self) -> Spectrum:
         return Spectrum.from_values(self.factors.sigma)
@@ -53,10 +44,7 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
     v = ortho(rng.standard_normal((n, r)))
     sigma = spectrum.values[:r]
     a = (u * sigma) @ v.T
-    factors = SvdFactors(u, sigma, v)
-    desc = {"name": name, "generator": "gaussian_decay", "m": m, "n": n,
-            "rank": r, "seed": seed, "factors_kind": "planted"}
-    return PlantedMatrix(a, factors, desc)
+    return PlantedMatrix(a, SvdFactors(u, sigma, v), name)
 
 
 def spectrum_slower(r: int, r1: int) -> Spectrum:
@@ -112,11 +100,7 @@ def gen_snn(m: int, n: int, r1: int, a_param: float, density: float = 0.05,
     x = np.where(rng.random((m, r)) < density, 1.0 - rng.random((m, r)), 0.0)
     y = np.where(rng.random((n, r)) < density, 1.0 - rng.random((n, r)), 0.0)
     a = (x * weights) @ y.T
-    factors = svd_full(a)
-    desc = {"name": name, "generator": "snn", "m": m, "n": n, "r1": r1,
-            "a": a_param, "density": density, "seed": seed,
-            "factors_kind": "computed"}
-    return PlantedMatrix(a, factors, desc)
+    return PlantedMatrix(a, svd_full(a), name)
 
 
 _IDX3_MAGIC = 0x00000803

@@ -81,9 +81,7 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     # ascending-angle position i pairs with residual value sigma_{k-i+1}(res)
     by_gap = res[k - 1::-1] / sigma_k
     by_index = res[0] / true_spectrum.values[:k]
-    vals = np.minimum(by_gap, by_index)
-    params = {"residual_top": float(res[0]), "sigma_k": float(sigma_k)}
-    return make_report(vals, "residual_ratio", side, params)
+    return make_report(np.minimum(by_gap, by_index), "residual_ratio", side)
 
 
 def _spec_norm(x: np.ndarray) -> float:
@@ -139,23 +137,17 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     e32 = stats.resid_beyond_k_2
     base = in2 / r1
     factors = sigma_k / spectrum.values[:k]  # ascending, <= 1
-    common = {"sigma_k": sigma_k, "sigma_hat_next": shat,
-              "gap_sigma_1": g1, "gap_sigma_2": g2,
-              "gap_resid_1": r1, "gap_resid_2": r2}
-
-    def rep(vals, kind, side):
-        return make_report(vals, kind, side, common)
-
     k_left_amp = np.sqrt(1.0 + (factors * e32 / g2) ** 2)
     k_right_amp = np.sqrt((factors * e32 / g1) ** 2 + (out2 / sigma_k) ** 2)
+    norm_k_left = base * np.sqrt(1.0 + (e32 / g2) ** 2)
+    norm_k_right = base * np.sqrt((e32 / g1) ** 2 + (out2 / sigma_k) ** 2)
     return [
-        rep(np.full(k, base), "gap_norm_rank_l", "left"),
-        rep(np.full(k, in2 / r2), "gap_norm_rank_l", "right"),
-        rep(np.full(k, base * np.sqrt(1.0 + (e32 / g2) ** 2)), "gap_norm_rank_k", "left"),
-        rep(np.full(k, base * np.sqrt((e32 / g1) ** 2 + (out2 / sigma_k) ** 2)),
-            "gap_norm_rank_k", "right"),
-        rep(factors * base, "gap_anglewise_rank_l", "left"),
-        rep(factors * (in2 / r2), "gap_anglewise_rank_l", "right"),
-        rep(base * k_left_amp, "gap_anglewise_rank_k", "left"),
-        rep(base * k_right_amp, "gap_anglewise_rank_k", "right"),
+        make_report(np.full(k, base), "gap_norm_rank_l", "left"),
+        make_report(np.full(k, in2 / r2), "gap_norm_rank_l", "right"),
+        make_report(np.full(k, norm_k_left), "gap_norm_rank_k", "left"),
+        make_report(np.full(k, norm_k_right), "gap_norm_rank_k", "right"),
+        make_report(factors * base, "gap_anglewise_rank_l", "left"),
+        make_report(factors * (in2 / r2), "gap_anglewise_rank_l", "right"),
+        make_report(base * k_left_amp, "gap_anglewise_rank_k", "left"),
+        make_report(base * k_right_amp, "gap_anglewise_rank_k", "right"),
     ]

@@ -12,16 +12,17 @@ right subspace sees one extra half power iteration, exponent 4q + 4. All
 power sums are evaluated in the log domain so exponents up to 4*10 + 4
 neither overflow nor flush to zero.
 
-The comparator bound (``subspace_aware_upper``) needs the projections of the
-sketch onto the true right singular subspace, so it only applies to matrices
-whose factors are known; ``subspace_aware_envelope`` supplies a fully prior
-probabilistic stand-in for the projected-sketch norm.
+The comparator bound (``subspace_aware_upper``) is driven by the
+projected-sketch norm ratio ||omega2 @ pinv(omega1)||_2. ``sketch_ratio``
+computes it from the projections of the sketch onto the true right singular
+subspace, so only for matrices whose factors are known;
+``subspace_aware_envelope`` supplies a fully prior probabilistic stand-in.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,25 +35,19 @@ _SIDES = ("left", "right")
 class BoundReport:
     """Per-index bound or estimate values in ascending-angle order.
 
-    ``values`` are clamped to [0, 1]; when clamping fired, ``params`` keeps
-    the raw vector under "raw_values" and sets "trivial" for bounds that
-    exceeded 1 (vacuous for sines).
+    ``values`` are clamped to [0, 1]; ``trivial`` marks the indices whose
+    unclamped bound exceeded 1 (vacuous for sines).
     """
 
     values: np.ndarray
+    trivial: np.ndarray
     kind: str
     side: str
-    params: dict = field(default_factory=dict)
 
 
-def make_report(raw, kind: str, side: str, params: dict | None = None) -> BoundReport:
+def make_report(raw, kind: str, side: str) -> BoundReport:
     raw = np.asarray(raw, dtype=np.float64)
-    params = dict(params or {})
-    clipped = np.clip(raw, 0.0, 1.0)
-    if (raw != clipped).any():
-        params["raw_values"] = raw
-        params["trivial"] = bool((raw > 1.0).any())
-    return BoundReport(clipped, kind, side, params)
+    return BoundReport(np.clip(raw, 0.0, 1.0), raw > 1.0, kind, side)
 
 
 def power_exponent(q, side: str) -> float:
@@ -116,10 +111,7 @@ def space_agnostic_upper(spectrum: Spectrum, k: int, l: int, q: int, side: str, 
         raise ValueError("head distortion out of range (need c * sqrt(k/l) < 1)")
     p = power_exponent(q, side)
     mult = (1.0 - eps_head) / (1.0 + eps_tail)
-    vals = _bound_values(spectrum, k, l, p, mult)
-    params = {"head_distortion": eps_head, "tail_distortion": eps_tail,
-              "multiplier": mult, "exponent": p, "c": c}
-    return make_report(vals, "space_agnostic_upper", side, params)
+    return make_report(_bound_values(spectrum, k, l, p, mult), "space_agnostic_upper", side)
 
 
 def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, *,
@@ -139,33 +131,36 @@ def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, 
         raise ValueError("insufficient tail")
     p = power_exponent(q, side)
     mult = (1.0 + eps_head) / denom
-    vals = _bound_values(spectrum, k, l, p, mult)
-    params = {"head_distortion": eps_head, "tail_distortion": eps_tail,
-              "multiplier": mult, "exponent": p, "c": c,
-              "tail_reflected": eps_tail > 1.0}
-    return make_report(vals, "space_agnostic_lower", side, params)
+    return make_report(_bound_values(spectrum, k, l, p, mult), "space_agnostic_lower", side)
 
 
-def subspace_aware_upper(spectrum: Spectrum, omega1, omega2, k: int, q: int,
-                         side: str) -> BoundReport:
-    """Comparator upper bound driven by the projected-sketch norm ratio.
+def sketch_ratio(omega1, omega2) -> float:
+    """Projected-sketch norm ratio ||omega2 @ pinv(omega1)||_2.
 
     ``omega1`` and ``omega2`` are the sketch projected onto the top-k and
-    tail right singular subspaces (shapes k-by-l and (r-k)-by-l), so this
-    bound only runs on matrices with known factors. Per index:
-    (1 + sigma_i^p / (sigma_{k+1}^p * ||omega2 @ pinv(omega1)||^2))^(-1/2).
+    tail right singular subspaces (shapes k-by-l and (r-k)-by-l).
     """
-    _check_bound_args(spectrum, k, k + 1, q)
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
-    r = spectrum.declared_rank
-    if omega1.shape[0] != k or omega2.shape[0] != r - k or omega1.shape[1] != omega2.shape[1]:
-        raise ValueError("projected sketch shapes must be k-by-l and (r-k)-by-l")
+    if omega1.shape[1] != omega2.shape[1]:
+        raise ValueError("projected sketch blocks must have the same column count")
     # pinv through the SVD of omega1; right orthonormal factor drops from the norm
     _, sv1, vh1 = np.linalg.svd(omega1, full_matrices=False)
     if sv1[-1] <= 1e-12 * sv1[0]:
         raise ValueError("projected sketch omega1 is rank deficient")
-    ratio = np.linalg.norm((omega2 @ vh1.T) / sv1, 2)
+    return float(np.linalg.norm((omega2 @ vh1.T) / sv1, 2))
+
+
+def subspace_aware_upper(spectrum: Spectrum, ratio: float, k: int, q: int,
+                         side: str) -> BoundReport:
+    """Comparator upper bound driven by the projected-sketch norm ratio.
+
+    ``ratio`` is ``sketch_ratio`` of the realized sketch, which needs the
+    true factors, or ``subspace_aware_envelope``, its prior high-probability
+    envelope. Per index:
+    (1 + sigma_i^p / (sigma_{k+1}^p * ratio^2))^(-1/2).
+    """
+    _check_bound_args(spectrum, k, k + 1, q)
     p = power_exponent(q, side)
     logsig = np.log(spectrum.values[:k])
     log_next = math.log(spectrum.values[k])
@@ -174,8 +169,7 @@ def subspace_aware_upper(spectrum: Spectrum, omega1, omega2, k: int, q: int,
     else:
         term = p * (logsig - log_next) - 2.0 * math.log(ratio)
         vals = np.exp(-0.5 * np.logaddexp(0.0, term))
-    params = {"sketch_ratio": float(ratio), "exponent": p}
-    return make_report(vals, "subspace_aware_upper", side, params)
+    return make_report(vals, "subspace_aware_upper", side)
 
 
 def subspace_aware_envelope(k: int, l: int, n: int, delta: float) -> float:

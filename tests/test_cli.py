@@ -59,17 +59,19 @@ def test_run_executes_config(tmp_path):
 
 
 def test_run_seed_and_trials_flags_change_rows(tmp_path):
-    from rsvdangles.harness import read_csv
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     assert run_cli("run", str(cfg_path), "--outdir", str(a_dir)).returncode == 0
     assert run_cli("run", str(cfg_path), "--outdir", str(b_dir),
                    "--seed", "5", "--trials", "3").returncode == 0
-    rows_a = read_csv(a_dir / "snn_tiny_bounds.csv")
-    rows_b = read_csv(b_dir / "snn_tiny_bounds.csv")
-    assert {r.seed for r in rows_a} == {0, 1}
-    assert {r.seed for r in rows_b} == {5, 6}
+
+    def seeds(outdir):  # the seed column of the CSV
+        lines = (outdir / "snn_tiny_bounds.csv").read_text().splitlines()[1:]
+        return {int(line.split(",")[5]) for line in lines}
+
+    assert seeds(a_dir) == {0, 1}
+    assert seeds(b_dir) == {5, 6}
 
 
 def test_outdir_env_var_overrides_flag(tmp_path):
@@ -132,6 +134,10 @@ BAD_CONFIGS = {
                                         "spectrum": {"kind": "slower", "r": 6, "r1": 2},
                                         "seed": 1, "name": "rank6"}},
                             ["--jobs", "2"], "(k=2, l=8, q=0) needs l <= rank(A)=6"),
+    # head distortion 1.3 * sqrt(4/6) >= 1; the entry (2, 12, 0) alone could run
+    "upper_c_too_large": ({**RUN_CONFIG, "upper_c": 1.3,
+                           "grid": [{"k": 4, "l": 6, "q": 0}, {"k": 2, "l": 12, "q": 0}]},
+                          ["--jobs", "2"], "(k=4, l=6, q=0) needs upper_c"),
 }
 
 

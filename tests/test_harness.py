@@ -8,12 +8,13 @@ import pytest
 
 from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
                                 Panel, Row, Series, balance_panel,
-                                balance_sweep, emit_csv, emit_svg,
-                                experiment_panels, feasible_powers,
-                                fixed_budget_bound, pad_spectrum, read_csv,
+                                balance_sweep, build_matrix, emit_csv,
+                                emit_svg, experiment_panels, feasible_powers,
+                                fixed_budget_bound, pad_spectrum,
                                 run_experiment)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
+from rsvdangles.mmio import write_matrix
 from rsvdangles.prior_bounds import space_agnostic_upper
 
 TINY_MATRIX = {"generator": "gaussian_decay", "m": 40, "n": 40,
@@ -115,6 +116,28 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"\(k=4, l=40, q=1\).*min\(m, n\)=30"):
             run_experiment(cfg)
 
+    @pytest.fixture
+    def rank3_file(self, tmp_path):
+        # rank 3 in exact arithmetic; its dense SVD leaves 7 round-off values
+        rng = np.random.default_rng(0)
+        path = tmp_path / "rank3.mtx"
+        write_matrix(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10)), path)
+        return {"path": str(path)}
+
+    def test_roundoff_values_do_not_count_toward_rank(self, rank3_file):
+        spec = build_matrix(rank3_file)[3]
+        assert spec.declared_rank == 3
+        assert (spec.values[3:] == 0.0).all()
+        cfg = ExperimentConfig(matrix=rank3_file, grid=[(2, 5, 0)])
+        with pytest.raises(ValueError, match=r"\(k=2, l=5, q=0\) needs l <= rank\(A\)=3"):
+            run_experiment(cfg)
+
+    def test_entry_within_numerical_rank_runs(self, rank3_file, tmp_path):
+        out = tmp_path / "out"
+        run_experiment(ExperimentConfig(matrix=rank3_file, grid=[(1, 3, 0)],
+                                        outdir=str(out)))
+        assert (out / "rank3_bounds.csv").exists()
+
     def test_errors_recorded_not_raised(self, rows):
         # 40x40 at l = rank/5 keeps gaps healthy, so force a tail_short case:
         # estimator needs tail >= l
@@ -140,9 +163,12 @@ class TestRunExperiment:
         assert csv.exists()
         svgs = list((tmp_path / "out").glob("*.svg"))
         assert len(svgs) == 2  # one per side
-        parsed = read_csv(csv)
-        assert parsed == sorted(parsed, key=lambda r: (
-            r.matrix, r.side, r.k, r.l, r.q, r.seed, r.i, r.kind, r.spectrum_source))
+        header, *lines = csv.read_text().splitlines()
+        assert header == CSV_HEADER
+        keys = [(m, side, int(k), int(l), int(q), int(seed), int(i), kind, src)
+                for m, side, k, l, q, seed, i, kind, src, _, _
+                in (line.split(",") for line in lines)]
+        assert keys == sorted(keys)
 
 
 class TestExperimentConfig:

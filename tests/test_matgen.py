@@ -109,7 +109,7 @@ class TestSnn:
         for a_param in (1.0, 100.0):
             pm = gen_snn(120, 120, r1=20, a_param=a_param, density=0.05, seed=7)
             assert pm.a.shape == (120, 120)
-            assert pm.descriptor["factors_kind"] == "computed"
+            assert pm.name == "snn"
             assert np.linalg.norm(pm.factors.reconstruct() - pm.a) <= \
                 1e-10 * np.linalg.norm(pm.a)
 

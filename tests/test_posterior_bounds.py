@@ -4,7 +4,8 @@ import pytest
 from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, SvdFactors, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_faster
-from rsvdangles.posterior_bounds import (gap_bounds, residual_blocks,
+from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
+                                         residual_blocks,
                                          residual_ratio_bounds,
                                          residual_spectrum)
 from rsvdangles.rsvd import RsvdOutput, SketchConfig, rsvd
@@ -75,7 +76,8 @@ class TestRatioBounds:
         res = residual_spectrum(pm.a, out.u, "left")
         rep = residual_ratio_bounds(res, spec, 4)
         res_c = residual_spectrum(1e4 * pm.a, out.u, "left")
-        rep_c = residual_ratio_bounds(res_c, spec.scaled(1e4), 4)
+        scaled = Spectrum(spec.values * 1e4, spec.declared_rank)
+        rep_c = residual_ratio_bounds(res_c, scaled, 4)
         assert np.allclose(rep.values, rep_c.values, rtol=1e-10)
 
     def test_rank_beyond_numerical_rank_rejected(self):
@@ -93,11 +95,17 @@ class TestResidualBlocks:
         assert stats.resid_beyond_k_2 == pytest.approx(0.0, abs=1e-12)
         assert stats.resid_out_of_basis_2 == pytest.approx(1.0, abs=1e-12)
         assert stats.sigma_hat_next == pytest.approx(2.0)
-        gaps = gap_bounds(stats, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)[0].params
-        assert gaps["gap_sigma_1"] == pytest.approx((16.0 - 4.0) / 4.0)
-        assert gaps["gap_sigma_2"] == pytest.approx((16.0 - 4.0) / 2.0)
-        assert gaps["gap_resid_1"] == pytest.approx((16.0 - 1.0) / 4.0)
-        assert gaps["gap_resid_2"] == pytest.approx((16.0 - 1.0) / 1.0)
+        # unit residual norms, sigma_hat_2 = 2 and sigma_1 = 4: gaps
+        # (16 - 4)/4 = 3 and (16 - 4)/2 = 6 from sigma_hat, (16 - 1)/4 and
+        # (16 - 1)/1 = 15 from the out-of-basis norm
+        hand = ResidualStats(1.0, 1.0, 1.0, 2.0)
+        reports = {(r.kind, r.side): r.values
+                   for r in gap_bounds(hand, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)}
+        assert reports[("gap_norm_rank_l", "left")][0] == pytest.approx(4.0 / 15.0)
+        assert reports[("gap_norm_rank_l", "right")][0] == pytest.approx(1.0 / 15.0)
+        assert reports[("gap_norm_rank_k", "left")][0] == pytest.approx(
+            2.0 * np.sqrt(37.0) / 45.0)
+        assert reports[("gap_norm_rank_k", "right")][0] == pytest.approx(1.0 / 9.0)
 
     def test_full_rank_capture_zeroes_all_norms(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.4])
@@ -155,14 +163,16 @@ class TestGapBounds:
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 6)}
         left = reports[("gap_norm_rank_l", "left")].values
         right = reports[("gap_norm_rank_l", "right")].values
-        gaps = reports[("gap_norm_rank_l", "left")].params
-        ratio = stats.resid_out_of_basis_2 / spec.values[5]
-        expect_left = min(stats.resid_in_basis_2 / gaps["gap_resid_1"], 1.0)
-        expect_right = min(stats.resid_in_basis_2 / gaps["gap_resid_2"], 1.0)
+        sigma_k, out2 = spec.values[5], stats.resid_out_of_basis_2
+        ratio = out2 / sigma_k
+        d_resid = sigma_k**2 - out2**2
+        expect_left = min(stats.resid_in_basis_2 / (d_resid / sigma_k), 1.0)
+        expect_right = min(stats.resid_in_basis_2 / (d_resid / out2), 1.0)
         assert np.allclose(left, expect_left, rtol=1e-12)
         assert np.allclose(right, expect_right, rtol=1e-12)
         # the right bound is the left one shrunk by the residual-to-sigma ratio
-        assert gaps["gap_resid_1"] / gaps["gap_resid_2"] == pytest.approx(ratio, rel=1e-12)
+        assert left[0] < 1.0
+        assert right[0] / left[0] == pytest.approx(ratio, rel=1e-12)
         assert (right <= left + 1e-15).all()
 
     def test_gap_violation_raises(self):
@@ -181,7 +191,7 @@ class TestGapBounds:
             out_c = rsvd(c * pm.a, SketchConfig(6, 15, 1, seed=6))
             scaled = residual_stats(c * pm.a, out_c, k=6)
             a_reports = gap_bounds(base, spec, 6)
-            b_reports = gap_bounds(scaled, spec.scaled(c), 6)
+            b_reports = gap_bounds(scaled, Spectrum(spec.values * c, spec.declared_rank), 6)
             for ra, rb in zip(a_reports, b_reports):
                 assert np.allclose(ra.values, rb.values, rtol=1e-9)
 

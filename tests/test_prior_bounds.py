@@ -6,11 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import Spectrum, seeded_rng
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (power_exponent, space_agnostic_lower,
+from rsvdangles.prior_bounds import (make_report, power_exponent, sketch_ratio,
+                                     space_agnostic_lower,
                                      space_agnostic_upper,
                                      subspace_aware_envelope,
                                      subspace_aware_upper, _bound_values,
-                                     _logsumexp)
+                                     _distortions, _logsumexp)
 
 
 class TestLogSumExp:
@@ -45,8 +46,9 @@ class TestUpperBound:
         # (1 + (1-0.5)/(1+1.0) * (4/4) * 2^2)^(-1/2) = 2^(-1/2)
         spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
         rep = space_agnostic_upper(spec, k=1, l=4, q=0, side="left", c=1.0)
-        assert rep.params["head_distortion"] == pytest.approx(0.5)
-        assert rep.params["tail_distortion"] == pytest.approx(1.0)
+        head, tail = _distortions(spec, 1, 4, 1.0)
+        assert head == pytest.approx(0.5)
+        assert tail == pytest.approx(1.0)
         expect = (1.0 + 0.25 * (4.0 / 4.0) * 4.0) ** -0.5
         assert rep.values[0] == pytest.approx(expect, abs=1e-12)
 
@@ -107,8 +109,9 @@ class TestLowerBound:
     def test_reflected_branch_beyond_one_stays_finite(self):
         spec = Spectrum.from_values([2.0] + [1.0] * 8)
         rep = space_agnostic_lower(spec, 1, 4, 0, "left")  # doubled defaults
-        assert rep.params["tail_distortion"] == pytest.approx(2 * math.sqrt(0.5))
-        assert rep.params["tail_reflected"] is True
+        _, tail = _distortions(spec, 1, 4, 2.0)
+        assert tail == pytest.approx(2 * math.sqrt(0.5))
+        assert tail > 1.0  # the reflected denominator |1 - tail| applies
         assert 0.0 < rep.values[0] < 1.0
 
     def test_lower_below_upper_on_shared_valid_configuration(self):
@@ -121,14 +124,17 @@ class TestLowerBound:
     def test_default_multipliers_are_doubled(self):
         spec = Spectrum.from_values(np.geomspace(6.0, 0.5, 40))
         rep = space_agnostic_lower(spec, 5, 10, 0, "left")
-        assert rep.params["c"] == 2.0
+        assert np.array_equal(rep.values,
+                              space_agnostic_lower(spec, 5, 10, 0, "left", c=2.0).values)
+        assert not np.array_equal(rep.values,
+                                  space_agnostic_lower(spec, 5, 10, 0, "left", c=1.0).values)
 
 
 class TestScalingInvariance:
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_bounds_invariant_under_uniform_scaling(self, c):
         spec = Spectrum.from_values(np.geomspace(3.0, 0.2, 30))
-        scaled = spec.scaled(c)
+        scaled = Spectrum(spec.values * c, spec.declared_rank)
         for fn in (space_agnostic_upper, space_agnostic_lower):
             a = fn(spec, 4, 8, 2, "left", c=1.0)
             b = fn(scaled, 4, 8, 2, "left", c=1.0)
@@ -141,7 +147,8 @@ class TestExponentRule:
         spec = Spectrum.from_values(np.geomspace(5.0, 0.3, 25))
         k, l, q = 4, 8, 2
         right = space_agnostic_upper(spec, k, l, q, "right", c=1.0)
-        mult = right.params["multiplier"]
+        head, tail = _distortions(spec, k, l, 1.0)
+        mult = (1.0 - head) / (1.0 + tail)
         half_step = _bound_values(spec, k, l, power_exponent(q + 0.5, "left"), mult)
         assert np.allclose(right.values, half_step, rtol=1e-14)
 
@@ -157,8 +164,9 @@ class TestSubspaceAwareUpper:
     def test_zero_tail_projection_gives_zero_bound(self):
         spec = self._spectrum()
         omega1 = seeded_rng(0).standard_normal((2, 4))
-        omega2 = np.zeros((6, 4))
-        rep = subspace_aware_upper(spec, omega1, omega2, k=2, q=0, side="left")
+        ratio = sketch_ratio(omega1, np.zeros((6, 4)))
+        assert ratio == 0.0
+        rep = subspace_aware_upper(spec, ratio, k=2, q=0, side="left")
         assert np.all(rep.values == 0.0)
 
     def test_matched_levels_give_inverse_sqrt_two(self):
@@ -167,28 +175,43 @@ class TestSubspaceAwareUpper:
         omega1 = np.hstack([np.eye(2), np.zeros((2, 2))])
         omega2 = np.zeros((2, 4))
         omega2[0, 0] = 1.0
-        rep = subspace_aware_upper(spec, omega1, omega2, k=2, q=0, side="left")
-        assert rep.params["sketch_ratio"] == pytest.approx(1.0, abs=1e-12)
+        ratio = sketch_ratio(omega1, omega2)
+        assert ratio == pytest.approx(1.0, abs=1e-12)
+        rep = subspace_aware_upper(spec, ratio, k=2, q=0, side="left")
         assert np.allclose(rep.values, 2.0 ** -0.5, atol=1e-12)
 
     def test_rank_deficient_projection_rejected(self):
-        spec = self._spectrum()
         omega1 = np.ones((2, 4))
         omega2 = seeded_rng(1).standard_normal((6, 4))
         with pytest.raises(ValueError, match="rank deficient"):
-            subspace_aware_upper(spec, omega1, omega2, k=2, q=0, side="left")
+            sketch_ratio(omega1, omega2)
 
     def test_exact_ratio_against_dense_pinv(self):
         rng = seeded_rng(4)
         spec = self._spectrum()
         omega1 = rng.standard_normal((2, 5))
         omega2 = rng.standard_normal((6, 5))
-        rep = subspace_aware_upper(spec, omega1, omega2, k=2, q=1, side="right")
+        ratio = sketch_ratio(omega1, omega2)
         expect_ratio = np.linalg.norm(omega2 @ np.linalg.pinv(omega1), 2)
-        assert rep.params["sketch_ratio"] == pytest.approx(expect_ratio, rel=1e-12)
+        assert ratio == pytest.approx(expect_ratio, rel=1e-12)
+        rep = subspace_aware_upper(spec, ratio, k=2, q=1, side="right")
         p = 4 * 1 + 4
         expect = (1.0 + (spec.values[:2] / spec.values[2]) ** p / expect_ratio**2) ** -0.5
         assert np.allclose(rep.values, expect, rtol=1e-12)
+
+    def test_envelope_fed_bound_dominates_sketch_fed_bound(self):
+        spec = self._spectrum()
+        k, l, n = 2, 5, spec.declared_rank
+        envelope = subspace_aware_envelope(k, l, n, 0.5)
+        for seed in range(5):
+            omega = seeded_rng(seed).standard_normal((n, l))
+            ratio = sketch_ratio(omega[:k], omega[k:])
+            assert envelope >= ratio
+            for q in (0, 1):
+                for side in ("left", "right"):
+                    realized = subspace_aware_upper(spec, ratio, k, q, side)
+                    prior = subspace_aware_upper(spec, envelope, k, q, side)
+                    assert (prior.values >= realized.values).all()
 
 
 class TestEnvelope:
@@ -216,9 +239,7 @@ class TestEnvelope:
             subspace_aware_envelope(8, 12, 100, 1.5)
 
 
-def test_report_clamping_preserves_raw_values():
-    from rsvdangles.prior_bounds import make_report
+def test_report_clamping_marks_trivial_indices():
     rep = make_report(np.array([0.5, 1.2]), "space_agnostic_upper", "left")
     assert np.array_equal(rep.values, [0.5, 1.0])
-    assert np.array_equal(rep.params["raw_values"], [0.5, 1.2])
-    assert rep.params["trivial"] is True
+    assert np.array_equal(rep.trivial, [False, True])
