@@ -3,7 +3,7 @@
 Subcommands:
   gen       write a generated matrix (MatrixMarket array) plus its descriptor
   run       execute an experiment config (JSON, schema_version 1)
-  balance   fixed-budget oversampling-versus-power-iterations sweep
+  balance   fixed-budget oversampling-versus-power-iterations sweep, per gap
   estimate  standalone Monte-Carlo angle estimate from a spectrum file
 
 The RSVDANGLES_OUTDIR environment variable overrides any configured or
@@ -76,29 +76,29 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    cfg = BalanceConfig(k=args.k, budget_factor=args.budget,
-                        tail_factor=args.size_factor,
-                        oversample_factor=args.oversample, gap=args.gap,
-                        trials=args.trials if args.trials is not None else 5,
-                        seed=args.seed or 0)
-    rows = balance_sweep(cfg)
+    cfgs = [BalanceConfig(k=args.k, budget_factor=args.budget,
+                          tail_factor=args.size_factor,
+                          oversample_factor=args.oversample, gap=gap,
+                          trials=args.trials, seed=args.seed)
+            for gap in args.gap]  # every gap is checked before the first sweep
     outdir = _resolve_outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
-    tag = f"balance_k{cfg.k}_gap{cfg.gap:g}"
-    emit_balance_csv(rows, os.path.join(outdir, f"{tag}.csv"))
-    emit_svg(balance_panel(rows), os.path.join(outdir, f"{tag}.svg"))
-    best = min({r["q"]: r["phi"] for r in rows}.items(), key=lambda kv: kv[1])
-    print(f"best power count q={best[0]} (budget curve {best[1]:.6g}); "
-          f"results under {outdir}")
+    for cfg in cfgs:
+        rows = balance_sweep(cfg)
+        tag = f"balance_k{cfg.k}_gap{cfg.gap:g}"
+        emit_balance_csv(rows, os.path.join(outdir, f"{tag}.csv"))
+        emit_svg(balance_panel(rows), os.path.join(outdir, f"{tag}.svg"))
+        q, phi = min({r["q"]: r["phi"] for r in rows}.items(), key=lambda kv: kv[1])
+        print(f"gap {cfg.gap:g}: best power count q={q} (budget curve {phi:.6g})")
+    print(f"results under {outdir}")
     return 0
 
 
 def _cmd_estimate(args) -> int:
     values = np.loadtxt(args.spectrum, ndmin=1)
     spec = Spectrum.from_values(np.sort(values)[::-1])
-    report = unbiased_estimate(spec, args.k, args.l, args.q,
-                               args.trials if args.trials is not None else 3,
-                               args.side, args.seed or 0)
+    report = unbiased_estimate(spec, args.k, args.l, args.q, args.trials,
+                               args.side, args.seed)
     cost = estimate_cost_model(spec.declared_rank, args.l, report.n_trials)
     print(f"# spectrum length {spec.size}, declared rank {spec.declared_rank}, "
           f"nominal cost {cost} flops")
@@ -142,9 +142,9 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=16.0, help="matvec budget / k")
     p.add_argument("--size-factor", type=float, default=32.0, help="(size - k) / k")
     p.add_argument("--oversample", type=float, default=1.05)
-    p.add_argument("--gap", type=float, default=1.1)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--gap", type=float, nargs="+", default=[1.1], help="one or more gaps")
+    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outdir", default=None)
     p.set_defaults(func=_cmd_balance)
 
@@ -154,8 +154,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--q", type=int, default=0)
     p.add_argument("--side", choices=["left", "right"], default="left")
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=3)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_estimate)
     return parser
 

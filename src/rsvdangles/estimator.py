@@ -15,13 +15,13 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, seeded_rng, sv_x_pinv
+from .linalg import Spectrum, sv_x_pinv
 from .prior_bounds import power_exponent
+from .rsvd import gaussian_sketch
 
 
 @dataclass
@@ -49,8 +49,6 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
     if not 1 <= k <= l:
         raise ValueError("need 1 <= k <= l")
     r = spectrum.declared_rank
-    if r <= k:
-        raise ValueError("tail too short for estimator")
     if r - k < l:
         raise ValueError("tail too short for estimator")
     p = power_exponent(q, side) / 2.0  # 2q+1 left, 2q+2 right
@@ -61,8 +59,7 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
     tail_w = (spectrum.tail(k) / scale) ** p
     per_trial = np.empty((n_trials, k))
     for j in range(n_trials):
-        rng = seeded_rng(seed ^ j)
-        omega = rng.standard_normal((r, l)) / math.sqrt(l)
+        omega = gaussian_sketch(r, l, seed ^ j)
         w1 = top_w[:, None] * omega[:k]
         w2 = tail_w[:, None] * omega[k:]
         try:

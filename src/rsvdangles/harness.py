@@ -92,6 +92,9 @@ class ExperimentConfig:
         for key in ("estimator_trials", "n_seeds", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config value must be >= 1: {key}")
+        for key in ("upper_c", "lower_c"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"config value must be positive: {key}")
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
@@ -417,21 +420,19 @@ def feasible_powers(cfg: BalanceConfig) -> list[int]:
 def fixed_budget_bound(q: int, cfg: BalanceConfig) -> float:
     """Upper-bound value reachable with the budget split at power count q.
 
-    Closed form of the space-agnostic upper bound on the step spectrum with
-    l = budget/(2q+1) and distortion multipliers at the oversampling factor;
-    evaluated with a log-domain power so large gaps and q stay finite.
+    The space-agnostic upper bound on the step spectrum at the real-valued
+    sample size l = budget/(2q+1), with the oversampling factor as the
+    distortion multiplier; 1 where that head distortion g*sqrt(k/l) reaches 1.
     """
-    a, b, g = cfg.budget_factor, cfg.tail_factor, cfg.oversample_factor
+    a, g = cfg.budget_factor, cfg.oversample_factor
     passes = 2 * q + 1
     if passes > a / g**2 + 1e-12:
         raise ValueError("budget exceeded")
-    num = a - g * math.sqrt(a * passes)
-    den = b * passes + g * math.sqrt(a * b * passes)
-    coef = num / den
-    if coef <= 0.0:
+    l = a * cfg.k / passes
+    if g * math.sqrt(cfg.k / l) >= 1.0:
         return 1.0
-    t = math.log(coef) + (4.0 * q + 2.0) * math.log(cfg.gap)
-    return float(np.exp(-0.5 * np.logaddexp(0.0, t)))
+    step = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
+    return float(space_agnostic_upper(step, cfg.k, l, q, "left", c=g).values[0])
 
 
 def balance_sweep(cfg: BalanceConfig) -> list[dict]:

@@ -99,12 +99,12 @@ def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> Res
     """
     a = as_matrix(a)
     f = out.factors
-    l = f.width
-    if not 1 <= k < l:
+    if not 1 <= k < f.width:
         raise ValueError("need 1 <= k < l")
-    err = a - f.reconstruct()
-    in_basis_2 = _spec_norm(err @ f.v)
-    beyond_k_2 = _spec_norm(err @ f.v[:, k:])
+    # (a - u sigma v^T) v = a v - u sigma, as v has orthonormal columns
+    err_v = a @ f.v - f.u * f.sigma
+    in_basis_2 = _spec_norm(err_v)
+    beyond_k_2 = _spec_norm(err_v[:, k:])
     return ResidualStats(in_basis_2, beyond_k_2, float(right_residual.values[0]),
                          float(f.sigma[k]))
 

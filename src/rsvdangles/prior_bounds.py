@@ -69,7 +69,7 @@ def _logsumexp(x: np.ndarray) -> np.float64:
     return np.log1p(rest) + np.log(n_ties) + top
 
 
-def _bound_values(spectrum: Spectrum, k: int, l: int, p: float, mult: float) -> np.ndarray:
+def _bound_values(spectrum: Spectrum, k: int, l: float, p: float, mult: float) -> np.ndarray:
     """(1 + mult * l * sigma_i^p / sum_tail sigma^p)^(-1/2) for i = 1..k,
     ascending-angle order (position i pairs with sigma_i)."""
     t = spectrum.tail(k)
@@ -81,7 +81,7 @@ def _bound_values(spectrum: Spectrum, k: int, l: int, p: float, mult: float) -> 
     return np.exp(-0.5 * np.logaddexp(0.0, term))
 
 
-def _check_bound_args(spectrum: Spectrum, k: int, l: int, q: int) -> None:
+def _check_bound_args(spectrum: Spectrum, k: int, l: float, q: int) -> None:
     if not 1 <= k < spectrum.declared_rank:
         raise ValueError("need 1 <= k < declared rank")
     if l <= k:
@@ -90,20 +90,21 @@ def _check_bound_args(spectrum: Spectrum, k: int, l: int, q: int) -> None:
         raise ValueError("q must be >= 0")
 
 
-def _distortions(spectrum: Spectrum, k: int, l: int, c: float) -> tuple[float, float]:
+def _distortions(spectrum: Spectrum, k: int, l: float, c: float) -> tuple[float, float]:
     """(head, tail) distortion factors c*sqrt(k/l) and c*sqrt(l/(r-k))."""
     if c <= 0:
         raise ValueError("distortion multiplier must be positive")
     return c * math.sqrt(k / l), c * math.sqrt(l / (spectrum.declared_rank - k))
 
 
-def space_agnostic_upper(spectrum: Spectrum, k: int, l: int, q: int, side: str, *,
+def space_agnostic_upper(spectrum: Spectrum, k: int, l: float, q: int, side: str, *,
                          c: float = 1.0) -> BoundReport:
     """Spectrum-only upper bound on the sines of the canonical angles.
 
     Multiplier (1 - head) / (1 + tail) on l * sigma_i^p / sum_tail sigma^p.
     Requires head distortion < 1; the tail distortion may exceed 1 (it only
-    weakens the bound).
+    weakens the bound). The sample size l may be real, as in the budget
+    curve's l = budget / (2q+1).
     """
     _check_bound_args(spectrum, k, l, q)
     eps_head, eps_tail = _distortions(spectrum, k, l, c)

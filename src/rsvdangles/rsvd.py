@@ -47,7 +47,6 @@ class RsvdOutput:
     produced them (None for factors built another way)."""
 
     factors: SvdFactors
-    seed: int
     sketch: np.ndarray | None = None
 
     @property
@@ -94,4 +93,4 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
         x = ortho(a @ ortho(a.T @ x))
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.
-    return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), cfg.seed, omega)
+    return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), omega)

@@ -95,6 +95,20 @@ def test_balance_subcommand(tmp_path):
     assert "best power count" in res.stdout
 
 
+def test_balance_writes_one_pair_per_gap(tmp_path):
+    common = ("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
+              "--oversample", "1.1", "--trials", "2", "--seed", "1", "--outdir")
+    res = run_cli(*common, str(tmp_path / "both"), "--gap", "1.01", "1.5")
+    assert res.returncode == 0, res.stderr
+    for gap in ("1.01", "1.5"):
+        assert run_cli(*common, str(tmp_path / gap), "--gap", gap).returncode == 0
+        for ext in ("csv", "svg"):
+            name = f"balance_k6_gap{gap}.{ext}"
+            assert (tmp_path / "both" / name).read_bytes() == \
+                (tmp_path / gap / name).read_bytes()
+    assert len(list((tmp_path / "both").iterdir())) == 4
+
+
 def test_estimate_matches_library_call(tmp_path):
     values = np.geomspace(3.0, 0.5, 16)
     spec_path = tmp_path / "spec.txt"
@@ -134,6 +148,8 @@ BAD_CONFIGS = {
                                         "spectrum": {"kind": "slower", "r": 6, "r1": 2},
                                         "seed": 1, "name": "rank6"}},
                             ["--jobs", "2"], "(k=2, l=8, q=0) needs l <= rank(A)=6"),
+    "zero_lower_c": ({**RUN_CONFIG, "lower_c": 0}, [], "lower_c"),
+    "negative_upper_c": ({**RUN_CONFIG, "upper_c": -1}, ["--jobs", "2"], "upper_c"),
     # head distortion 1.3 * sqrt(4/6) >= 1; the entry (2, 12, 0) alone could run
     "upper_c_too_large": ({**RUN_CONFIG, "upper_c": 1.3,
                            "grid": [{"k": 4, "l": 6, "q": 0}, {"k": 2, "l": 12, "q": 0}]},

@@ -229,6 +229,13 @@ class TestBudgetCurve:
             coef = (a - g * np.sqrt(a * passes)) / (b * passes + g * np.sqrt(a * b * passes))
             assert fixed_budget_bound(q, cfg) == pytest.approx((1 + coef) ** -0.5, rel=1e-12)
 
+    def test_vacuous_where_head_distortion_reaches_one(self):
+        # (2q+1) * oversample^2 = 16 = budget at q=0
+        cfg = BalanceConfig(k=10, budget_factor=16.0, tail_factor=32.0,
+                            oversample_factor=4.0, gap=1.1, trials=0)
+        assert feasible_powers(cfg) == [0]
+        assert fixed_budget_bound(0, cfg) == 1.0
+
     def test_budget_exceeded_raises(self):
         cfg = BalanceConfig(gap=1.1, **self.CFG)
         with pytest.raises(ValueError, match="budget exceeded"):

@@ -14,7 +14,7 @@ from rsvdangles.rsvd import RsvdOutput, SketchConfig, rsvd
 def exact_rank_l_output(a, l):
     """Rank-l truncation of the exact SVD packaged as an algorithm output."""
     f = svd_full(a)
-    return RsvdOutput(SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l]), 0)
+    return RsvdOutput(SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l]))
 
 
 def residual_stats(a, out, k):
@@ -88,6 +88,17 @@ class TestRatioBounds:
 
 
 class TestResidualBlocks:
+    def test_norms_match_dense_residual(self):
+        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
+        pm = gen_gaussian_decay(50, 40, spec, seed=8)
+        out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=3))
+        stats = residual_stats(pm.a, out, k=5)
+        err = pm.a - out.factors.reconstruct()
+        assert stats.resid_in_basis_2 == pytest.approx(
+            np.linalg.norm(err @ out.v, 2), rel=1e-12)
+        assert stats.resid_beyond_k_2 == pytest.approx(
+            np.linalg.norm(err @ out.v[:, 5:], 2), rel=1e-12)
+
     def test_diagonal_hand_values(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
