@@ -25,8 +25,9 @@ import numpy as np
 from .angles import canonical_sines
 from .estimator import unbiased_estimate
 from .linalg import Spectrum, svd_full
-from .matgen import (gen_gaussian_decay, gen_snn, gen_step_spectrum,
-                     load_mnist, spectrum_faster, spectrum_slower)
+from .matgen import (gaussian_decay_in_left_basis, gen_gaussian_decay, gen_snn,
+                     gen_step_spectrum, load_mnist, spectrum_faster,
+                     spectrum_slower)
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
@@ -395,6 +396,10 @@ class BalanceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.k < 1:
+            raise ValueError("config value must be >= 1: k")
+        if self.trials < 0:
+            raise ValueError("config value must be >= 0: trials")
         if self.oversample_factor <= 1.0:
             raise ValueError("oversample_factor must exceed 1")
         if self.budget_factor / self.oversample_factor**2 < 1.0:
@@ -440,10 +445,16 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
 
     One row per (q, trial): {gap, k, q, l, phi, trial, largest_sine}; with
     trials=0 a single phi-only row per q (trial = -1, sine nan).
+
+    A trial runs rsvd on B = Sigma V^T = U^T a instead of the planted
+    a = U Sigma V^T, with the same sketch, and measures against e_1..e_k
+    instead of U_k: the stabilized rsvd commutes with the orthogonal U, and
+    canonical angles do not change under it, so the sines agree to rounding.
     """
     rows = []
     spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
     r = cfg.size
+    head = np.eye(r)[:, :cfg.k]
     for q in feasible_powers(cfg):
         l = int(cfg.budget_factor * cfg.k / (2 * q + 1))
         phi = fixed_budget_bound(q, cfg)
@@ -452,10 +463,10 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
             rows.append({**base, "trial": -1, "largest_sine": float("nan")})
             continue
         for trial in range(cfg.trials):
-            pm = gen_gaussian_decay(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
-                                    name="step")
-            out = rsvd(pm.a, SketchConfig(cfg.k, l, q, cfg.seed + 200_000 * (q + 1) + trial))
-            sines = canonical_sines(out.u, pm.factors.u[:, :cfg.k])
+            b = gaussian_decay_in_left_basis(r, r, spec,
+                                             cfg.seed + 100_000 * (q + 1) + trial)
+            out = rsvd(b, SketchConfig(cfg.k, l, q, cfg.seed + 200_000 * (q + 1) + trial))
+            sines = canonical_sines(out.u, head)
             rows.append({**base, "trial": trial, "largest_sine": float(sines[-1])})
     return rows
 

@@ -29,6 +29,15 @@ class PlantedMatrix:
         return Spectrum.from_values(self.factors.sigma)
 
 
+def _planted_draws(m: int, n: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The Gaussian blocks behind a planted pair of bases, in stream order:
+    m-by-r for the left basis, then n-by-r for the right one."""
+    if r > min(m, n):
+        raise ValueError("declared rank exceeds min(m, n)")
+    rng = seeded_rng(seed)
+    return rng.standard_normal((m, r)), rng.standard_normal((n, r))
+
+
 def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
                        name: str = "gaussian_decay") -> PlantedMatrix:
     """Dense matrix with uniformly random singular subspaces and the given spectrum.
@@ -37,14 +46,25 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
     are exact: a = u * sigma @ v.T up to rounding.
     """
     r = spectrum.declared_rank
-    if r > min(m, n):
-        raise ValueError("declared rank exceeds min(m, n)")
-    rng = seeded_rng(seed)
-    u = ortho(rng.standard_normal((m, r)))
-    v = ortho(rng.standard_normal((n, r)))
+    left, right = _planted_draws(m, n, r, seed)
+    u, v = ortho(left), ortho(right)
     sigma = spectrum.values[:r]
     a = (u * sigma) @ v.T
     return PlantedMatrix(a, SvdFactors(u, sigma, v), name)
+
+
+def gaussian_decay_in_left_basis(m: int, n: int, spectrum: Spectrum,
+                                 seed: int) -> np.ndarray:
+    """sigma[:, None] * v.T for the factors of gen_gaussian_decay(m, n,
+    spectrum, seed): its matrix a = u @ (that r-by-n block), written in the
+    basis u of its left singular vectors.
+
+    The left block is drawn, so that the stream and v stay the same, but it
+    is not orthonormalized, and a is never formed.
+    """
+    r = spectrum.declared_rank
+    _, right = _planted_draws(m, n, r, seed)
+    return spectrum.values[:r, None] * ortho(right).T
 
 
 def spectrum_slower(r: int, r1: int) -> Spectrum:

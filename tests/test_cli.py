@@ -157,11 +157,24 @@ BAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("case", ["missing_spectrum_file", *BAD_CONFIGS])
+# case -> (balance flags, needle the message ends with)
+BAD_BALANCE_FLAGS = {
+    "balance_negative_trials": (["--trials", "-1"], "trials"),
+    "balance_zero_k": (["--k", "0"], "k"),
+    "balance_negative_k": (["--k", "-2"], "k"),
+}
+
+
+@pytest.mark.parametrize("case", ["missing_spectrum_file", *BAD_CONFIGS,
+                                  *BAD_BALANCE_FLAGS])
 def test_error_reporting_is_clean(tmp_path, case):
     if case == "missing_spectrum_file":
         res = run_cli("estimate", str(tmp_path / "missing.txt"), "--k", "2", "--l", "4")
         needle = "missing.txt"
+    elif case in BAD_BALANCE_FLAGS:
+        flags, needle = BAD_BALANCE_FLAGS[case]
+        res = run_cli("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
+                      "--oversample", "1.1", "--outdir", str(tmp_path / "out"), *flags)
     else:
         cfg, flags, needle = BAD_CONFIGS[case]
         cfg_path = tmp_path / "cfg.json"

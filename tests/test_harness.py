@@ -6,6 +6,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from rsvdangles.angles import canonical_sines
 from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
                                 Panel, Row, Series, balance_panel,
                                 balance_sweep, build_matrix, emit_csv,
@@ -13,9 +14,10 @@ from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
                                 fixed_budget_bound, pad_spectrum,
                                 run_experiment)
 from rsvdangles.linalg import Spectrum
-from rsvdangles.matgen import gen_step_spectrum
+from rsvdangles.matgen import gen_gaussian_decay, gen_step_spectrum
 from rsvdangles.mmio import write_matrix
 from rsvdangles.prior_bounds import space_agnostic_upper
+from rsvdangles.rsvd import SketchConfig, rsvd
 
 TINY_MATRIX = {"generator": "gaussian_decay", "m": 40, "n": 40,
                "spectrum": {"kind": "slower", "r": 40, "r1": 5},
@@ -263,6 +265,12 @@ class TestBudgetCurve:
         with pytest.raises(ValueError, match="matrix size"):
             BalanceConfig(k=10, budget_factor=40.0, tail_factor=32.0,
                           oversample_factor=1.05, gap=1.1)
+        with pytest.raises(ValueError, match=": k$"):
+            BalanceConfig(k=0, budget_factor=16.0, tail_factor=32.0,
+                          oversample_factor=1.05, gap=1.1)
+        with pytest.raises(ValueError, match=": trials$"):
+            BalanceConfig(k=10, budget_factor=16.0, tail_factor=32.0,
+                          oversample_factor=1.05, gap=1.1, trials=-1)
 
 
 class TestBalanceSweep:
@@ -282,6 +290,24 @@ class TestBalanceSweep:
         assert all(0.0 <= r["largest_sine"] <= 1.0 for r in rows)
         panel = balance_panel(rows)
         assert any(s.label == "budget curve" for s in panel.series)
+
+    def test_trials_match_rsvd_of_the_planted_matrix(self):
+        # the oracle plants a = U Sigma V^T, runs rsvd on a and measures
+        # against U_k; the sweep runs on Sigma V^T. A stream that skipped the
+        # left draw would plant another V and miss by far more than rounding.
+        cfg = BalanceConfig(k=6, budget_factor=9.0, tail_factor=12.0,
+                            oversample_factor=1.1, gap=1.3, trials=2, seed=5)
+        spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
+        rows = {(r["q"], r["trial"]): r for r in balance_sweep(cfg)}
+        for q in (0, 1, 3):
+            for trial in range(cfg.trials):
+                pm = gen_gaussian_decay(cfg.size, cfg.size, spec,
+                                        cfg.seed + 100_000 * (q + 1) + trial)
+                row = rows[q, trial]
+                out = rsvd(pm.a, SketchConfig(cfg.k, row["l"], q,
+                                              cfg.seed + 200_000 * (q + 1) + trial))
+                sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
+                assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
 
 
 class TestEmission:

@@ -5,8 +5,9 @@ import pytest
 
 from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, svd_full
-from rsvdangles.matgen import (gen_gaussian_decay, gen_snn, gen_step_spectrum,
-                               load_mnist, spectrum_faster, spectrum_slower)
+from rsvdangles.matgen import (gaussian_decay_in_left_basis, gen_gaussian_decay,
+                               gen_snn, gen_step_spectrum, load_mnist,
+                               spectrum_faster, spectrum_slower)
 
 
 class TestGaussianDecay:
@@ -41,6 +42,15 @@ class TestGaussianDecay:
     def test_rank_cannot_exceed_dimensions(self):
         with pytest.raises(ValueError, match="declared rank"):
             gen_gaussian_decay(5, 5, spectrum_slower(10, 2), seed=0)
+
+    def test_left_basis_form_shares_the_draw(self):
+        # the same stream gives the same v, bit for bit
+        spec = spectrum_slower(30, 4)
+        pm = gen_gaussian_decay(40, 35, spec, seed=5)
+        b = gaussian_decay_in_left_basis(40, 35, spec, seed=5)
+        assert np.array_equal(b, pm.factors.sigma[:, None] * pm.factors.v.T)
+        with pytest.raises(ValueError, match="declared rank"):
+            gaussian_decay_in_left_basis(5, 5, spectrum_slower(10, 2), seed=0)
 
 
 class TestSpectrumFamilies:
