@@ -94,6 +94,8 @@ class ExperimentConfig:
             if getattr(self, key) < 1:
                 raise ValueError(f"config value must be >= 1: {key}")
         for key in ("upper_c", "lower_c"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"config value must be finite: {key}")
             if getattr(self, key) <= 0:
                 raise ValueError(f"config value must be positive: {key}")
 
@@ -305,29 +307,81 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     return rows
 
 
-# (matrix, cfg) of the sweep a pool worker serves, set once in each worker
+# (fn, state) of the tasks a forked worker serves, set once in each worker
 # process by _init_worker
-_worker_sweep = None
+_worker_job = None
 
 
-def _init_worker(matrix, cfg: ExperimentConfig) -> None:
-    global _worker_sweep
-    _worker_sweep = (matrix, cfg)
+def _init_worker(fn, state: tuple) -> None:
+    global _worker_job
+    _worker_job = (fn, state)
 
 
-def _worker_run(task) -> list[Row]:
-    return _run_single(*_worker_sweep, task)
+def _worker_run(task):
+    fn, state = _worker_job
+    return fn(*state, task)
+
+
+def _fork_context():
+    """multiprocessing's ``fork`` context, or None where this platform has
+    no ``fork`` start method."""
+    import multiprocessing
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")
+
+
+def _usable_workers() -> int:
+    """One worker per CPU this process may use; 1 where that count or the
+    ``fork`` start method is missing, so that ``_share`` never raises on it.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    cpus = len(os.sched_getaffinity(0))
+    return cpus if cpus > 1 and _fork_context() is not None else 1
+
+
+def _share(fn, state: tuple, tasks: list, jobs: int) -> list:
+    """``[fn(*state, t) for t in tasks]``, shared by ``min(jobs, len(tasks))``
+    workers.
+
+    The calling process is one of the workers: it runs the fixed share
+    ``tasks[::workers]`` while forked processes serve the rest, so one fork
+    fewer is needed. Forked workers inherit ``state`` instead of unpickling
+    it; only tasks and results cross between processes. This needs the
+    ``fork`` start method (POSIX); where it is missing, ``jobs > 1`` raises
+    ValueError. As with any fork, the calling process should run no other
+    threads at that point. The results come back in task order, so they do
+    not depend on the worker count.
+    """
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return [fn(*state, task) for task in tasks]
+    # Processes, not threads: numpy's values-only SVD does not overlap
+    # across threads. Imported here so that commands that start no worker
+    # do not pay for the import.
+    from concurrent.futures import ProcessPoolExecutor
+    context = _fork_context()
+    if context is None:
+        raise ValueError("jobs > 1 needs the 'fork' start method, "
+                         "which this platform does not have")
+    results = [None] * len(tasks)
+    rest = [i for i in range(len(tasks)) if i % workers]
+    with ProcessPoolExecutor(workers - 1, mp_context=context,
+                             initializer=_init_worker,
+                             initargs=(fn, state)) as pool:
+        forked = pool.map(_worker_run, [tasks[i] for i in rest])
+        results[::workers] = [fn(*state, task) for task in tasks[::workers]]
+        for i, result in zip(rest, forked):
+            results[i] = result
+    return results
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Execute the full sweep and (when an outdir is set) write CSV and SVGs.
 
-    With ``cfg.jobs > 1`` the runs are shared by ``min(jobs, runs)``
-    workers: the calling process takes a fixed share (every
-    ``min(jobs, runs)``-th run) and forked processes take the rest. This needs the ``fork`` start method (POSIX); where it is
-    missing, ``jobs > 1`` raises ValueError. The rows do not depend on the
-    worker count. As with any fork, the calling process should run no other
-    threads at that point.
+    With ``cfg.jobs > 1`` the runs are shared by forked processes (see
+    ``_share``); the rows do not depend on the worker count.
     """
     matrix = build_matrix(cfg.matrix)
     name, a, _, true_spec = matrix[:4]
@@ -344,31 +398,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
                              f" upper_c * sqrt(k/l) < 1 (upper_c={cfg.upper_c})")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
-
-    workers = min(cfg.jobs, len(tasks))
-    if workers > 1:
-        # Processes, not threads: numpy's values-only SVD does not overlap
-        # across threads. Forked workers inherit the matrix instead of
-        # unpickling it. Imported here so that commands that start no
-        # worker do not pay for the import.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" not in multiprocessing.get_all_start_methods():
-            raise ValueError("jobs > 1 needs the 'fork' start method, "
-                             "which this platform does not have")
-        # The calling process is one of the workers: it runs a fixed share
-        # while the forked ones serve the rest, so one fork fewer is needed.
-        own = tasks[::workers]
-        rest = [t for i, t in enumerate(tasks) if i % workers]
-        with ProcessPoolExecutor(workers - 1,
-                                 mp_context=multiprocessing.get_context("fork"),
-                                 initializer=_init_worker,
-                                 initargs=(matrix, cfg)) as pool:
-            forked = pool.map(_worker_run, rest)
-            chunks = [_run_single(matrix, cfg, task) for task in own]
-            chunks += forked
-    else:
-        chunks = [_run_single(matrix, cfg, task) for task in tasks]
+    chunks = _share(_run_single, (matrix, cfg), tasks, cfg.jobs)
     rows = sorted((r for chunk in chunks for r in chunk), key=_SORT_KEY)
 
     if cfg.outdir:
@@ -396,6 +426,9 @@ class BalanceConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("budget_factor", "tail_factor", "oversample_factor", "gap"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"config value must be finite: {key}")
         if self.k < 1:
             raise ValueError("config value must be >= 1: k")
         if self.trials < 0:
@@ -444,31 +477,41 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
     """Evaluate the budget curve and, per trial, the realized largest sine.
 
     One row per (q, trial): {gap, k, q, l, phi, trial, largest_sine}; with
-    trials=0 a single phi-only row per q (trial = -1, sine nan).
+    trials=0 a single phi-only row per q (trial = -1, sine nan). The trials
+    are shared by one worker per usable CPU (see ``_share`` and
+    ``_usable_workers``); the rows do not depend on the worker count.
+    """
+    curve = [{"gap": cfg.gap, "k": cfg.k, "q": q,
+              "l": int(cfg.budget_factor * cfg.k / (2 * q + 1)),
+              "phi": fixed_budget_bound(q, cfg)}
+             for q in feasible_powers(cfg)]
+    if cfg.trials == 0:
+        return [{**base, "trial": -1, "largest_sine": float("nan")} for base in curve]
+    pairs = [(base, trial) for base in curve for trial in range(cfg.trials)]
+    spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
+    head = np.eye(cfg.size, cfg.k)
+    sines = _share(_balance_trial, (cfg, spec, head),
+                   [(base["q"], base["l"], trial) for base, trial in pairs],
+                   _usable_workers())
+    return [{**base, "trial": trial, "largest_sine": sine}
+            for (base, trial), sine in zip(pairs, sines)]
 
-    A trial runs rsvd on B = Sigma V^T = U^T a instead of the planted
+
+def _balance_trial(cfg: BalanceConfig, spec: Spectrum, head: np.ndarray,
+                   task) -> float:
+    """The largest sine of one (q, l, trial) of the balance study, against
+    ``head`` = e_1..e_k.
+
+    The trial runs rsvd on B = Sigma V^T = U^T a instead of the planted
     a = U Sigma V^T, with the same sketch, and measures against e_1..e_k
     instead of U_k: the stabilized rsvd commutes with the orthogonal U, and
     canonical angles do not change under it, so the sines agree to rounding.
     """
-    rows = []
-    spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
+    q, l, trial = task
     r = cfg.size
-    head = np.eye(r)[:, :cfg.k]
-    for q in feasible_powers(cfg):
-        l = int(cfg.budget_factor * cfg.k / (2 * q + 1))
-        phi = fixed_budget_bound(q, cfg)
-        base = {"gap": cfg.gap, "k": cfg.k, "q": q, "l": l, "phi": phi}
-        if cfg.trials == 0:
-            rows.append({**base, "trial": -1, "largest_sine": float("nan")})
-            continue
-        for trial in range(cfg.trials):
-            b = gaussian_decay_in_left_basis(r, r, spec,
-                                             cfg.seed + 100_000 * (q + 1) + trial)
-            out = rsvd(b, SketchConfig(cfg.k, l, q, cfg.seed + 200_000 * (q + 1) + trial))
-            sines = canonical_sines(out.u, head)
-            rows.append({**base, "trial": trial, "largest_sine": float(sines[-1])})
-    return rows
+    b = gaussian_decay_in_left_basis(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial)
+    out = rsvd(b, SketchConfig(cfg.k, l, q, cfg.seed + 200_000 * (q + 1) + trial))
+    return float(canonical_sines(out.u, head)[-1])
 
 
 def emit_balance_csv(rows: list[dict], path) -> None:

@@ -85,6 +85,10 @@ def test_outdir_env_var_overrides_flag(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+TINY_BALANCE = ("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
+                "--oversample", "1.1")
+
+
 def test_balance_subcommand(tmp_path):
     res = run_cli("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
                   "--oversample", "1.1", "--gap", "1.3", "--trials", "2",
@@ -107,6 +111,23 @@ def test_balance_writes_one_pair_per_gap(tmp_path):
             assert (tmp_path / "both" / name).read_bytes() == \
                 (tmp_path / gap / name).read_bytes()
     assert len(list((tmp_path / "both").iterdir())) == 4
+
+
+@pytest.mark.parametrize("gaps", [["1.3"], ["1.01", "1.5"]])
+def test_balance_output_does_not_depend_on_workers(tmp_path, monkeypatch, gaps):
+    from rsvdangles import cli, harness
+
+    monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
+    outputs = {}
+    for workers in (1, 2):
+        monkeypatch.setattr(harness, "_usable_workers", lambda: workers)
+        out = tmp_path / f"workers{workers}"
+        assert cli.main([*TINY_BALANCE, "--trials", "2", "--seed", "1",
+                         "--gap", *gaps, "--outdir", str(out)]) == 0
+        outputs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs[1]) == 2 * len(gaps)
+    # the forked worker's trials give the same CSV and SVG bytes
+    assert outputs[2] == outputs[1]
 
 
 def test_estimate_matches_library_call(tmp_path):
@@ -149,6 +170,11 @@ BAD_CONFIGS = {
                                         "seed": 1, "name": "rank6"}},
                             ["--jobs", "2"], "(k=2, l=8, q=0) needs l <= rank(A)=6"),
     "zero_lower_c": ({**RUN_CONFIG, "lower_c": 0}, [], "lower_c"),
+    # JSON NaN and Infinity parse as floats
+    "nan_upper_c": ({**RUN_CONFIG, "upper_c": float("nan")}, [], "upper_c"),
+    "nan_lower_c": ({**RUN_CONFIG, "lower_c": float("nan")}, [], "lower_c"),
+    "infinite_lower_c": ({**RUN_CONFIG, "lower_c": float("inf")}, ["--jobs", "2"],
+                         "lower_c"),
     "negative_upper_c": ({**RUN_CONFIG, "upper_c": -1}, ["--jobs", "2"], "upper_c"),
     # head distortion 1.3 * sqrt(4/6) >= 1; the entry (2, 12, 0) alone could run
     "upper_c_too_large": ({**RUN_CONFIG, "upper_c": 1.3,
@@ -162,6 +188,13 @@ BAD_BALANCE_FLAGS = {
     "balance_negative_trials": (["--trials", "-1"], "trials"),
     "balance_zero_k": (["--k", "0"], "k"),
     "balance_negative_k": (["--k", "-2"], "k"),
+    "balance_nan_oversample": (["--oversample", "nan"], "oversample_factor"),
+    "balance_nan_budget": (["--budget", "nan"], "budget_factor"),
+    "balance_nan_size_factor": (["--size-factor", "nan"], "tail_factor"),
+    "balance_nan_gap": (["--gap", "nan"], "gap"),
+    "balance_infinite_gap": (["--gap", "inf"], "gap"),
+    # the first gap could run, but every gap is checked before any output
+    "balance_nan_second_gap": (["--gap", "1.1", "nan"], "gap"),
 }
 
 
@@ -173,8 +206,8 @@ def test_error_reporting_is_clean(tmp_path, case):
         needle = "missing.txt"
     elif case in BAD_BALANCE_FLAGS:
         flags, needle = BAD_BALANCE_FLAGS[case]
-        res = run_cli("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
-                      "--oversample", "1.1", "--outdir", str(tmp_path / "out"), *flags)
+        res = run_cli(*TINY_BALANCE, "--outdir", str(tmp_path / "out"), *flags)
+        assert not (tmp_path / "out").exists()
     else:
         cfg, flags, needle = BAD_CONFIGS[case]
         cfg_path = tmp_path / "cfg.json"
@@ -188,22 +221,39 @@ def test_error_reporting_is_clean(tmp_path, case):
     assert needle in errors[0].rsplit(": ", 1)[-1]
 
 
-def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
-    from rsvdangles import cli, harness
+def fail_in_forked_workers(monkeypatch, task_fn: str):
+    """Patch ``harness.<task_fn>`` to raise in every process but this one;
+    forked workers inherit the patched module."""
+    from rsvdangles import harness
 
-    run_single, caller = harness._run_single, os.getpid()
+    original, caller = getattr(harness, task_fn), os.getpid()
 
     def fail_in_forked_worker(*args):
         if os.getpid() != caller:
             raise ValueError("raised in a worker process")
-        return run_single(*args)
+        return original(*args)
 
-    # forked workers inherit the patched module
-    monkeypatch.setattr(harness, "_run_single", fail_in_forked_worker)
+    monkeypatch.setattr(harness, task_fn, fail_in_forked_worker)
     monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
+
+
+def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli
+
+    fail_in_forked_workers(monkeypatch, "_run_single")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
     rc = cli.main(["run", str(cfg_path), "--outdir", str(tmp_path / "out"), "--jobs", "2"])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
+
+
+def test_balance_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, harness
+
+    fail_in_forked_workers(monkeypatch, "_balance_trial")
+    monkeypatch.setattr(harness, "_usable_workers", lambda: 2)
+    rc = cli.main([*TINY_BALANCE, "--trials", "2", "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
 
@@ -220,6 +270,21 @@ def test_import_sets_one_blas_thread_unless_preset(preset):
         capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == (preset or "1")
+
+
+def test_single_worker_leaves_multiprocessing_out(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RUN_CONFIG))
+    res = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "from rsvdangles import cli\n"
+         f"cli.main(['run', {str(cfg_path)!r}, '--outdir', {str(tmp_path / 'out')!r}])\n"
+         "print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True,
+        env={k: v for k, v in os.environ.items() if k != "RSVDANGLES_OUTDIR"})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_scipy_out():

@@ -6,9 +6,11 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from rsvdangles import harness
 from rsvdangles.angles import canonical_sines
 from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
-                                Panel, Row, Series, balance_panel,
+                                Panel, Row, Series, _share,
+                                _usable_workers, balance_panel,
                                 balance_sweep, build_matrix, emit_csv,
                                 emit_svg, experiment_panels, feasible_powers,
                                 fixed_budget_bound, pad_spectrum,
@@ -66,6 +68,31 @@ def forbid_fork(monkeypatch):
         raise AssertionError("a worker process was started")
 
     monkeypatch.setattr(os, "fork", no_fork)
+
+
+def use_workers(monkeypatch, n: int) -> None:
+    """Make balance_sweep share its trials by ``n`` workers, whatever the
+    CPU count of this machine."""
+    monkeypatch.setattr(harness, "_usable_workers", lambda: n)
+
+
+class TestShare:
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
+    def test_results_come_back_in_task_order(self, jobs):
+        # 7 tasks do not split evenly over 2 or 3 workers
+        assert _share(pow, (2,), list(range(7)), jobs) == [2**t for t in range(7)]
+
+    def test_usable_workers_counts_usable_cpus(self):
+        assert _usable_workers() == len(os.sched_getaffinity(0))
+
+    def test_usable_workers_is_one_without_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert _usable_workers() == 1
+
+    def test_usable_workers_is_one_without_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert _usable_workers() == 1
 
 
 class TestRunExperiment:
@@ -272,6 +299,22 @@ class TestBudgetCurve:
             BalanceConfig(k=10, budget_factor=16.0, tail_factor=32.0,
                           oversample_factor=1.05, gap=1.1, trials=-1)
 
+    @pytest.mark.parametrize("key", ["budget_factor", "tail_factor",
+                                     "oversample_factor", "gap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_values_rejected(self, key, value):
+        values = {**self.CFG, "gap": 1.1, key: value}
+        with pytest.raises(ValueError, match=f"must be finite: {key}$"):
+            BalanceConfig(**values)
+
+
+def tiny_balance(**overrides):
+    # 4 feasible q at 2 trials each: 8 trials on 78x78 matrices
+    base = dict(k=6, budget_factor=9.0, tail_factor=12.0, oversample_factor=1.1,
+                gap=1.3, trials=2, seed=5)
+    base.update(overrides)
+    return BalanceConfig(**base)
+
 
 class TestBalanceSweep:
     def test_phi_only_table(self):
@@ -308,6 +351,35 @@ class TestBalanceSweep:
                                               cfg.seed + 200_000 * (q + 1) + trial))
                 sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
                 assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
+
+    def test_parallel_execution_gives_identical_rows(self, monkeypatch):
+        use_workers(monkeypatch, 1)
+        rows = balance_sweep(tiny_balance())
+        assert len(rows) == 8
+        for workers in (2, 3):
+            use_workers(monkeypatch, workers)
+            assert balance_sweep(tiny_balance()) == rows
+
+    def test_pool_leaves_no_worker_processes(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        balance_sweep(tiny_balance())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("forbid_fork")
+    @pytest.mark.parametrize("workers, overrides", [
+        (1, {}),
+        # one feasible q (budget/oversample^2 = 3/1.21 < 3) and one trial
+        (3, {"k": 2, "budget_factor": 3.0, "trials": 1})])
+    def test_single_worker_starts_no_process(self, monkeypatch, workers, overrides):
+        use_workers(monkeypatch, workers)
+        cfg = tiny_balance(**overrides)
+        assert len(balance_sweep(cfg)) == len(feasible_powers(cfg)) * cfg.trials
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_one_process_without_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(balance_sweep(tiny_balance())) == 8
 
 
 class TestEmission:
