@@ -24,8 +24,8 @@ def main() -> int:
     parser.add_argument("--outdir", default="results/bounds")
     parser.add_argument("--seeds", type=int, default=10, help="sketch seeds per grid point")
     parser.add_argument("--trials", type=int, default=3, help="estimator trials")
-    parser.add_argument("--jobs", type=int, default=len(os.sched_getaffinity(0)),
-                        help="worker processes (default: the available cores)")
+    parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                        help="at most this many workers (default: one per usable CPU)")
     parser.add_argument("--mnist", default=None, help="path to an IDX3 image file")
     args = parser.parse_args()
 

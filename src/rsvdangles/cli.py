@@ -134,7 +134,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--outdir", default=None)
     p.add_argument("--seed", type=int, default=None, help="override base seed")
     p.add_argument("--trials", type=int, default=None, help="estimator trials")
-    p.add_argument("--jobs", type=int, default=None, help="parallel grid workers")
+    p.add_argument("--jobs", type=int, default=None, help="worker limit, capped at usable CPUs")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("balance", help="fixed-budget balance sweep")

@@ -87,9 +87,9 @@ class ExperimentConfig:
                 raise ValueError(f"grid point (k={k}, l={l}, q={q}) needs k < l")
             if q < 0:
                 raise ValueError("q must be >= 0")
-        for s in self.sides:
-            if s not in ("left", "right"):
-                raise ValueError(f"unknown side {s!r}")
+        if (not self.sides or len(set(self.sides)) < len(self.sides)
+                or not set(self.sides) <= {"left", "right"}):
+            raise ValueError("config value must name left, right or both, once each: sides")
         for key in ("estimator_trials", "n_seeds", "jobs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config value must be >= 1: {key}")
@@ -186,22 +186,25 @@ def build_matrix(desc: dict):
     """
     gen = desc.get("generator")
     if gen == "gaussian_decay":
-        spec = _spectrum_from_desc(desc["spectrum"])
-        pm = gen_gaussian_decay(int(desc["m"]), int(desc["n"]), spec,
-                                int(desc.get("seed", 0)),
+        # dict.copy refuses any value but an object
+        spec = _spectrum_from_desc(_desc_value(desc, "spectrum", dict.copy))
+        pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
+                                _desc_value(desc, "seed", int, 0),
                                 name=desc.get("name", "gaussian_decay"))
         return pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True
     if gen == "snn":
-        pm = gen_snn(int(desc["m"]), int(desc["n"]), int(desc["r1"]),
-                     float(desc["a"]), float(desc.get("density", 0.05)),
-                     int(desc.get("seed", 0)), name=desc.get("name", "snn"))
+        pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
+                     _desc_value(desc, "r1"), _desc_value(desc, "a", float),
+                     _desc_value(desc, "density", float, 0.05),
+                     _desc_value(desc, "seed", int, 0), name=desc.get("name", "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
         return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
     if gen == "mnist":
-        a = load_mnist(desc["path"], int(desc["n_samples"]), int(desc.get("seed", 0)))
+        a = load_mnist(_desc_value(desc, "path", os.fspath),
+                       _desc_value(desc, "n_samples"), _desc_value(desc, "seed", int, 0))
         name = desc.get("name", "mnist")
     elif "path" in desc:
-        a = read_matrix(desc["path"])
+        a = read_matrix(_desc_value(desc, "path", os.fspath))
         name = desc.get("name", os.path.splitext(os.path.basename(desc["path"]))[0])
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
@@ -214,14 +217,27 @@ def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
     return Spectrum.from_values(np.where(sigma > tol, sigma, 0.0))
 
 
+def _desc_value(desc: dict, key: str, convert=int, default=None):
+    """``convert(desc[key])``, with ``default`` standing in for an absent
+    optional key; a missing required key or a value ``convert`` refuses
+    raises a ValueError that names the key."""
+    if key not in desc and default is None:
+        raise ValueError(f"matrix descriptor is missing key: {key}")
+    try:
+        return convert(desc.get(key, default))
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"matrix descriptor has an invalid value: {key}") from None
+
+
 def _spectrum_from_desc(sd: dict) -> Spectrum:
-    kind = sd["kind"]
+    kind = _desc_value(sd, "kind", str)
     if kind == "slower":
-        return spectrum_slower(int(sd["r"]), int(sd["r1"]))
+        return spectrum_slower(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "faster":
-        return spectrum_faster(int(sd["r"]), int(sd["r1"]))
+        return spectrum_faster(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "step":
-        return gen_step_spectrum(int(sd["k"]), float(sd["beta"]), float(sd["gap"]))
+        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", float),
+                                 _desc_value(sd, "gap", float))
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
@@ -322,54 +338,42 @@ def _worker_run(task):
     return fn(*state, task)
 
 
-def _fork_context():
-    """multiprocessing's ``fork`` context, or None where this platform has
-    no ``fork`` start method."""
-    import multiprocessing
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    return multiprocessing.get_context("fork")
-
-
 def _usable_workers() -> int:
     """One worker per CPU this process may use; 1 where that count or the
-    ``fork`` start method is missing, so that ``_share`` never raises on it.
-    """
-    if not hasattr(os, "sched_getaffinity"):
+    ``fork`` start method is missing."""
+    import multiprocessing
+    if (not hasattr(os, "sched_getaffinity")
+            or "fork" not in multiprocessing.get_all_start_methods()):
         return 1
-    cpus = len(os.sched_getaffinity(0))
-    return cpus if cpus > 1 and _fork_context() is not None else 1
+    return len(os.sched_getaffinity(0))
 
 
 def _share(fn, state: tuple, tasks: list, jobs: int) -> list:
-    """``[fn(*state, t) for t in tasks]``, shared by ``min(jobs, len(tasks))``
-    workers.
+    """``[fn(*state, t) for t in tasks]``, shared by
+    ``min(jobs, len(tasks), _usable_workers())`` workers.
 
     The calling process is one of the workers: it runs the fixed share
     ``tasks[::workers]`` while forked processes serve the rest, so one fork
     fewer is needed. Forked workers inherit ``state`` instead of unpickling
-    it; only tasks and results cross between processes. This needs the
-    ``fork`` start method (POSIX); where it is missing, ``jobs > 1`` raises
-    ValueError. As with any fork, the calling process should run no other
-    threads at that point. The results come back in task order, so they do
-    not depend on the worker count.
+    it; only tasks and results cross between processes. As with any fork,
+    the calling process should run no other threads at that point. The
+    results come back in task order, so they do not depend on the worker
+    count.
     """
     workers = min(jobs, len(tasks))
+    if workers > 1:  # one worker needs no CPU count and no multiprocessing
+        workers = min(workers, _usable_workers())
     if workers <= 1:
         return [fn(*state, task) for task in tasks]
     # Processes, not threads: numpy's values-only SVD does not overlap
     # across threads. Imported here so that commands that start no worker
     # do not pay for the import.
     from concurrent.futures import ProcessPoolExecutor
-    context = _fork_context()
-    if context is None:
-        raise ValueError("jobs > 1 needs the 'fork' start method, "
-                         "which this platform does not have")
+    from multiprocessing import get_context
     results = [None] * len(tasks)
     rest = [i for i in range(len(tasks)) if i % workers]
-    with ProcessPoolExecutor(workers - 1, mp_context=context,
-                             initializer=_init_worker,
-                             initargs=(fn, state)) as pool:
+    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
+                             initializer=_init_worker, initargs=(fn, state)) as pool:
         forked = pool.map(_worker_run, [tasks[i] for i in rest])
         results[::workers] = [fn(*state, task) for task in tasks[::workers]]
         for i, result in zip(rest, forked):
@@ -380,8 +384,8 @@ def _share(fn, state: tuple, tasks: list, jobs: int) -> list:
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Execute the full sweep and (when an outdir is set) write CSV and SVGs.
 
-    With ``cfg.jobs > 1`` the runs are shared by forked processes (see
-    ``_share``); the rows do not depend on the worker count.
+    With ``cfg.jobs > 1`` the runs are shared by at most ``cfg.jobs``
+    workers (see ``_share``); the rows do not depend on the worker count.
     """
     matrix = build_matrix(cfg.matrix)
     name, a, _, true_spec = matrix[:4]
@@ -478,8 +482,8 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
 
     One row per (q, trial): {gap, k, q, l, phi, trial, largest_sine}; with
     trials=0 a single phi-only row per q (trial = -1, sine nan). The trials
-    are shared by one worker per usable CPU (see ``_share`` and
-    ``_usable_workers``); the rows do not depend on the worker count.
+    are shared by as many workers as ``_share`` allows; the rows do not
+    depend on the worker count.
     """
     curve = [{"gap": cfg.gap, "k": cfg.k, "q": q,
               "l": int(cfg.budget_factor * cfg.k / (2 * q + 1)),
@@ -490,9 +494,8 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
     pairs = [(base, trial) for base in curve for trial in range(cfg.trials)]
     spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
     head = np.eye(cfg.size, cfg.k)
-    sines = _share(_balance_trial, (cfg, spec, head),
-                   [(base["q"], base["l"], trial) for base, trial in pairs],
-                   _usable_workers())
+    tasks = [(base["q"], base["l"], trial) for base, trial in pairs]
+    sines = _share(_balance_trial, (cfg, spec, head), tasks, len(tasks))
     return [{**base, "trial": trial, "largest_sine": sine}
             for (base, trial), sine in zip(pairs, sines)]
 

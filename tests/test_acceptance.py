@@ -22,9 +22,7 @@ import pytest
 from rsvdangles.angles import canonical_cosines, canonical_sines
 from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.harness import (GAP_KINDS, PRESETS, STATUS_GAP, BalanceConfig,
-                                ExperimentConfig, balance_sweep,
-                                feasible_powers, fixed_budget_bound,
-                                run_experiment)
+                                ExperimentConfig, balance_sweep, run_experiment)
 from rsvdangles.linalg import Spectrum, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
 from rsvdangles.prior_bounds import space_agnostic_lower, space_agnostic_upper
@@ -75,6 +73,13 @@ class Sweep:
     def vec(self, run, side, kind, source="true"):
         return self.values[(*run, side, kind, source)]
 
+    def rate(self, name, l, holds, kind, other, source="true"):
+        """Share of the (index, run, side) pairs of the (name, l) runs at
+        which ``holds(vec(kind, source), vec(other))``, and their count."""
+        hits = [int(holds(self.vec(run, side, kind, source), self.vec(run, side, other)).sum())
+                for run in self.runs_of(name, l) for side in SIDES]
+        return sum(hits) / (K * len(hits)), K * len(hits)
+
 
 @pytest.fixture(scope="session")
 def sweep():
@@ -83,10 +88,11 @@ def sweep():
     rows = []
     for desc in PRESETS:
         # one estimator trial: no sweep criterion reads the estimate rows;
-        # the rows do not depend on the worker count
+        # the pool caps the workers at the usable CPUs, and the rows do not
+        # depend on their count
         rows += run_experiment(ExperimentConfig(
             matrix=desc, grid=grid, n_seeds=N_SEEDS, estimator_trials=1,
-            jobs=len(os.sched_getaffinity(0))))
+            jobs=os.cpu_count() or 1))
     return Sweep(rows, time.perf_counter() - t0)
 
 
@@ -132,13 +138,8 @@ C2_XFAIL = pytest.mark.xfail(
     pytest.param("gauss_faster", marks=C2_XFAIL),
 ])
 def test_criterion_2_upper_bound_validity_at_moderate_oversampling(sweep, name):
-    ok_pairs = total = 0
-    for run in sweep.runs_of(name, 80):
-        for side in SIDES:
-            ok_pairs += int((sweep.vec(run, side, "space_agnostic_upper")
-                             >= sweep.vec(run, side, "true_angle")).sum())
-            total += K
-    rate = ok_pairs / total
+    rate, total = sweep.rate(name, 80, np.greater_equal, "space_agnostic_upper",
+                             "true_angle")
     assert criterion(
         2, rate >= C2_RATE,
         f"spectrum-only upper bounds at l = 1.6k hold on {name}",
@@ -160,13 +161,8 @@ C3_XFAIL = pytest.mark.xfail(
 @pytest.mark.parametrize("name", [pytest.param(n, marks=C3_XFAIL)
                                   for n in PRESET_NAMES])
 def test_criterion_3_lower_bound_validity_at_aggressive_oversampling(sweep, name):
-    ok_pairs = total = 0
-    for run in sweep.runs_of(name, 200):
-        for side in SIDES:
-            ok_pairs += int((sweep.vec(run, side, "space_agnostic_lower")
-                             <= sweep.vec(run, side, "true_angle")).sum())
-            total += K
-    rate = ok_pairs / total
+    rate, total = sweep.rate(name, 200, np.less_equal, "space_agnostic_lower",
+                             "true_angle")
     assert criterion(
         3, rate >= 0.95,
         f"spectrum-only lower bounds at l = 4k stay below true sines on {name}",
@@ -174,13 +170,8 @@ def test_criterion_3_lower_bound_validity_at_aggressive_oversampling(sweep, name
 
 
 def test_criterion_4_tighter_than_comparator_bound(sweep):
-    ok_pairs = total = 0
-    for run in sweep.runs_of("gauss_slower", 200):
-        for side in SIDES:
-            ok_pairs += int((sweep.vec(run, side, "space_agnostic_upper")
-                             <= sweep.vec(run, side, "subspace_aware_upper")).sum())
-            total += K
-    rate = ok_pairs / total
+    rate, total = sweep.rate("gauss_slower", 200, np.less_equal,
+                             "space_agnostic_upper", "subspace_aware_upper")
     assert criterion(
         4, rate >= 0.95,
         "space-agnostic upper bounds are at most the projected-sketch bounds",
@@ -234,16 +225,15 @@ def test_criterion_7_balance_study():
     for gap in (1.01, 1.5):
         cfg = BalanceConfig(k=10, budget_factor=16.0, tail_factor=32.0,
                             oversample_factor=1.05, gap=gap, trials=5, seed=3)
-        qs = feasible_powers(cfg)
-        phis = {q: fixed_budget_bound(q, cfg) for q in qs}
-        q_best = min(qs, key=lambda q: phis[q])
-        q_opposite = qs[-1] if q_best == qs[0] else qs[0]
         rows = balance_sweep(cfg)
+        phis = {r["q"]: r["phi"] for r in rows}  # q = 0, 1, ... in order
+        q_best = min(phis, key=phis.get)
+        q_opposite = max(phis) if q_best == 0 else 0
 
         def mean_sine(qq):
             return float(np.mean([r["largest_sine"] for r in rows
                                   if r["q"] == qq and r["trial"] >= 0]))
-        results[gap] = (q_best, max(qs), mean_sine(q_best), mean_sine(q_opposite))
+        results[gap] = (q_best, max(phis), mean_sine(q_best), mean_sine(q_opposite))
     argmin_ok = results[1.01][0] == 0 and results[1.5][0] == results[1.5][1]
     trend_ok = all(best <= opp for _, _, best, opp in results.values())
     assert criterion(
@@ -316,13 +306,8 @@ def test_criterion_9a_padded_bounds_dominate_true_bounds(sweep):
 
 
 def test_criterion_9b_padded_bounds_cover_true_sines(sweep):
-    ok_p = total = 0
-    for run in sweep.runs_of("gauss_faster", 80):
-        for side in SIDES:
-            ok_p += int((sweep.vec(run, side, "space_agnostic_upper", "padded")
-                         >= sweep.vec(run, side, "true_angle")).sum())
-            total += K
-    rate_p = ok_p / total
+    rate_p, total = sweep.rate("gauss_faster", 80, np.greater_equal,
+                               "space_agnostic_upper", "true_angle", "padded")
     assert criterion(
         "9b", rate_p >= C2_RATE,
         "padded upper bounds cover the realized sines at the criterion-2 rate",
@@ -337,13 +322,8 @@ C9C_XFAIL = pytest.mark.xfail(
 
 @C9C_XFAIL
 def test_criterion_9c_true_bounds_cover_true_sines(sweep):
-    ok_t = total = 0
-    for run in sweep.runs_of("gauss_faster", 80):
-        for side in SIDES:
-            ok_t += int((sweep.vec(run, side, "space_agnostic_upper")
-                         >= sweep.vec(run, side, "true_angle")).sum())
-            total += K
-    rate_t = ok_t / total
+    rate_t, total = sweep.rate("gauss_faster", 80, np.greater_equal,
+                               "space_agnostic_upper", "true_angle")
     assert criterion(
         "9c", rate_t >= C2_RATE,
         "true-spectrum upper bounds cover the realized sines",

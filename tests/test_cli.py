@@ -90,9 +90,8 @@ TINY_BALANCE = ("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
 
 
 def test_balance_subcommand(tmp_path):
-    res = run_cli("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
-                  "--oversample", "1.1", "--gap", "1.3", "--trials", "2",
-                  "--seed", "1", "--outdir", str(tmp_path))
+    res = run_cli(*TINY_BALANCE, "--gap", "1.3", "--trials", "2", "--seed", "1",
+                  "--outdir", str(tmp_path))
     assert res.returncode == 0, res.stderr
     assert (tmp_path / "balance_k6_gap1.3.csv").exists()
     assert (tmp_path / "balance_k6_gap1.3.svg").exists()
@@ -100,8 +99,7 @@ def test_balance_subcommand(tmp_path):
 
 
 def test_balance_writes_one_pair_per_gap(tmp_path):
-    common = ("balance", "--k", "6", "--budget", "9", "--size-factor", "12",
-              "--oversample", "1.1", "--trials", "2", "--seed", "1", "--outdir")
+    common = (*TINY_BALANCE, "--trials", "2", "--seed", "1", "--outdir")
     res = run_cli(*common, str(tmp_path / "both"), "--gap", "1.01", "1.5")
     assert res.returncode == 0, res.stderr
     for gap in ("1.01", "1.5"):
@@ -146,6 +144,15 @@ def test_estimate_matches_library_call(tmp_path):
     assert np.allclose(got[:, 2], rep.max_band, rtol=1e-15)
 
 
+RANK6_MATRIX = {"generator": "gaussian_decay", "m": 30, "n": 30,
+                "spectrum": {"kind": "slower", "r": 6, "r1": 2}, "seed": 1, "name": "rank6"}
+
+
+def with_matrix(drop=(), matrix=RANK6_MATRIX, **changes):  # RUN_CONFIG, edited matrix
+    return {**RUN_CONFIG, "matrix": {key: value for key, value in
+                                     {**matrix, **changes}.items() if key not in drop}}
+
+
 # case -> (config, extra run flags, needle the message ends with)
 BAD_CONFIGS = {
     "unknown_config_key": ({**RUN_CONFIG, "n_seed": 3}, [], "n_seed"),
@@ -164,10 +171,7 @@ BAD_CONFIGS = {
     "grid_l_exceeds_matrix": ({**RUN_CONFIG, "grid": [{"k": 4, "l": 40, "q": 1}]},
                               ["--jobs", "2"], "l=40"),
     # a rank-6 matrix cannot take l=8 though 8 <= min(m, n)=30
-    "grid_l_exceeds_rank": ({**RUN_CONFIG, "grid": [{"k": 2, "l": 8, "q": 0}],
-                             "matrix": {"generator": "gaussian_decay", "m": 30, "n": 30,
-                                        "spectrum": {"kind": "slower", "r": 6, "r1": 2},
-                                        "seed": 1, "name": "rank6"}},
+    "grid_l_exceeds_rank": ({**with_matrix(), "grid": [{"k": 2, "l": 8, "q": 0}]},
                             ["--jobs", "2"], "(k=2, l=8, q=0) needs l <= rank(A)=6"),
     "zero_lower_c": ({**RUN_CONFIG, "lower_c": 0}, [], "lower_c"),
     # JSON NaN and Infinity parse as floats
@@ -180,6 +184,17 @@ BAD_CONFIGS = {
     "upper_c_too_large": ({**RUN_CONFIG, "upper_c": 1.3,
                            "grid": [{"k": 4, "l": 6, "q": 0}, {"k": 2, "l": 12, "q": 0}]},
                           ["--jobs", "2"], "(k=4, l=6, q=0) needs upper_c"),
+    "empty_sides": ({**RUN_CONFIG, "sides": []}, [], "sides"),
+    "repeated_side": ({**RUN_CONFIG, "sides": ["left", "left"]}, [], "sides"),
+    # malformed matrix descriptors are rejected before any run
+    "gaussian_without_m": (with_matrix(drop=["m"]), ["--jobs", "2"], "m"),
+    "gaussian_without_spectrum": (with_matrix(drop=["spectrum"]), [], "spectrum"),
+    "gaussian_null_m": (with_matrix(m=None), [], "m"),
+    "spectrum_without_kind": (with_matrix(spectrum={"r": 6, "r1": 2}), [], "kind"),
+    "spectrum_not_an_object": (with_matrix(spectrum="slower"), [], "spectrum"),
+    "snn_without_r1": (with_matrix(drop=["r1"], matrix=RUN_CONFIG["matrix"]), [], "r1"),
+    # open() reads an integer path as a file descriptor
+    "integer_path": ({**RUN_CONFIG, "matrix": {"path": 3}}, [], "path"),
 }
 
 
@@ -222,10 +237,12 @@ def test_error_reporting_is_clean(tmp_path, case):
 
 
 def fail_in_forked_workers(monkeypatch, task_fn: str):
-    """Patch ``harness.<task_fn>`` to raise in every process but this one;
-    forked workers inherit the patched module."""
+    """Patch ``harness.<task_fn>`` to raise in every process but this one,
+    and let the pool fork on any machine; forked workers inherit the
+    patched module."""
     from rsvdangles import harness
 
+    monkeypatch.setattr(harness, "_usable_workers", lambda: 2)
     original, caller = getattr(harness, task_fn), os.getpid()
 
     def fail_in_forked_worker(*args):
@@ -249,10 +266,9 @@ def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
 
 
 def test_balance_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
-    from rsvdangles import cli, harness
+    from rsvdangles import cli
 
     fail_in_forked_workers(monkeypatch, "_balance_trial")
-    monkeypatch.setattr(harness, "_usable_workers", lambda: 2)
     rc = cli.main([*TINY_BALANCE, "--trials", "2", "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
@@ -285,6 +301,16 @@ def test_single_worker_leaves_multiprocessing_out(tmp_path):
         env={k: v for k, v in os.environ.items() if k != "RSVDANGLES_OUTDIR"})
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines()[-1] == "False"
+
+
+def test_sweep_script_help_without_affinity_call():
+    # platforms without os.sched_getaffinity (macOS, Windows) still get --help
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "run_bounds_sweep.py")
+    code = ("import os, runpy, sys; del os.sched_getaffinity; script = sys.argv[1];"
+            " sys.argv = [script, '--help']; runpy.run_path(script, run_name='__main__')")
+    res = subprocess.run([sys.executable, "-c", code, script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert "--jobs" in res.stdout
 
 
 def test_cli_import_leaves_scipy_out():

@@ -71,16 +71,43 @@ def forbid_fork(monkeypatch):
 
 
 def use_workers(monkeypatch, n: int) -> None:
-    """Make balance_sweep share its trials by ``n`` workers, whatever the
-    CPU count of this machine."""
+    """Make ``_share`` see ``n`` usable CPUs, whatever this machine has."""
     monkeypatch.setattr(harness, "_usable_workers", lambda: n)
+
+
+def workers_alive(task) -> int:
+    """The forked workers alive in the calling process (0 in a worker)."""
+    return len(multiprocessing.active_children())
 
 
 class TestShare:
     @pytest.mark.parametrize("jobs", [1, 2, 3, 8])
-    def test_results_come_back_in_task_order(self, jobs):
+    def test_results_come_back_in_task_order(self, monkeypatch, jobs):
+        use_workers(monkeypatch, 8)
         # 7 tasks do not split evenly over 2 or 3 workers
         assert _share(pow, (2,), list(range(7)), jobs) == [2**t for t in range(7)]
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert max(_share(workers_alive, (), list(range(8)), 8)) == 1
+
+    def test_pool_leaves_no_worker_processes(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        assert _share(pow, (2,), list(range(4)), 2) == [1, 2, 4, 8]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("forbid_fork")
+    @pytest.mark.parametrize("jobs, n_tasks, usable", [
+        (1, 7, 8), (3, 1, 8), (8, 7, 1)])
+    def test_single_worker_starts_no_process(self, monkeypatch, jobs, n_tasks, usable):
+        use_workers(monkeypatch, usable)
+        assert _share(pow, (2,), list(range(n_tasks)), jobs) == [2**t for t in range(n_tasks)]
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_one_process_without_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert _share(pow, (2,), list(range(7)), 2) == [2**t for t in range(7)]
 
     def test_usable_workers_counts_usable_cpus(self):
         assert _usable_workers() == len(os.sched_getaffinity(0))
@@ -115,27 +142,13 @@ class TestRunExperiment:
         emit_csv(rows2, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_parallel_execution_gives_identical_rows(self, rows, tmp_path):
+    def test_parallel_execution_gives_identical_rows(self, rows, tmp_path, monkeypatch):
+        use_workers(monkeypatch, 3)
         rows_jobs = run_experiment(tiny_config(jobs=3))
         p1, p2 = tmp_path / "serial.csv", tmp_path / "jobs.csv"
         emit_csv(rows, p1)
         emit_csv(rows_jobs, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_pool_leaves_no_worker_processes(self):
-        run_experiment(tiny_config(jobs=2))
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.usefixtures("forbid_fork")
-    @pytest.mark.parametrize("jobs, n_seeds", [(1, 2), (3, 1)])
-    def test_single_worker_starts_no_process(self, jobs, n_seeds):
-        run_experiment(tiny_config(grid=[(5, 8, 0)], jobs=jobs, n_seeds=n_seeds))
-
-    @pytest.mark.usefixtures("forbid_fork")
-    def test_jobs_rejected_without_fork_start_method(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        with pytest.raises(ValueError, match="'fork' start method"):
-            run_experiment(tiny_config(jobs=2))
 
     @pytest.mark.usefixtures("forbid_fork")
     def test_grid_checked_against_matrix_before_any_run(self):
@@ -318,15 +331,13 @@ def tiny_balance(**overrides):
 
 class TestBalanceSweep:
     def test_phi_only_table(self):
-        cfg = BalanceConfig(k=6, budget_factor=9.0, tail_factor=12.0,
-                            oversample_factor=1.1, gap=1.2, trials=0)
+        cfg = tiny_balance(gap=1.2, trials=0)
         rows = balance_sweep(cfg)
         assert len(rows) == len(feasible_powers(cfg))
         assert all(r["trial"] == -1 and np.isnan(r["largest_sine"]) for r in rows)
 
     def test_trials_record_realized_angles(self):
-        cfg = BalanceConfig(k=6, budget_factor=9.0, tail_factor=12.0,
-                            oversample_factor=1.1, gap=1.3, trials=2, seed=5)
+        cfg = tiny_balance()
         rows = balance_sweep(cfg)
         qs = feasible_powers(cfg)
         assert len(rows) == 2 * len(qs)
@@ -338,8 +349,7 @@ class TestBalanceSweep:
         # the oracle plants a = U Sigma V^T, runs rsvd on a and measures
         # against U_k; the sweep runs on Sigma V^T. A stream that skipped the
         # left draw would plant another V and miss by far more than rounding.
-        cfg = BalanceConfig(k=6, budget_factor=9.0, tail_factor=12.0,
-                            oversample_factor=1.1, gap=1.3, trials=2, seed=5)
+        cfg = tiny_balance()
         spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
         rows = {(r["q"], r["trial"]): r for r in balance_sweep(cfg)}
         for q in (0, 1, 3):
@@ -359,27 +369,6 @@ class TestBalanceSweep:
         for workers in (2, 3):
             use_workers(monkeypatch, workers)
             assert balance_sweep(tiny_balance()) == rows
-
-    def test_pool_leaves_no_worker_processes(self, monkeypatch):
-        use_workers(monkeypatch, 2)
-        balance_sweep(tiny_balance())
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.usefixtures("forbid_fork")
-    @pytest.mark.parametrize("workers, overrides", [
-        (1, {}),
-        # one feasible q (budget/oversample^2 = 3/1.21 < 3) and one trial
-        (3, {"k": 2, "budget_factor": 3.0, "trials": 1})])
-    def test_single_worker_starts_no_process(self, monkeypatch, workers, overrides):
-        use_workers(monkeypatch, workers)
-        cfg = tiny_balance(**overrides)
-        assert len(balance_sweep(cfg)) == len(feasible_powers(cfg)) * cfg.trials
-
-    @pytest.mark.usefixtures("forbid_fork")
-    def test_one_process_without_fork_start_method(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert len(balance_sweep(tiny_balance())) == 8
 
 
 class TestEmission:
