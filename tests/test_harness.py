@@ -150,6 +150,23 @@ class TestRunExperiment:
         emit_csv(rows_jobs, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_pool_leaves_no_worker_processes(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        run_experiment(tiny_config(jobs=2))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("forbid_fork")
+    @pytest.mark.parametrize("jobs, n_seeds", [(1, 2), (3, 1)])
+    def test_single_worker_starts_no_process(self, monkeypatch, jobs, n_seeds):
+        use_workers(monkeypatch, 8)
+        run_experiment(tiny_config(grid=[(5, 8, 0)], jobs=jobs, n_seeds=n_seeds))
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_one_process_without_fork_start_method(self, monkeypatch, rows):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(run_experiment(tiny_config(jobs=2))) == len(rows)
+
     @pytest.mark.usefixtures("forbid_fork")
     def test_grid_checked_against_matrix_before_any_run(self):
         snn = {"generator": "snn", "m": 35, "n": 30, "r1": 4, "a": 5.0,
@@ -369,6 +386,27 @@ class TestBalanceSweep:
         for workers in (2, 3):
             use_workers(monkeypatch, workers)
             assert balance_sweep(tiny_balance()) == rows
+
+    def test_pool_leaves_no_worker_processes(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        balance_sweep(tiny_balance())
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.usefixtures("forbid_fork")
+    @pytest.mark.parametrize("workers, overrides", [
+        (1, {}),
+        # one feasible q (budget/oversample^2 = 3/1.21 < 3) and one trial
+        (3, {"k": 2, "budget_factor": 3.0, "trials": 1})])
+    def test_single_worker_starts_no_process(self, monkeypatch, workers, overrides):
+        use_workers(monkeypatch, workers)
+        cfg = tiny_balance(**overrides)
+        assert len(balance_sweep(cfg)) == len(feasible_powers(cfg)) * cfg.trials
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_one_process_without_fork_start_method(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert len(balance_sweep(tiny_balance())) == 8
 
 
 class TestEmission:
