@@ -5,9 +5,11 @@ harness.
 
 Importing the package sets one BLAS thread per process unless the user has
 already chosen a count: the kernels here are small, so a second BLAS thread
-doubles the CPU time without lowering the wall time, and ``--jobs`` is the
-only parallelism. The variables are read when numpy loads, so the default
-applies only if this package is imported before numpy.
+doubles the CPU time without lowering the wall time. Parallelism comes from
+forked worker processes instead: ``run`` shares its grid runs (at most
+``--jobs`` workers), ``balance`` and ``estimate`` their trials, each on the
+CPUs the process may use. The variables are read when numpy loads, so the
+default applies only if this package is imported before numpy.
 """
 
 import os

@@ -97,8 +97,9 @@ def _cmd_balance(args) -> int:
 def _cmd_estimate(args) -> int:
     values = np.loadtxt(args.spectrum, ndmin=1)
     spec = Spectrum.from_values(np.sort(values)[::-1])
+    # as in balance, the trials go to every usable CPU without a flag
     report = unbiased_estimate(spec, args.k, args.l, args.q, args.trials,
-                               args.side, args.seed)
+                               args.side, args.seed, jobs=args.trials)
     cost = estimate_cost_model(spec.declared_rank, args.l, report.n_trials)
     print(f"# spectrum length {spec.size}, declared rank {spec.declared_rank}, "
           f"nominal cost {cost} flops")

@@ -9,8 +9,9 @@ weighted_top @ pinv(weighted_tail):
 
 Large nu means a well-captured direction and a small angle, so the numpy
 descending nu order already yields ascending-angle theta vectors. Trial j
-uses the stream keyed by ``seed ^ j``, making trials order-independent and
-safe to evaluate concurrently.
+uses the stream keyed by ``seed ^ j``, so the trials are independent: they
+run in fixed blocks that forked workers may share (``jobs``) without
+changing a bit of the report.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 from .linalg import Spectrum, sv_x_pinv
 from .prior_bounds import power_exponent
 from .rsvd import gaussian_sketch
+from .workers import _share
 
 
 @dataclass
@@ -36,37 +38,49 @@ class EstimateReport:
     n_trials: int
 
 
+# Trials per shared task. The count is fixed, so the blocks do not depend on
+# the worker count; a block rather than a trial per task keeps the heap from
+# being trimmed and grown again after every trial.
+TRIAL_BLOCK = 25
+
+
 def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
-                      n_trials: int, side: str, seed: int) -> EstimateReport:
+                      n_trials: int, side: str, seed: int,
+                      jobs: int = 1) -> EstimateReport:
     """Estimate the expected canonical sines for a rank-l randomized SVD.
 
     Space-agnostic: depends only on (spectrum, k, l, q, side, seed,
     n_trials). Requires r - k >= l so the weighted tail block has full
     column rank; otherwise raises ValueError("tail too short for estimator").
+    The trials run in blocks of ``TRIAL_BLOCK``, shared by at most ``jobs``
+    workers (see ``workers._share``); the report does not depend on the
+    worker count.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     if not 1 <= k <= l:
         raise ValueError("need 1 <= k <= l")
+    if q < 0:
+        raise ValueError("q must be >= 0")
     r = spectrum.declared_rank
     if r - k < l:
         raise ValueError("tail too short for estimator")
     p = power_exponent(q, side) / 2.0  # 2q+1 left, 2q+2 right
-    # normalize by sigma_{k+1}: the nu values are scale invariant and the
-    # normalized powers stay inside double-precision range for q <= 10
+    # normalize by sigma_{k+1}: the nu values are scale invariant. The top
+    # weights still overflow where sigma_1/sigma_{k+1} is large for the
+    # power, which is caught here, before any trial
     scale = spectrum.values[k]
-    top_w = (spectrum.values[:k] / scale) ** p
-    tail_w = (spectrum.tail(k) / scale) ** p
-    per_trial = np.empty((n_trials, k))
-    for j in range(n_trials):
-        omega = gaussian_sketch(r, l, seed ^ j)
-        w1 = top_w[:, None] * omega[:k]
-        w2 = tail_w[:, None] * omega[k:]
-        try:
-            nu = sv_x_pinv(w1, w2)
-        except ValueError:
-            raise ValueError("tail too short for estimator") from None
-        per_trial[j] = 1.0 / np.sqrt(1.0 + nu**2)
+    with np.errstate(over="ignore"):
+        head = spectrum.values[:k] / scale
+        top_w = head ** p
+        tail_w = (spectrum.tail(k) / scale) ** p
+    if not (np.isfinite(top_w).all() and np.isfinite(tail_w).all()):
+        raise ValueError(f"power weights overflow double precision: sigma_1/sigma_{k + 1}"
+                         f" = {head[0]:.3g} to the power {p:g}")
+    blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
+              for start in range(0, n_trials, TRIAL_BLOCK)]
+    per_trial = np.concatenate(
+        _share(_estimate_block, (r, k, l, seed, top_w, tail_w), blocks, jobs))
     mean = per_trial.mean(axis=0)
     return EstimateReport(
         mean=mean,
@@ -75,6 +89,22 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         max_band=per_trial.max(axis=0),
         n_trials=n_trials,
     )
+
+
+def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
+                    tail_w: np.ndarray, trials: range) -> np.ndarray:
+    """The sines of trials ``trials``, one row per trial."""
+    out = np.empty((len(trials), k))
+    for row, j in enumerate(trials):
+        omega = gaussian_sketch(r, l, seed ^ j)
+        w1 = top_w[:, None] * omega[:k]
+        w2 = tail_w[:, None] * omega[k:]
+        try:
+            nu = sv_x_pinv(w1, w2)
+        except ValueError:
+            raise ValueError("tail too short for estimator") from None
+        out[row] = 1.0 / np.sqrt(1.0 + nu**2)
+    return out
 
 
 def estimate_cost_model(r: int, l: int, n_trials: int) -> int:

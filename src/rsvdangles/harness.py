@@ -34,6 +34,7 @@ from .posterior_bounds import (gap_bounds, residual_blocks,
 from .prior_bounds import (sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, rsvd
+from .workers import _share
 
 SCHEMA_VERSION = 1
 CSV_HEADER = "matrix,side,k,l,q,seed,i,kind,spectrum_source,value,status"
@@ -140,9 +141,17 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_object(v) -> bool:
+    return isinstance(v, dict)
+
+
+def _is_path(v) -> bool:
+    return isinstance(v, (str, os.PathLike))
+
+
 # JSON value checks per config key: (predicate, what the message asks for)
 _VALUE_TYPES = {
-    "matrix": (lambda v: isinstance(v, dict), "an object"),
+    "matrix": (_is_object, "an object"),
     "grid": (lambda v: isinstance(v, list), "a list"),
     "sides": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
               "a list of strings"),
@@ -186,25 +195,24 @@ def build_matrix(desc: dict):
     """
     gen = desc.get("generator")
     if gen == "gaussian_decay":
-        # dict.copy refuses any value but an object
-        spec = _spectrum_from_desc(_desc_value(desc, "spectrum", dict.copy))
+        spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
         pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
-                                _desc_value(desc, "seed", int, 0),
+                                _desc_value(desc, "seed", _is_int, 0),
                                 name=desc.get("name", "gaussian_decay"))
         return pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True
     if gen == "snn":
         pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
-                     _desc_value(desc, "r1"), _desc_value(desc, "a", float),
-                     _desc_value(desc, "density", float, 0.05),
-                     _desc_value(desc, "seed", int, 0), name=desc.get("name", "snn"))
+                     _desc_value(desc, "r1"), _desc_value(desc, "a", _is_number),
+                     _desc_value(desc, "density", _is_number, 0.05),
+                     _desc_value(desc, "seed", _is_int, 0), name=desc.get("name", "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
         return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
     if gen == "mnist":
-        a = load_mnist(_desc_value(desc, "path", os.fspath),
-                       _desc_value(desc, "n_samples"), _desc_value(desc, "seed", int, 0))
+        a = load_mnist(_desc_value(desc, "path", _is_path),
+                       _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
         name = desc.get("name", "mnist")
     elif "path" in desc:
-        a = read_matrix(_desc_value(desc, "path", os.fspath))
+        a = read_matrix(_desc_value(desc, "path", _is_path))
         name = desc.get("name", os.path.splitext(os.path.basename(desc["path"]))[0])
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
@@ -217,27 +225,27 @@ def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
     return Spectrum.from_values(np.where(sigma > tol, sigma, 0.0))
 
 
-def _desc_value(desc: dict, key: str, convert=int, default=None):
-    """``convert(desc[key])``, with ``default`` standing in for an absent
-    optional key; a missing required key or a value ``convert`` refuses
-    raises a ValueError that names the key."""
+def _desc_value(desc: dict, key: str, ok=_is_int, default=None):
+    """``desc[key]``, with ``default`` standing in for an absent optional
+    key; a missing required key or a value of a JSON type that ``ok``
+    refuses raises a ValueError that names the key."""
     if key not in desc and default is None:
         raise ValueError(f"matrix descriptor is missing key: {key}")
-    try:
-        return convert(desc.get(key, default))
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"matrix descriptor has an invalid value: {key}") from None
+    value = desc.get(key, default)
+    if not ok(value):
+        raise ValueError(f"matrix descriptor has an invalid value: {key}")
+    return value
 
 
 def _spectrum_from_desc(sd: dict) -> Spectrum:
-    kind = _desc_value(sd, "kind", str)
+    kind = _desc_value(sd, "kind", lambda v: isinstance(v, str))
     if kind == "slower":
         return spectrum_slower(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "faster":
         return spectrum_faster(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "step":
-        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", float),
-                                 _desc_value(sd, "gap", float))
+        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", _is_number),
+                                 _desc_value(sd, "gap", _is_number))
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
@@ -323,69 +331,12 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     return rows
 
 
-# (fn, state) of the tasks a forked worker serves, set once in each worker
-# process by _init_worker
-_worker_job = None
-
-
-def _init_worker(fn, state: tuple) -> None:
-    global _worker_job
-    _worker_job = (fn, state)
-
-
-def _worker_run(task):
-    fn, state = _worker_job
-    return fn(*state, task)
-
-
-def _usable_workers() -> int:
-    """One worker per CPU this process may use; 1 where that count or the
-    ``fork`` start method is missing."""
-    import multiprocessing
-    if (not hasattr(os, "sched_getaffinity")
-            or "fork" not in multiprocessing.get_all_start_methods()):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _share(fn, state: tuple, tasks: list, jobs: int) -> list:
-    """``[fn(*state, t) for t in tasks]``, shared by
-    ``min(jobs, len(tasks), _usable_workers())`` workers.
-
-    The calling process is one of the workers: it runs the fixed share
-    ``tasks[::workers]`` while forked processes serve the rest, so one fork
-    fewer is needed. Forked workers inherit ``state`` instead of unpickling
-    it; only tasks and results cross between processes. As with any fork,
-    the calling process should run no other threads at that point. The
-    results come back in task order, so they do not depend on the worker
-    count.
-    """
-    workers = min(jobs, len(tasks))
-    if workers > 1:  # one worker needs no CPU count and no multiprocessing
-        workers = min(workers, _usable_workers())
-    if workers <= 1:
-        return [fn(*state, task) for task in tasks]
-    # Processes, not threads: numpy's values-only SVD does not overlap
-    # across threads. Imported here so that commands that start no worker
-    # do not pay for the import.
-    from concurrent.futures import ProcessPoolExecutor
-    from multiprocessing import get_context
-    results = [None] * len(tasks)
-    rest = [i for i in range(len(tasks)) if i % workers]
-    with ProcessPoolExecutor(workers - 1, mp_context=get_context("fork"),
-                             initializer=_init_worker, initargs=(fn, state)) as pool:
-        forked = pool.map(_worker_run, [tasks[i] for i in rest])
-        results[::workers] = [fn(*state, task) for task in tasks[::workers]]
-        for i, result in zip(rest, forked):
-            results[i] = result
-    return results
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     """Execute the full sweep and (when an outdir is set) write CSV and SVGs.
 
     With ``cfg.jobs > 1`` the runs are shared by at most ``cfg.jobs``
-    workers (see ``_share``); the rows do not depend on the worker count.
+    workers (see ``workers._share``); the rows do not depend on the worker
+    count.
     """
     matrix = build_matrix(cfg.matrix)
     name, a, _, true_spec = matrix[:4]

@@ -113,12 +113,12 @@ def test_balance_writes_one_pair_per_gap(tmp_path):
 
 @pytest.mark.parametrize("gaps", [["1.3"], ["1.01", "1.5"]])
 def test_balance_output_does_not_depend_on_workers(tmp_path, monkeypatch, gaps):
-    from rsvdangles import cli, harness
+    from rsvdangles import cli, workers as pool
 
     monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
     outputs = {}
     for workers in (1, 2):
-        monkeypatch.setattr(harness, "_usable_workers", lambda: workers)
+        monkeypatch.setattr(pool, "_usable_workers", lambda: workers)
         out = tmp_path / f"workers{workers}"
         assert cli.main([*TINY_BALANCE, "--trials", "2", "--seed", "1",
                          "--gap", *gaps, "--outdir", str(out)]) == 0
@@ -126,6 +126,44 @@ def test_balance_output_does_not_depend_on_workers(tmp_path, monkeypatch, gaps):
     assert len(outputs[1]) == 2 * len(gaps)
     # the forked worker's trials give the same CSV and SVG bytes
     assert outputs[2] == outputs[1]
+
+
+# 60 trials are 3 blocks, so a 2-worker estimate forks
+TINY_ESTIMATE = ("--k", "3", "--l", "6", "--q", "1", "--trials", "60", "--seed", "5")
+
+
+def write_spectrum(tmp_path, values=np.geomspace(3.0, 0.5, 16)):
+    path = tmp_path / "spec.txt"
+    path.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    return path
+
+
+def test_estimate_output_does_not_depend_on_workers(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, workers
+
+    outputs = {}
+    for n in (1, 2):
+        monkeypatch.setattr(workers, "_usable_workers", lambda: n)
+        assert cli.main(["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE]) == 0
+        outputs[n] = capsys.readouterr().out
+    assert outputs[1].count("\n") == 2 + 3
+    assert outputs[2] == outputs[1]
+
+
+@pytest.mark.parametrize("values, flags, message", [
+    pytest.param(np.geomspace(3.0, 0.5, 16), ["--k", "3", "--l", "6", "--q", "-1"],
+                 "q must be >= 0", id="negative_q"),
+    # (1e200 / 1e-100) ** 7 overflows; the tail is long enough
+    pytest.param([1e200, 1e-100, 1e-120, 1e-140, 1e-160], ["--k", "1", "--l", "2", "--q", "3"],
+                 "power weights overflow double precision: sigma_1/sigma_2 = 1e+300"
+                 " to the power 7", id="power_weight_overflow"),
+])
+def test_estimate_rejects_unusable_input_in_one_line(tmp_path, values, flags, message):
+    res = run_cli("estimate", str(write_spectrum(tmp_path, values)), *flags)
+    assert res.returncode == 1
+    assert res.stdout == ""
+    # no warning and no traceback besides the one line
+    assert res.stderr.splitlines() == [f"error: {message}"]
 
 
 def test_estimate_matches_library_call(tmp_path):
@@ -146,6 +184,9 @@ def test_estimate_matches_library_call(tmp_path):
 
 RANK6_MATRIX = {"generator": "gaussian_decay", "m": 30, "n": 30,
                 "spectrum": {"kind": "slower", "r": 6, "r1": 2}, "seed": 1, "name": "rank6"}
+
+
+RANK6_GRID = [{"k": 2, "l": 4, "q": 0}]  # a grid the rank-6 matrix can run
 
 
 def with_matrix(drop=(), matrix=RANK6_MATRIX, **changes):  # RUN_CONFIG, edited matrix
@@ -195,6 +236,16 @@ BAD_CONFIGS = {
     "snn_without_r1": (with_matrix(drop=["r1"], matrix=RUN_CONFIG["matrix"]), [], "r1"),
     # open() reads an integer path as a file descriptor
     "integer_path": ({**RUN_CONFIG, "matrix": {"path": 3}}, [], "path"),
+    # descriptor values must have their JSON type, as config values do:
+    # int() and float() used to run this one as a 35x30 matrix with r1=4
+    "snn_float_and_string_sizes": (with_matrix(matrix=RUN_CONFIG["matrix"], m=35.9,
+                                               n="30", r1=4.5), [], "m"),
+    "snn_string_n": (with_matrix(matrix=RUN_CONFIG["matrix"], n="30"), [], "n"),
+    "snn_float_r1": (with_matrix(matrix=RUN_CONFIG["matrix"], r1=4.5), [], "r1"),
+    "snn_string_a": (with_matrix(matrix=RUN_CONFIG["matrix"], a="5"), [], "a"),
+    "gaussian_float_seed": ({**with_matrix(seed=1.0), "grid": RANK6_GRID}, [], "seed"),
+    "spectrum_float_r": ({**with_matrix(spectrum={"kind": "slower", "r": 6.0, "r1": 2}),
+                          "grid": RANK6_GRID}, [], "r"),
 }
 
 
@@ -236,28 +287,37 @@ def test_error_reporting_is_clean(tmp_path, case):
     assert needle in errors[0].rsplit(": ", 1)[-1]
 
 
-def fail_in_forked_workers(monkeypatch, task_fn: str):
-    """Patch ``harness.<task_fn>`` to raise in every process but this one,
-    and let the pool fork on any machine; forked workers inherit the
-    patched module."""
-    from rsvdangles import harness
+def raise_value_error():
+    raise ValueError("raised in a worker process")
 
-    monkeypatch.setattr(harness, "_usable_workers", lambda: 2)
-    original, caller = getattr(harness, task_fn), os.getpid()
+
+def fail_in_forked_workers(monkeypatch, module, task_fn: str, fail=raise_value_error):
+    """Patch ``module.<task_fn>`` to call ``fail`` in every process but this
+    one, and let the pool fork on any machine; forked workers inherit the
+    patched module."""
+    from rsvdangles import workers
+
+    monkeypatch.setattr(workers, "_usable_workers", lambda: 2)
+    original, caller = getattr(module, task_fn), os.getpid()
 
     def fail_in_forked_worker(*args):
         if os.getpid() != caller:
-            raise ValueError("raised in a worker process")
+            fail()
         return original(*args)
 
-    monkeypatch.setattr(harness, task_fn, fail_in_forked_worker)
+    monkeypatch.setattr(module, task_fn, fail_in_forked_worker)
     monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
 
 
-def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
-    from rsvdangles import cli
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    fail_in_forked_workers(monkeypatch, "_run_single")
+
+def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, harness
+
+    fail_in_forked_workers(monkeypatch, harness, "_run_single")
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
     rc = cli.main(["run", str(cfg_path), "--outdir", str(tmp_path / "out"), "--jobs", "2"])
@@ -266,12 +326,36 @@ def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
 
 
 def test_balance_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
-    from rsvdangles import cli
+    from rsvdangles import cli, harness
 
-    fail_in_forked_workers(monkeypatch, "_balance_trial")
+    fail_in_forked_workers(monkeypatch, harness, "_balance_trial")
     rc = cli.main([*TINY_BALANCE, "--trials", "2", "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
+
+
+def test_estimate_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, estimator
+
+    fail_in_forked_workers(monkeypatch, estimator, "_estimate_block")
+    rc = cli.main(["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
+    assert_no_child_left()
+
+
+def test_estimate_worker_that_dies_gives_one_error_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, estimator
+
+    fail_in_forked_workers(monkeypatch, estimator, "_estimate_block", lambda: os._exit(3))
+    rc = cli.main(["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    [line] = out.err.splitlines()
+    assert line.startswith("error: worker process ")
+    assert line.endswith(" ended with exit code 3 before reporting its results")
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("preset", [None, "3"])
@@ -288,19 +372,26 @@ def test_import_sets_one_blas_thread_unless_preset(preset):
     assert res.stdout.strip() == (preset or "1")
 
 
-def test_single_worker_leaves_multiprocessing_out(tmp_path):
+def test_commands_leave_multiprocessing_out(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
+    commands = [["run", str(cfg_path), "--outdir", str(tmp_path / "run"), "--jobs", "2"],
+                [*TINY_BALANCE, "--trials", "2", "--outdir", str(tmp_path / "balance")],
+                ["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE]]
+    # each command runs on 2 workers, whatever this machine has
     res = subprocess.run(
         [sys.executable, "-c",
-         "import sys\n"
-         "from rsvdangles import cli\n"
-         f"cli.main(['run', {str(cfg_path)!r}, '--outdir', {str(tmp_path / 'out')!r}])\n"
-         "print('multiprocessing' in sys.modules)"],
+         "import os, sys\n"
+         "from rsvdangles import cli, workers\n"
+         "workers._usable_workers = lambda: 2\n"
+         f"for argv in {commands!r}:\n"
+         "    assert cli.main(argv) == 0\n"
+         "    assert not {'multiprocessing', 'concurrent.futures'} & sys.modules.keys()\n"
+         "print(len(os.listdir(sys.argv[1])))", str(tmp_path / "run")],
         capture_output=True, text=True,
         env={k: v for k, v in os.environ.items() if k != "RSVDANGLES_OUTDIR"})
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "False"
+    assert res.stdout.splitlines()[-1] == "2"  # the run's CSV and SVG
 
 
 def test_sweep_script_help_without_affinity_call():

@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
-from rsvdangles.estimator import estimate_cost_model, unbiased_estimate
+from rsvdangles import workers
+from rsvdangles.estimator import (TRIAL_BLOCK, estimate_cost_model,
+                                  unbiased_estimate)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (space_agnostic_lower,
@@ -25,6 +27,17 @@ class TestGuards:
         spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
         with pytest.raises(ValueError, match="n_trials"):
             unbiased_estimate(spec, 2, 4, 0, 0, "left", 0)
+
+    def test_negative_power_count_rejected(self):
+        spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
+        with pytest.raises(ValueError, match="^q must be >= 0$"):
+            unbiased_estimate(spec, 2, 4, -1, 1, "left", 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_weight_overflow_named_without_warning(self):
+        spec = Spectrum.from_values([1e200, 1e-100, 1e-120, 1e-140, 1e-160])
+        with pytest.raises(ValueError, match="power weights overflow"):
+            unbiased_estimate(spec, k=1, l=2, q=3, n_trials=1, side="left", seed=0)
 
 
 class TestReportStructure:
@@ -52,6 +65,21 @@ class TestReportStructure:
         for j in (0, 3, 5):
             single = self._report(n_trials=1, seed=11 ^ j)
             assert np.array_equal(single.per_trial[0], a.per_trial[j])
+
+
+class TestSharedTrials:
+    # 77 trials end in a partial block; 30 are two blocks, fewer than 3 workers
+    @pytest.mark.parametrize("n_trials", [1, 30, 77])
+    def test_report_does_not_depend_on_workers(self, monkeypatch, n_trials):
+        assert TRIAL_BLOCK == 25
+        spec = Spectrum.from_values(np.geomspace(4.0, 0.2, 60))
+        one = unbiased_estimate(spec, 5, 12, 1, n_trials, "left", 3)
+        for n in (2, 3):
+            monkeypatch.setattr(workers, "_usable_workers", lambda: n)
+            rep = unbiased_estimate(spec, 5, 12, 1, n_trials, "left", 3, jobs=n)
+            assert rep.per_trial.shape == (n_trials, 5)
+            for field in ("per_trial", "mean", "min_band", "max_band"):
+                assert np.array_equal(getattr(rep, field), getattr(one, field))
 
 
 class TestSpaceAgnosticism:
@@ -89,7 +117,8 @@ class TestStatisticalBehavior:
         lo = space_agnostic_lower(spec, k, l, q, "left", c=2.0)
         inside = total = 0
         for seed in range(20):
-            est = unbiased_estimate(spec, k, l, q, 200, "left", seed)
+            # the trials of one call are shared by up to 2 workers
+            est = unbiased_estimate(spec, k, l, q, 200, "left", seed, jobs=2)
             inside += int(((est.mean >= lo.values) & (est.mean <= up.values)).sum())
             total += k
         assert inside / total >= 0.95

@@ -1,16 +1,15 @@
 import json
-import multiprocessing
 import os
+import time
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from rsvdangles import harness
+from rsvdangles import workers
 from rsvdangles.angles import canonical_sines
 from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
-                                Panel, Row, Series, _share,
-                                _usable_workers, balance_panel,
+                                Panel, Row, Series, balance_panel,
                                 balance_sweep, build_matrix, emit_csv,
                                 emit_svg, experiment_panels, feasible_powers,
                                 fixed_budget_bound, pad_spectrum,
@@ -20,6 +19,7 @@ from rsvdangles.matgen import gen_gaussian_decay, gen_step_spectrum
 from rsvdangles.mmio import write_matrix
 from rsvdangles.prior_bounds import space_agnostic_upper
 from rsvdangles.rsvd import SketchConfig, rsvd
+from rsvdangles.workers import _share, _usable_workers
 
 TINY_MATRIX = {"generator": "gaussian_decay", "m": 40, "n": 40,
                "spectrum": {"kind": "slower", "r": 40, "r1": 5},
@@ -72,12 +72,23 @@ def forbid_fork(monkeypatch):
 
 def use_workers(monkeypatch, n: int) -> None:
     """Make ``_share`` see ``n`` usable CPUs, whatever this machine has."""
-    monkeypatch.setattr(harness, "_usable_workers", lambda: n)
+    monkeypatch.setattr(workers, "_usable_workers", lambda: n)
 
 
-def workers_alive(task) -> int:
-    """The forked workers alive in the calling process (0 in a worker)."""
-    return len(multiprocessing.active_children())
+def assert_no_child_left() -> None:
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def worker_pid(task) -> int:
+    return os.getpid()
+
+
+def raise_in_worker(caller: int, task):
+    if os.getpid() != caller:
+        raise ValueError(f"task {task} failed in a worker")
+    return task
 
 
 class TestShare:
@@ -89,12 +100,54 @@ class TestShare:
 
     def test_workers_capped_at_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert max(_share(workers_alive, (), list(range(8)), 8)) == 1
+        pids = _share(worker_pid, (), list(range(8)), 8)
+        # the caller runs tasks[::2], one forked worker tasks[1::2]
+        assert set(pids[::2]) == {os.getpid()}
+        assert len(set(pids[1::2])) == 1 and os.getpid() not in pids[1::2]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("n_tasks", [3, 7])
+    def test_each_worker_runs_its_fixed_share(self, monkeypatch, n_tasks):
+        use_workers(monkeypatch, 3)
+        pids = _share(worker_pid, (), list(range(n_tasks)), 3)
+        # worker w runs tasks[w::3]; worker 0 is the caller
+        shares = [set(pids[w::3]) for w in range(3)]
+        assert shares[0] == {os.getpid()}
+        assert all(len(share) == 1 for share in shares)
+        assert len(set(pids)) == 3
 
     def test_pool_leaves_no_worker_processes(self, monkeypatch):
         use_workers(monkeypatch, 2)
         assert _share(pow, (2,), list(range(4)), 2) == [1, 2, 4, 8]
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    def test_worker_error_is_raised_in_the_caller(self, monkeypatch):
+        use_workers(monkeypatch, 3)
+        with pytest.raises(ValueError, match="^task 1 failed in a worker$"):
+            _share(raise_in_worker, (os.getpid(),), list(range(6)), 3)
+        assert_no_child_left()
+
+    def test_worker_that_ends_without_reporting_raises(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="exit code 3 before reporting"):
+            _share(lambda task: os._exit(3) if task else task, (), [0, 1], 2)
+        assert_no_child_left()
+
+    def test_caller_error_stops_the_workers(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        caller = os.getpid()
+
+        def slow_worker_failing_caller(task):
+            if os.getpid() != caller:
+                time.sleep(60)
+            raise ValueError("failed in the caller")
+
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="failed in the caller"):
+            _share(slow_worker_failing_caller, (), [0, 1], 2)
+        # the worker was stopped, not waited for
+        assert time.perf_counter() - t0 < 30
+        assert_no_child_left()
 
     @pytest.mark.usefixtures("forbid_fork")
     @pytest.mark.parametrize("jobs, n_tasks, usable", [
@@ -103,17 +156,16 @@ class TestShare:
         use_workers(monkeypatch, usable)
         assert _share(pow, (2,), list(range(n_tasks)), jobs) == [2**t for t in range(n_tasks)]
 
-    @pytest.mark.usefixtures("forbid_fork")
     def test_one_process_without_fork_start_method(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert _share(pow, (2,), list(range(7)), 2) == [2**t for t in range(7)]
+        assert _share(worker_pid, (), list(range(7)), 2) == [os.getpid()] * 7
 
     def test_usable_workers_counts_usable_cpus(self):
         assert _usable_workers() == len(os.sched_getaffinity(0))
 
     def test_usable_workers_is_one_without_fork_start_method(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert _usable_workers() == 1
 
@@ -153,7 +205,7 @@ class TestRunExperiment:
     def test_pool_leaves_no_worker_processes(self, monkeypatch):
         use_workers(monkeypatch, 2)
         run_experiment(tiny_config(jobs=2))
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.usefixtures("forbid_fork")
     @pytest.mark.parametrize("jobs, n_seeds", [(1, 2), (3, 1)])
@@ -161,9 +213,8 @@ class TestRunExperiment:
         use_workers(monkeypatch, 8)
         run_experiment(tiny_config(grid=[(5, 8, 0)], jobs=jobs, n_seeds=n_seeds))
 
-    @pytest.mark.usefixtures("forbid_fork")
     def test_one_process_without_fork_start_method(self, monkeypatch, rows):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert len(run_experiment(tiny_config(jobs=2))) == len(rows)
 
@@ -390,7 +441,7 @@ class TestBalanceSweep:
     def test_pool_leaves_no_worker_processes(self, monkeypatch):
         use_workers(monkeypatch, 2)
         balance_sweep(tiny_balance())
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @pytest.mark.usefixtures("forbid_fork")
     @pytest.mark.parametrize("workers, overrides", [
@@ -402,9 +453,8 @@ class TestBalanceSweep:
         cfg = tiny_balance(**overrides)
         assert len(balance_sweep(cfg)) == len(feasible_powers(cfg)) * cfg.trials
 
-    @pytest.mark.usefixtures("forbid_fork")
     def test_one_process_without_fork_start_method(self, monkeypatch):
-        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert len(balance_sweep(tiny_balance())) == 8
 
