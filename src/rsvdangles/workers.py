@@ -76,27 +76,30 @@ def _serve(fn, state: tuple, tasks: list, write_end: int, inherited: list) -> No
             reply = (True, [fn(*state, task) for task in tasks])
         except Exception as exc:
             reply = (False, exc)
-        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
         with open(write_end, "wb") as fh:
-            fh.write(data)
+            pickle.dump(reply, fh, pickle.HIGHEST_PROTOCOL)
         code = 0
     finally:
         os._exit(code)
 
 
 def _collect(pid: int, read_end: int) -> list:
-    """Read one worker's reply to the end, reap it, and return its results
-    or raise what its share raised."""
+    """Read one worker's reply, reap it, and return its results or raise
+    what its share raised. The reply is unpickled as it streams in, so its
+    bytes are never held whole next to the results."""
+    reply = None
     try:
         with open(read_end, "rb") as fh:
-            data = fh.read()
+            reply = pickle.load(fh)
+    except (EOFError, pickle.UnpicklingError):
+        pass  # a reply cut short; the exit code tells why
     finally:
         _, status = os.waitpid(pid, 0)
     code = os.waitstatus_to_exitcode(status)
-    if code != 0:
+    if code != 0 or reply is None:
         raise ChildProcessError(f"worker process {pid} ended with exit code {code}"
                                 " before reporting its results")
-    ok, value = pickle.loads(data)
+    ok, value = reply
     if not ok:
         raise value
     return value
