@@ -39,8 +39,8 @@ class EstimateReport:
 
 
 # Trials per shared task. The count is fixed, so the blocks do not depend on
-# the worker count; a block rather than a trial per task keeps the heap from
-# being trimmed and grown again after every trial.
+# the worker count; a block rather than a trial per task saves a task's
+# overhead and a pickled result per trial.
 TRIAL_BLOCK = 25
 
 

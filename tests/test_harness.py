@@ -159,6 +159,7 @@ class TestShare:
     def test_one_process_without_fork_start_method(self, monkeypatch):
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert _share(pow, (2,), list(range(7)), 2) == [2**t for t in range(7)]
         assert _share(worker_pid, (), list(range(7)), 2) == [os.getpid()] * 7
 
     def test_usable_workers_counts_usable_cpus(self):
