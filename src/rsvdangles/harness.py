@@ -141,6 +141,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_str(v) -> bool:
+    return isinstance(v, str)
+
+
 def _is_object(v) -> bool:
     return isinstance(v, dict)
 
@@ -198,22 +202,25 @@ def build_matrix(desc: dict):
         spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
         pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
                                 _desc_value(desc, "seed", _is_int, 0),
-                                name=desc.get("name", "gaussian_decay"))
+                                name=_desc_value(desc, "name", _is_str, "gaussian_decay"))
         return pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True
     if gen == "snn":
         pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
                      _desc_value(desc, "r1"), _desc_value(desc, "a", _is_number),
                      _desc_value(desc, "density", _is_number, 0.05),
-                     _desc_value(desc, "seed", _is_int, 0), name=desc.get("name", "snn"))
+                     _desc_value(desc, "seed", _is_int, 0),
+                     name=_desc_value(desc, "name", _is_str, "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
         return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
     if gen == "mnist":
         a = load_mnist(_desc_value(desc, "path", _is_path),
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
-        name = desc.get("name", "mnist")
+        name = _desc_value(desc, "name", _is_str, "mnist")
     elif "path" in desc:
-        a = read_matrix(_desc_value(desc, "path", _is_path))
-        name = desc.get("name", os.path.splitext(os.path.basename(desc["path"]))[0])
+        path = _desc_value(desc, "path", _is_path)
+        a = read_matrix(path)
+        name = _desc_value(desc, "name", _is_str,
+                           os.path.splitext(os.path.basename(path))[0])
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
     f = svd_full(a)
@@ -238,7 +245,7 @@ def _desc_value(desc: dict, key: str, ok=_is_int, default=None):
 
 
 def _spectrum_from_desc(sd: dict) -> Spectrum:
-    kind = _desc_value(sd, "kind", lambda v: isinstance(v, str))
+    kind = _desc_value(sd, "kind", _is_str)
     if kind == "slower":
         return spectrum_slower(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "faster":

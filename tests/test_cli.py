@@ -246,6 +246,8 @@ BAD_CONFIGS = {
     "gaussian_float_seed": ({**with_matrix(seed=1.0), "grid": RANK6_GRID}, [], "seed"),
     "spectrum_float_r": ({**with_matrix(spectrum={"kind": "slower", "r": 6.0, "r1": 2}),
                           "grid": RANK6_GRID}, [], "r"),
+    # a list name wrote "['a', 'b']_bounds.csv", then failed in a traceback
+    "list_name": ({**with_matrix(name=["a", "b"]), "grid": RANK6_GRID}, [], "name"),
 }
 
 
