@@ -145,6 +145,13 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
+def _is_name(v) -> bool:
+    """A string that names a file inside the output directory: not empty,
+    not "." or "..", and without a path separator."""
+    return (isinstance(v, str) and v not in ("", ".", "..")
+            and not any(sep and sep in v for sep in ("/", os.sep, os.altsep)))
+
+
 def _is_object(v) -> bool:
     return isinstance(v, dict)
 
@@ -202,24 +209,24 @@ def build_matrix(desc: dict):
         spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
         pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
                                 _desc_value(desc, "seed", _is_int, 0),
-                                name=_desc_value(desc, "name", _is_str, "gaussian_decay"))
+                                name=_desc_value(desc, "name", _is_name, "gaussian_decay"))
         return pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True
     if gen == "snn":
         pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
                      _desc_value(desc, "r1"), _desc_value(desc, "a", _is_number),
                      _desc_value(desc, "density", _is_number, 0.05),
                      _desc_value(desc, "seed", _is_int, 0),
-                     name=_desc_value(desc, "name", _is_str, "snn"))
+                     name=_desc_value(desc, "name", _is_name, "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
         return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
     if gen == "mnist":
         a = load_mnist(_desc_value(desc, "path", _is_path),
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
-        name = _desc_value(desc, "name", _is_str, "mnist")
+        name = _desc_value(desc, "name", _is_name, "mnist")
     elif "path" in desc:
         path = _desc_value(desc, "path", _is_path)
         a = read_matrix(path)
-        name = _desc_value(desc, "name", _is_str,
+        name = _desc_value(desc, "name", _is_name,
                            os.path.splitext(os.path.basename(path))[0])
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
@@ -287,9 +294,9 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     # The projected residuals do not depend on the spectrum source. The right
     # one is always taken: its top value is the out-of-basis norm that
     # residual_blocks needs.
-    resids = {"right": residual_spectrum(a, out.v, "right")}
+    resids = {"right": residual_spectrum(a, out.v, "right", k)}
     if "left" in cfg.sides:
-        resids["left"] = residual_spectrum(a, out.u, "left")
+        resids["left"] = residual_spectrum(a, out.u, "left", k)
     stats = residual_blocks(a, out, k, resids["right"])
     if has_known:
         # the sketch ratio depends on neither the spectrum source nor the side
@@ -571,13 +578,28 @@ def experiment_panels(rows: list[Row]):
             if not pts:
                 continue
             xs = sorted(pts)
-            ys = [float(np.mean(pts[x])) for x in xs]
+            ys = _means([pts[x] for x in xs])
             label = kind if source == "true" else f"{kind} (padded)"
             series.append(Series(label, _KIND_COLORS.get(kind, "#555555"),
                                  source == "padded", [float(x) for x in xs], ys))
         panel = Panel(f"{matrix}: k={k}, l={l}, q={q}, {side} subspace",
                       "angle index", "sine", series)
         yield panel, f"{matrix}_k{k}_l{l}_{side}_q{q}.svg"
+
+
+def _means(lists: list[list[float]]) -> list[float]:
+    """``[float(np.mean(v)) for v in lists]``, bit for bit, with one numpy
+    call per distinct list length: a mean over the last axis of a 2-d array
+    sums each row as ``np.mean`` sums it alone (pairwise from 8 values on)."""
+    by_len: dict[int, list[int]] = {}
+    for pos, v in enumerate(lists):
+        by_len.setdefault(len(v), []).append(pos)
+    means = [0.0] * len(lists)
+    for positions in by_len.values():
+        for pos, mu in zip(positions,
+                           np.mean([lists[p] for p in positions], axis=1).tolist()):
+            means[pos] = mu
+    return means
 
 
 _SVG_W, _SVG_H = 860, 520

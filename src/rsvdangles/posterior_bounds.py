@@ -23,6 +23,11 @@ out-of-basis residual norm, are
     gap_resid_1 = (sigma_k^2 - out^2) / sigma_k
     gap_resid_2 = (sigma_k^2 - out^2) / out
 
+Every residual value and norm a bound reads is certified from above: it is
+the square root of an eigenvalue of the computed Gram matrix raised by a
+rounding margin (see ``_certified_top``), or, where that margin is not small
+against the value, the dense singular value.
+
 All bound values are emitted in ascending-angle order; per-index variants
 carry the factor sigma_k / sigma_i at position i.
 """
@@ -48,28 +53,81 @@ class ResidualStats:
     sigma_hat_next: float
 
 
-def residual_spectrum(a, basis, side: str) -> Spectrum:
-    """Full singular spectrum of the projected residual.
+_EPS = float(np.finfo(np.float64).eps)
+# The Gram route is taken only while its margin delta stays below
+# sqrt(eps) * lambda_k. A certified value sqrt(lambda_i + delta) then exceeds
+# the exact one, which is at least sqrt(lambda_i - delta), by a relative
+# delta / lambda_k or less to first order: it keeps half the digits of a
+# double. Past that the margin would make the bound slack, and the dense SVD
+# is taken instead.
+_MAX_MARGIN = float(np.sqrt(_EPS))
+
+
+def _svdvals(x: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(x, compute_uv=False)
+
+
+def _certified_top(gram: np.ndarray, size: int, k: int, dense) -> np.ndarray:
+    """Upper bounds on the top k singular values of a matrix x from its
+    computed Gram matrix ``gram`` (x x^T or x^T x, p-by-p), where ``size``
+    is p plus the inner dimension n of the product, the row and column
+    counts of x together. ``dense()`` returns the singular values of x by a
+    dense SVD, the fallback.
+
+    With u = eps / 2, the computed Gram is G + E with
+    ||E||_2 <= gamma_n ||x||_F^2, gamma_n = n u / (1 - n u), as each entry is
+    a dot product of length n (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5). The symmetric eigensolver returns the
+    exact eigenvalues of G + E + F with ||F||_2 <= p eps ||G + E||_2, taking
+    p for LAPACK's modestly growing function of the dimension. By Weyl's
+    inequality (Golub and Van Loan, Matrix Computations, 4th ed., ch. 8)
+    |lambda_i - sigma_i(x)^2| <= (n u + p eps)(1 + n u)^2 ||x||_F^2, and
+    ||x||_F^2 is the trace of the computed Gram up to a factor 1 + n u + p u.
+    delta = 2 (p + n) eps trace(gram) covers that sum twice over, so
+    sigma_i(x) <= sqrt(lambda_i + delta). The dense SVD is taken unless
+    delta < _MAX_MARGIN * lambda_k.
+    """
+    delta = 2.0 * size * _EPS * float(np.trace(gram))
+    lam = np.linalg.eigvalsh(gram)[::-1][:k]
+    if delta < _MAX_MARGIN * lam[-1]:
+        return np.sqrt(lam + delta)
+    return dense()[:k]
+
+
+def _project_out(a: np.ndarray, basis: np.ndarray, side: str) -> np.ndarray:
+    if side == "left":
+        return a - basis @ (basis.T @ a)
+    if side == "right":
+        return a - (a @ basis) @ basis.T
+    raise ValueError("side must be 'left' or 'right'")
+
+
+def residual_spectrum(a, basis, side: str, k: int) -> Spectrum:
+    """The top k singular values of the projected residual, each certified
+    from above (see ``_certified_top``).
 
     side "left" gives sigma((I - Q Q^T) a), side "right" sigma(a (I - Q Q^T)).
+    The values come from the smaller Gram matrix of the residual R; R itself
+    is dropped before the eigensolver runs, and formed again only for the
+    dense fallback.
     """
     a = as_matrix(a)
     basis = as_matrix(basis, "basis")
-    if side == "left":
-        resid = a - basis @ (basis.T @ a)
-    elif side == "right":
-        resid = a - (a @ basis) @ basis.T
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    return Spectrum.from_values(np.linalg.svd(resid, compute_uv=False))
+    if not 1 <= k <= min(a.shape):
+        raise ValueError("k out of range for the residual spectrum")
+    resid = _project_out(a, basis, side)
+    gram = resid @ resid.T if a.shape[0] <= a.shape[1] else resid.T @ resid
+    del resid
+    return Spectrum.from_values(_certified_top(
+        gram, sum(a.shape), k, lambda: _svdvals(_project_out(a, basis, side))))
 
 
 def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
                           side: str = "left") -> BoundReport:
     """Per-index bound min(residual_{k-i+1} / sigma_k, residual_1 / sigma_i).
 
-    ``residual`` is the projected-residual spectrum from
-    :func:`residual_spectrum`; sigma values come from ``true_spectrum``
+    ``residual`` holds the top k certified values of the projected residual
+    from :func:`residual_spectrum`; sigma values come from ``true_spectrum``
     (which may equally be a padded approximation). Requires sigma_k > 0.
     """
     if k < 1 or k > residual.size:
@@ -84,17 +142,15 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     return make_report(np.minimum(by_gap, by_index), "residual_ratio", side)
 
 
-def _spec_norm(x: np.ndarray) -> float:
-    s = np.linalg.svd(x, compute_uv=False)
-    return float(s[0]) if s.size else 0.0
-
-
 def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> ResidualStats:
     """Residual-block norms for a delivered rank-l approximation.
 
-    The three spectral norms are exact (dense singular values), so the gap
-    bounds built from them are valid certificates. ``right_residual`` is
-    ``residual_spectrum(a, out.v, "right")``; its top value is the
+    The three spectral norms are certified from above, so the gap bounds
+    built from them are valid certificates. The in-basis and beyond-k norms
+    are the top values of the l-by-l Gram matrix of the m-by-l in-basis
+    residual and of its trailing block, with the margin of
+    ``_certified_top``. ``right_residual`` is
+    ``residual_spectrum(a, out.v, "right", k)``; its top value is the
     out-of-basis norm.
     """
     a = as_matrix(a)
@@ -103,10 +159,14 @@ def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> Res
         raise ValueError("need 1 <= k < l")
     # (a - u sigma v^T) v = a v - u sigma, as v has orthonormal columns
     err_v = a @ f.v - f.u * f.sigma
-    in_basis_2 = _spec_norm(err_v)
-    beyond_k_2 = _spec_norm(err_v[:, k:])
-    return ResidualStats(in_basis_2, beyond_k_2, float(right_residual.values[0]),
-                         float(f.sigma[k]))
+    gram = err_v.T @ err_v
+    m, l = err_v.shape
+    in_basis_2 = _certified_top(gram, m + l, 1, lambda: _svdvals(err_v))[0]
+    # the trailing block of the Gram is the Gram of err_v[:, k:]
+    beyond_k_2 = _certified_top(gram[k:, k:], m + l - k, 1,
+                                lambda: _svdvals(err_v[:, k:]))[0]
+    return ResidualStats(float(in_basis_2), float(beyond_k_2),
+                         float(right_residual.values[0]), float(f.sigma[k]))
 
 
 def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundReport]:

@@ -248,6 +248,13 @@ BAD_CONFIGS = {
                           "grid": RANK6_GRID}, [], "r"),
     # a list name wrote "['a', 'b']_bounds.csv", then failed in a traceback
     "list_name": ({**with_matrix(name=["a", "b"]), "grid": RANK6_GRID}, [], "name"),
+    # a name is a file name inside --outdir: "../escaped" wrote its CSV and
+    # SVGs next to --outdir and exited 0
+    "parent_dir_name": ({**with_matrix(name="../escaped"), "grid": RANK6_GRID},
+                        ["--jobs", "2"], "name"),
+    "slash_name": ({**with_matrix(name="sub/dir"), "grid": RANK6_GRID}, [], "name"),
+    "dot_dot_name": ({**with_matrix(name=".."), "grid": RANK6_GRID}, [], "name"),
+    "empty_name": ({**with_matrix(name=""), "grid": RANK6_GRID}, [], "name"),
 }
 
 

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rsvdangles import posterior_bounds
 from rsvdangles.angles import canonical_sines
+from rsvdangles.harness import PRESETS, build_matrix
 from rsvdangles.linalg import Spectrum, SvdFactors, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_faster
 from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
@@ -18,7 +20,7 @@ def exact_rank_l_output(a, l):
 
 
 def residual_stats(a, out, k):
-    return residual_blocks(a, out, k, residual_spectrum(a, out.v, "right"))
+    return residual_blocks(a, out, k, residual_spectrum(a, out.v, "right", k))
 
 
 class TestResidualSpectrum:
@@ -26,13 +28,13 @@ class TestResidualSpectrum:
         rng = seeded_rng(0)
         a = rng.standard_normal((20, 6)) @ rng.standard_normal((6, 15))
         basis = ortho(a[:, :6] @ rng.standard_normal((6, 6)))
-        res = residual_spectrum(a, basis, "left")
+        res = residual_spectrum(a, basis, "left", 3)
         assert res.values[0] <= 1e-12 * np.linalg.norm(a)
 
     def test_exact_leading_basis_exposes_tail(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(30, 25, spec, seed=1)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left")
+        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left", 3)
         assert np.allclose(res.values[:2], [0.5, 0.25], atol=1e-10)
         assert res.values[2] <= 1e-10
 
@@ -41,21 +43,103 @@ class TestResidualSpectrum:
         pm = gen_gaussian_decay(12, 10, spec, seed=2)
         # a unit vector orthogonal to the column space of a
         v = np.linalg.qr(pm.factors.u, mode="complete")[0][:, 3:4]
-        res = residual_spectrum(pm.a, v, "left")
-        assert np.allclose(res.values[:3], spec.values, atol=1e-10)
+        res = residual_spectrum(pm.a, v, "left", 3)
+        assert np.allclose(res.values, spec.values, atol=1e-10)
 
     def test_right_side_uses_row_space(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5])
         pm = gen_gaussian_decay(18, 16, spec, seed=3)
-        res = residual_spectrum(pm.a, pm.factors.v[:, :2], "right")
-        assert np.allclose(res.values[:2], [1.0, 0.5], atol=1e-10)
+        res = residual_spectrum(pm.a, pm.factors.v[:, :2], "right", 2)
+        assert np.allclose(res.values, [1.0, 0.5], atol=1e-10)
+
+
+class TestCertifiedValues:
+    """``residual_spectrum`` and ``residual_blocks`` bound the dense singular
+    values from above, by a margin far below any tolerance a bound is read at."""
+
+    @pytest.fixture(scope="class", params=[d["name"] for d in PRESETS])
+    def preset(self, request):
+        return build_matrix(next(d for d in PRESETS if d["name"] == request.param))[1]
+
+    def test_at_or_above_dense_svd_on_presets(self, preset):
+        a, k = preset, 50
+        for l in (80, 200):
+            for q in (0, 1):
+                for seed in range(3):
+                    out = rsvd(a, SketchConfig(k, l, q, seed))
+                    for side, basis in (("left", out.u), ("right", out.v)):
+                        resid = (a - basis @ (basis.T @ a) if side == "left"
+                                 else a - (a @ basis) @ basis.T)
+                        dense = np.linalg.svd(resid, compute_uv=False)[:k]
+                        got = residual_spectrum(a, basis, side, k).values
+                        assert got.size == k
+                        assert (got >= dense).all(), (l, q, seed, side)
+                        assert got == pytest.approx(dense, rel=1e-9)
+                    err_v = a @ out.v - out.u * out.sigma
+                    stats = residual_stats(a, out, k)
+                    for got, block in ((stats.resid_in_basis_2, err_v),
+                                       (stats.resid_beyond_k_2, err_v[:, k:])):
+                        dense = np.linalg.svd(block, compute_uv=False)[0]
+                        assert dense <= got <= dense * (1 + 1e-9), (l, q, seed)
+
+    @staticmethod
+    def dense_calls(monkeypatch):
+        calls = []
+        dense = posterior_bounds._svdvals
+        monkeypatch.setattr(posterior_bounds, "_svdvals",
+                            lambda x: calls.append(x.shape) or dense(x))
+        return calls
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_round_off_values_take_dense_fallback(self, monkeypatch, side):
+        # the basis spans the range but for two directions: residual values
+        # 3 and 4 are round-off, far below the Gram route's margin
+        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
+        pm = gen_gaussian_decay(30, 25, spec, seed=13)
+        basis = (pm.factors.u if side == "left" else pm.factors.v)[:, :3]
+        calls = self.dense_calls(monkeypatch)
+        got = residual_spectrum(pm.a, basis, side, 4).values
+        assert calls == [(30, 25)]
+        assert np.allclose(got[:2], [0.5, 0.25], atol=1e-10)
+        assert (got[2:] <= 1e-14).all()
+
+    def test_zero_residual_takes_dense_fallback(self, monkeypatch):
+        a = np.diag([4.0, 2.0, 1.0])
+        calls = self.dense_calls(monkeypatch)
+        got = residual_spectrum(a, np.eye(3, 3), "left", 2).values
+        assert calls == [(3, 3)]
+        assert np.array_equal(got, [0.0, 0.0])
+
+    def test_fast_decaying_residual_takes_dense_fallback(self, monkeypatch):
+        spec = Spectrum.from_values(np.geomspace(1.0, 1e-12, 10))
+        pm = gen_gaussian_decay(30, 25, spec, seed=14)
+        basis = pm.factors.u[:, :2]
+        calls = self.dense_calls(monkeypatch)
+        got = residual_spectrum(pm.a, basis, "left", 6).values
+        resid = pm.a - basis @ (basis.T @ pm.a)
+        assert calls == [(30, 25)]
+        assert np.array_equal(got, np.linalg.svd(resid, compute_uv=False)[:6])
+
+    def test_slow_decaying_residual_takes_gram_route(self, monkeypatch):
+        spec = Spectrum.from_values(np.geomspace(1.0, 0.1, 20))
+        pm = gen_gaussian_decay(30, 25, spec, seed=16)
+        calls = self.dense_calls(monkeypatch)
+        got = residual_spectrum(pm.a, pm.factors.u[:, :2], "left", 6).values
+        assert calls == []
+        assert got == pytest.approx(spec.values[2:8], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 26])
+    def test_k_out_of_range_rejected(self, k):
+        pm = gen_gaussian_decay(30, 25, Spectrum.from_values([2.0, 1.0, 0.5]), seed=15)
+        with pytest.raises(ValueError, match="k out of range"):
+            residual_spectrum(pm.a, pm.factors.u[:, :1], "left", k)
 
 
 class TestRatioBounds:
     def test_hand_example_with_exact_basis(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(30, 25, spec, seed=4)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left")
+        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left", 2)
         rep = residual_ratio_bounds(res, spec, k=2, side="left")
         # min(residual_2 / sigma_2, residual_1 / sigma_1) = min(0.25/2, 0.5/3)
         assert rep.values[0] == pytest.approx(0.125, abs=1e-9)
@@ -64,7 +148,7 @@ class TestRatioBounds:
         assert (rep.values >= sines).all()
 
     def test_zero_residual_gives_zero_bounds(self):
-        res = Spectrum(np.zeros(6), 0)
+        res = Spectrum(np.zeros(3), 0)
         spec = Spectrum.from_values([4.0, 3.0, 2.0, 1.0, 0.5, 0.2])
         rep = residual_ratio_bounds(res, spec, k=3)
         assert np.all(rep.values == 0.0)
@@ -73,9 +157,9 @@ class TestRatioBounds:
         spec = Spectrum.from_values(np.geomspace(4.0, 0.1, 25))
         pm = gen_gaussian_decay(40, 40, spec, seed=5)
         out = rsvd(pm.a, SketchConfig(4, 10, 1, seed=0))
-        res = residual_spectrum(pm.a, out.u, "left")
+        res = residual_spectrum(pm.a, out.u, "left", 4)
         rep = residual_ratio_bounds(res, spec, 4)
-        res_c = residual_spectrum(1e4 * pm.a, out.u, "left")
+        res_c = residual_spectrum(1e4 * pm.a, out.u, "left", 4)
         scaled = Spectrum(spec.values * 1e4, spec.declared_rank)
         rep_c = residual_ratio_bounds(res_c, scaled, 4)
         assert np.allclose(rep.values, rep_c.values, rtol=1e-10)
