@@ -17,6 +17,7 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -95,7 +96,10 @@ def _cmd_balance(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    values = np.loadtxt(args.spectrum, ndmin=1)
+    with warnings.catch_warnings():
+        # an empty file: Spectrum rejects the empty array in one line below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        values = np.loadtxt(args.spectrum, ndmin=1)
     spec = Spectrum.from_values(np.sort(values)[::-1])
     # as in balance, the trials go to every usable CPU without a flag
     report = unbiased_estimate(spec, args.k, args.l, args.q, args.trials,

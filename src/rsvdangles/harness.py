@@ -24,7 +24,7 @@ import numpy as np
 
 from .angles import canonical_sines
 from .estimator import unbiased_estimate
-from .linalg import Spectrum, svd_full
+from .linalg import _EPS, Spectrum, svd_full
 from .matgen import (gaussian_decay_in_left_basis, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
@@ -235,7 +235,7 @@ def build_matrix(desc: dict):
 
 
 def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
-    tol = max(a.shape) * np.finfo(np.float64).eps * sigma[0]
+    tol = max(a.shape) * _EPS * sigma[0]
     return Spectrum.from_values(np.where(sigma > tol, sigma, 0.0))
 
 

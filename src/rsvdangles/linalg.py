@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -128,6 +129,43 @@ def svd_full(m) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
+def _certified_full_rank(r: np.ndarray) -> bool:
+    """True only if sigma_min(r) / sigma_max(r) >= sqrt(2 (l + 1) eps) for
+    the l-by-l triangle r, far above the 1e-12 at which ``sv_x_pinv`` raises.
+
+    Dividing r by its largest |entry| gives r~ with entries in [-1, 1], so
+    the Gram G = fl(r~^T r~) cannot overflow, T = trace(G) >= 1, and
+    underflow costs an absolute 1e-320 or so. With u = eps / 2: the division
+    moves each singular value by at most u ||r~||_F; G = r~^T r~ + E with
+    ||E||_2 <= gamma_l ||r~||_F^2 and ||r~||_F^2 <= T / (1 - gamma_l), as
+    each entry is a dot product of length l (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., sec. 3.5). If the Cholesky
+    factorization of A = fl(G - tau I) completes, its computed factor C has
+    C^T C = A + F with |F| <= gamma_{l+1} |C^T| |C| (Higham, Thm 10.3), so
+    ||F||_2 <= gamma_{l+1} trace(C^T C) <= gamma_{l+1} (1 + u) T / (1 -
+    gamma_{l+1}), and A + F is positive semidefinite. By Weyl's inequality
+    lambda_min(r~^T r~) >= tau - u T - ||F||_2 - ||E||_2, where u T bounds
+    the rounding of A's diagonal; the three terms sum to (l + 1) eps T to
+    first order. tau = 4 (l + 1) eps T leaves sigma_min(r~)^2 >=
+    3 (l + 1) eps T against sigma_max(r~)^2 <= T / (1 - gamma_l), and the
+    division's u ||r~||_F takes far less than the step from 3 to 2. The
+    values-only SVD errs by p(l) eps sigma_max(r), with LAPACK's modestly
+    growing p, so the dense check could not have raised.
+    """
+    top = float(np.abs(r).max())
+    if not 0.0 < top < np.inf:
+        return False
+    rt = r / top
+    g = rt.T @ rt
+    l = r.shape[1]
+    g.flat[::l + 1] -= 4.0 * (l + 1) * _EPS * float(np.trace(g))  # tau
+    try:
+        np.linalg.cholesky(g)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def sv_x_pinv(x, y) -> np.ndarray:
     """Singular values of x @ pinv(y) for a tall y of full column rank.
 
@@ -135,7 +173,9 @@ def sv_x_pinv(x, y) -> np.ndarray:
     orthonormal rows, so the values are those of solve(R.T, x.T): one QR of
     the tall block, one small solve and one values-only SVD. Raises
     ValueError("rank deficient y") when the smallest singular value of y is
-    at most 1e-12 times its largest.
+    at most 1e-12 times its largest. A scaled Gram-Cholesky test
+    (``_certified_full_rank``) settles that first wherever y is far from
+    the limit; only where it fails does a values-only SVD of R decide.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -144,8 +184,8 @@ def sv_x_pinv(x, y) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise ValueError("x and y column counts differ")
     r = np.linalg.qr(y, mode="r")
-    s = np.linalg.svd(r, compute_uv=False)
-    if s[-1] <= 1e-12 * s[0]:
-        raise ValueError("rank deficient y")
+    if not _certified_full_rank(r):
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
+            raise ValueError("rank deficient y")
     return np.linalg.svd(np.linalg.solve(r.T, x.T), compute_uv=False)
-

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, as_matrix
+from .linalg import _EPS, Spectrum, as_matrix
 from .prior_bounds import BoundReport, make_report
 from .rsvd import RsvdOutput
 
@@ -53,7 +53,6 @@ class ResidualStats:
     sigma_hat_next: float
 
 
-_EPS = float(np.finfo(np.float64).eps)
 # The Gram route is taken only while its margin delta stays below
 # sqrt(eps) * lambda_k. A certified value sqrt(lambda_i + delta) then exceeds
 # the exact one, which is at least sqrt(lambda_i - delta), by a relative

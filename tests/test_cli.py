@@ -134,7 +134,7 @@ TINY_ESTIMATE = ("--k", "3", "--l", "6", "--q", "1", "--trials", "60", "--seed",
 
 def write_spectrum(tmp_path, values=np.geomspace(3.0, 0.5, 16)):
     path = tmp_path / "spec.txt"
-    path.write_text("\n".join(f"{v:.17g}" for v in values) + "\n")
+    path.write_text("".join(f"{v:.17g}\n" for v in values))
     return path
 
 
@@ -157,6 +157,8 @@ def test_estimate_output_does_not_depend_on_workers(tmp_path, monkeypatch, capsy
     pytest.param([1e200, 1e-100, 1e-120, 1e-140, 1e-160], ["--k", "1", "--l", "2", "--q", "3"],
                  "power weights overflow double precision: sigma_1/sigma_2 = 1e+300"
                  " to the power 7", id="power_weight_overflow"),
+    pytest.param([], ["--k", "1", "--l", "2"], "spectrum must be a nonempty 1-d array",
+                 id="empty_file"),
 ])
 def test_estimate_rejects_unusable_input_in_one_line(tmp_path, values, flags, message):
     res = run_cli("estimate", str(write_spectrum(tmp_path, values)), *flags)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, ortho,
                                seeded_rng, sv_x_pinv, svd_full)
@@ -82,14 +82,28 @@ class TestSvdFull:
 
 
 class TestSvXPinv:
+    @staticmethod
+    def dense_reference(x, y):
+        """The rank check by a values-only SVD of R alone, as it stood
+        before the Gram-Cholesky certificate."""
+        r = np.linalg.qr(y, mode="r")
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[-1] <= 1e-12 * s[0]:
+            raise ValueError("rank deficient y")
+        return np.linalg.svd(np.linalg.solve(r.T, x.T), compute_uv=False)
+
+    @staticmethod
+    def conditioned_y(seed, m, n, cond, scale):
+        rng = seeded_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return rng, (u * np.geomspace(scale, scale / cond, n)) @ v.T
+
     @pytest.mark.parametrize("cond", [1.0, 1e4, 1e8])
     @pytest.mark.parametrize("shape", [(40, 10, 3), (60, 20, 20), (30, 30, 5), (80, 15, 25)])
     def test_matches_explicit_pseudo_inverse(self, cond, shape):
         m, n, p = shape
-        rng = seeded_rng(int(np.log10(cond)) * 100 + m)
-        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
-        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
-        y = (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+        rng, y = self.conditioned_y(int(np.log10(cond)) * 100 + m, m, n, cond, 1.0)
         x = rng.standard_normal((p, n))
         expect = np.linalg.svd(x @ np.linalg.pinv(y), compute_uv=False)
         got = sv_x_pinv(x, y)
@@ -107,6 +121,44 @@ class TestSvXPinv:
             sv_x_pinv(rng.standard_normal((3, 5)), y)
         with pytest.raises(ValueError, match="rank deficient"):
             sv_x_pinv(np.ones((3, 5)), np.zeros((20, 5)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
+           extra_rows=st.integers(0, 20), p=st.integers(1, 8),
+           log_cond=st.one_of(st.floats(0.0, 16.0), st.floats(11.0, 13.0)),
+           log_scale=st.one_of(st.floats(-200.0, 200.0), st.floats(150.0, 200.0),
+                               st.floats(-200.0, -150.0)))
+    # unscaled, the Gram of y's triangle overflows at 1e170 and underflows
+    # at 1e-170
+    @example(seed=1, n=12, extra_rows=3, p=2, log_cond=13.0, log_scale=170.0)
+    @example(seed=2, n=12, extra_rows=3, p=2, log_cond=1.0, log_scale=-170.0)
+    def test_agrees_with_dense_rank_check(self, seed, n, extra_rows, p,
+                                          log_cond, log_scale):
+        rng, y = self.conditioned_y(seed, n + extra_rows, n, 10.0**log_cond,
+                                    10.0**log_scale)
+        x = rng.standard_normal((p, n))
+        try:
+            expect = self.dense_reference(x, y)
+        except ValueError:
+            with pytest.raises(ValueError, match="rank deficient y"):
+                sv_x_pinv(x, y)
+        else:
+            assert sv_x_pinv(x, y).tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("cond, svd_calls", [(1e3, 1), (1e10, 2)])
+    def test_dense_check_runs_only_as_fallback(self, monkeypatch, cond, svd_calls):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        rng, y = self.conditioned_y(11, 60, 20, cond, 1.0)
+        x = rng.standard_normal((5, 20))
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        sv_x_pinv(x, y)
+        assert len(calls) == svd_calls
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="at least as many rows"):
