@@ -24,8 +24,8 @@ import numpy as np
 
 from .angles import canonical_sines
 from .estimator import unbiased_estimate
-from .linalg import _EPS, Spectrum, svd_full
-from .matgen import (gaussian_decay_in_left_basis, gen_gaussian_decay, gen_snn,
+from .linalg import _EPS, Spectrum, ortho, svd_full
+from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
 from .mmio import read_matrix
@@ -33,7 +33,7 @@ from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
 from .prior_bounds import (sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
-from .rsvd import SketchConfig, rsvd
+from .rsvd import SketchConfig, gaussian_sketch, rsvd
 from .workers import _share
 
 SCHEMA_VERSION = 1
@@ -470,16 +470,28 @@ def _balance_trial(cfg: BalanceConfig, spec: Spectrum, head: np.ndarray,
     """The largest sine of one (q, l, trial) of the balance study, against
     ``head`` = e_1..e_k.
 
-    The trial runs rsvd on B = Sigma V^T = U^T a instead of the planted
-    a = U Sigma V^T, with the same sketch, and measures against e_1..e_k
-    instead of U_k: the stabilized rsvd commutes with the orthogonal U, and
-    canonical angles do not change under it, so the sines agree to rounding.
+    The trial plants a = U Sigma V^T and would run rsvd on it with the sketch
+    omega, measuring against U_k. It runs in both singular bases instead.
+    On the left, the stabilized iteration commutes with the orthogonal U, and
+    canonical angles do not change under it, so B = Sigma V^T and e_1..e_k
+    give the same sines. On the right, B B^T = Sigma^2 and
+    ortho(V Sigma x) = V ortho(Sigma x) D with D a diagonal of signs, so
+    ortho(B omega) and ortho(B ortho(B^T x)) span what ortho(Sigma y) and
+    ortho(Sigma ortho(Sigma x)) span, for y = V^T omega; the sines depend
+    only on that span. y comes from one QR of [right block | omega]
+    (``gaussian_decay_right_sketch``), so neither V nor a is formed, and no
+    r-by-r product or final SVD runs. The sines agree to rounding.
     """
     q, l, trial = task
     r = cfg.size
-    b = gaussian_decay_in_left_basis(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial)
-    out = rsvd(b, SketchConfig(cfg.k, l, q, cfg.seed + 200_000 * (q + 1) + trial))
-    return float(canonical_sines(out.u, head)[-1])
+    omega = gaussian_sketch(r, l, cfg.seed + 200_000 * (q + 1) + trial)
+    y = gaussian_decay_right_sketch(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
+                                    omega)
+    s = spec.values[:r, None]
+    x = ortho(s * y)
+    for _ in range(q):
+        x = ortho(s * ortho(s * x))
+    return float(canonical_sines(x, head)[-1])
 
 
 def emit_balance_csv(rows: list[dict], path) -> None:

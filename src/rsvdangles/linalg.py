@@ -131,7 +131,8 @@ def svd_full(m) -> SvdFactors:
 
 def _certified_full_rank(r: np.ndarray) -> bool:
     """True only if sigma_min(r) / sigma_max(r) >= sqrt(2 (l + 1) eps) for
-    the l-by-l triangle r, far above the 1e-12 at which ``sv_x_pinv`` raises.
+    the finite l-by-l triangle r, far above the 1e-12 at which ``sv_x_pinv``
+    raises.
 
     Dividing r by its largest |entry| gives r~ with entries in [-1, 1], so
     the Gram G = fl(r~^T r~) cannot overflow, T = trace(G) >= 1, and
@@ -153,7 +154,7 @@ def _certified_full_rank(r: np.ndarray) -> bool:
     growing p, so the dense check could not have raised.
     """
     top = float(np.abs(r).max())
-    if not 0.0 < top < np.inf:
+    if top == 0.0:
         return False
     rt = r / top
     g = rt.T @ rt
@@ -173,9 +174,11 @@ def sv_x_pinv(x, y) -> np.ndarray:
     orthonormal rows, so the values are those of solve(R.T, x.T): one QR of
     the tall block, one small solve and one values-only SVD. Raises
     ValueError("rank deficient y") when the smallest singular value of y is
-    at most 1e-12 times its largest. A scaled Gram-Cholesky test
-    (``_certified_full_rank``) settles that first wherever y is far from
-    the limit; only where it fails does a values-only SVD of R decide.
+    at most 1e-12 times its largest, and ValueError naming the overflow
+    when a finite y has column norms beyond the float range, so that R is
+    not finite. A scaled Gram-Cholesky test (``_certified_full_rank``)
+    settles the rank first wherever y is far from the limit; only where it
+    fails does a values-only SVD of R decide.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -184,6 +187,8 @@ def sv_x_pinv(x, y) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise ValueError("x and y column counts differ")
     r = np.linalg.qr(y, mode="r")
+    if not np.isfinite(r).all():
+        raise ValueError("y overflows: its QR factor R is not finite")
     if not _certified_full_rank(r):
         s = np.linalg.svd(r, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:

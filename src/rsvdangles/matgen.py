@@ -53,18 +53,26 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
     return PlantedMatrix(a, SvdFactors(u, sigma, v), name)
 
 
-def gaussian_decay_in_left_basis(m: int, n: int, spectrum: Spectrum,
-                                 seed: int) -> np.ndarray:
-    """sigma[:, None] * v.T for the factors of gen_gaussian_decay(m, n,
-    spectrum, seed): its matrix a = u @ (that r-by-n block), written in the
-    basis u of its left singular vectors.
+def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
+                                omega: np.ndarray) -> np.ndarray:
+    """v.T @ omega for the factors of gen_gaussian_decay(m, n, spectrum,
+    seed), with neither v nor a formed.
 
-    The left block is drawn, so that the stream and v stay the same, but it
-    is not orthonormalized, and a is never formed.
+    The Householder reflectors of the QR of the n-by-r Gaussian block that
+    gen_gaussian_decay orthonormalizes into v, applied to omega, give
+    Q.T @ omega, whose first r rows are v.T @ omega. One QR of [block | omega]
+    leaves them in the last columns of R, as least squares applies Q.T to b
+    (Golub & Van Loan, Matrix Computations, 4th ed., secs. 5.2-5.3). The
+    left block is drawn and dropped, so that the stream and v stay the same.
+    Raises ValueError("rank deficient sketch") where ortho would for v.
     """
     r = spectrum.declared_rank
-    _, right = _planted_draws(m, n, r, seed)
-    return spectrum.values[:r, None] * ortho(right).T
+    stacked = np.hstack([_planted_draws(m, n, r, seed)[1], omega])
+    norm = np.linalg.norm(stacked[:, :r])
+    factor = np.linalg.qr(stacked, mode="r")
+    if np.abs(np.diag(factor[:, :r])).min() <= 1e-12 * norm:
+        raise ValueError("rank deficient sketch")
+    return factor[:r, r:].copy()
 
 
 def spectrum_slower(r: int, r1: int) -> Spectrum:

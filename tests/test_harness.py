@@ -416,20 +416,23 @@ class TestBalanceSweep:
 
     def test_trials_match_rsvd_of_the_planted_matrix(self):
         # the oracle plants a = U Sigma V^T, runs rsvd on a and measures
-        # against U_k; the sweep runs on Sigma V^T. A stream that skipped the
-        # left draw would plant another V and miss by far more than rounding.
-        cfg = tiny_balance()
-        spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
-        rows = {(r["q"], r["trial"]): r for r in balance_sweep(cfg)}
-        for q in (0, 1, 3):
-            for trial in range(cfg.trials):
-                pm = gen_gaussian_decay(cfg.size, cfg.size, spec,
-                                        cfg.seed + 100_000 * (q + 1) + trial)
-                row = rows[q, trial]
-                out = rsvd(pm.a, SketchConfig(cfg.k, row["l"], q,
-                                              cfg.seed + 200_000 * (q + 1) + trial))
-                sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
-                assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
+        # against U_k; the sweep iterates on the diagonal Sigma and V^T omega.
+        # A stream that skipped the left draw would plant another V and miss
+        # by far more than rounding.
+        for gap in (1.3, 1.01):
+            cfg = tiny_balance(gap=gap)
+            spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
+            rows = {(r["q"], r["trial"]): r for r in balance_sweep(cfg)}
+            assert feasible_powers(cfg) == [0, 1, 2, 3]
+            for q in feasible_powers(cfg):
+                for trial in range(cfg.trials):
+                    pm = gen_gaussian_decay(cfg.size, cfg.size, spec,
+                                            cfg.seed + 100_000 * (q + 1) + trial)
+                    row = rows[q, trial]
+                    out = rsvd(pm.a, SketchConfig(cfg.k, row["l"], q,
+                                                  cfg.seed + 200_000 * (q + 1) + trial))
+                    sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
+                    assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
 
     def test_parallel_execution_gives_identical_rows(self, monkeypatch):
         use_workers(monkeypatch, 1)

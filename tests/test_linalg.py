@@ -160,6 +160,13 @@ class TestSvXPinv:
         sv_x_pinv(x, y)
         assert len(calls) == svd_calls
 
+    def test_overflowing_column_norms_raise(self):
+        # finite entries, but the column norms of y exceed the float range
+        y = np.array([[1.7e308, -1.7e308], [-1.7e308, 1.7e308],
+                      [1.7e308, 1.7e308], [-1.7e308, -1.7e308]])
+        with pytest.raises(ValueError, match="overflow"):
+            sv_x_pinv(np.ones((3, 2)), y)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="at least as many rows"):
             sv_x_pinv(np.ones((2, 5)), np.ones((3, 5)))

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rsvdangles.angles import canonical_sines
-from rsvdangles.linalg import Spectrum, svd_full
-from rsvdangles.matgen import (gaussian_decay_in_left_basis, gen_gaussian_decay,
+from rsvdangles import matgen
+from rsvdangles.linalg import Spectrum, seeded_rng, svd_full
+from rsvdangles.matgen import (gaussian_decay_right_sketch, gen_gaussian_decay,
                                gen_snn, gen_step_spectrum, load_mnist,
                                spectrum_faster, spectrum_slower)
 
@@ -43,14 +44,26 @@ class TestGaussianDecay:
         with pytest.raises(ValueError, match="declared rank"):
             gen_gaussian_decay(5, 5, spectrum_slower(10, 2), seed=0)
 
-    def test_left_basis_form_shares_the_draw(self):
-        # the same stream gives the same v, bit for bit
+    def test_right_sketch_is_v_transpose_omega(self, monkeypatch):
         spec = spectrum_slower(30, 4)
         pm = gen_gaussian_decay(40, 35, spec, seed=5)
-        b = gaussian_decay_in_left_basis(40, 35, spec, seed=5)
-        assert np.array_equal(b, pm.factors.sigma[:, None] * pm.factors.v.T)
+        omega = seeded_rng(9).standard_normal((35, 6))
+        want = pm.factors.v.T @ omega
+        got = gaussian_decay_right_sketch(40, 35, spec, 5, omega)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        # a stream that skipped the left draw would plant another v
+        monkeypatch.setattr(matgen, "_planted_draws", lambda m, n, r, seed:
+                            (None, seeded_rng(seed).standard_normal((n, r))))
+        skipped = gaussian_decay_right_sketch(40, 35, spec, 5, omega)
+        assert np.linalg.norm(skipped - want) > 0.1 * np.linalg.norm(want)
+
+    def test_right_sketch_checks_rank(self, monkeypatch):
         with pytest.raises(ValueError, match="declared rank"):
-            gaussian_decay_in_left_basis(5, 5, spectrum_slower(10, 2), seed=0)
+            gaussian_decay_right_sketch(5, 5, spectrum_slower(10, 2), 0, np.ones((5, 1)))
+        monkeypatch.setattr(matgen, "_planted_draws",
+                            lambda m, n, r, seed: (None, np.ones((n, r))))
+        with pytest.raises(ValueError, match="rank deficient sketch"):
+            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, np.ones((8, 2)))
 
 
 class TestSpectrumFamilies:
