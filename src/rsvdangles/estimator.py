@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum, sv_x_pinv
-from .prior_bounds import power_exponent
+from .prior_bounds import TailTooShort, WeightsOverflow, power_exponent
 from .rsvd import gaussian_sketch
 from .workers import _share
 
@@ -51,7 +51,8 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
 
     Space-agnostic: depends only on (spectrum, k, l, q, side, seed,
     n_trials). Requires r - k >= l so the weighted tail block has full
-    column rank; otherwise raises ValueError("tail too short for estimator").
+    column rank; otherwise raises TailTooShort("tail too short for estimator"),
+    and WeightsOverflow where the power weights overflow, before any trial.
     The trials run in blocks of ``TRIAL_BLOCK``, shared by at most ``jobs``
     workers (see ``workers._share``); the report does not depend on the
     worker count.
@@ -64,7 +65,7 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         raise ValueError("q must be >= 0")
     r = spectrum.declared_rank
     if r - k < l:
-        raise ValueError("tail too short for estimator")
+        raise TailTooShort("tail too short for estimator")
     p = power_exponent(q, side) / 2.0  # 2q+1 left, 2q+2 right
     # normalize by sigma_{k+1}: the nu values are scale invariant. The top
     # weights still overflow where sigma_1/sigma_{k+1} is large for the
@@ -75,8 +76,8 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         top_w = head ** p
         tail_w = (spectrum.tail(k) / scale) ** p
     if not (np.isfinite(top_w).all() and np.isfinite(tail_w).all()):
-        raise ValueError(f"power weights overflow double precision: sigma_1/sigma_{k + 1}"
-                         f" = {head[0]:.3g} to the power {p:g}")
+        raise WeightsOverflow("power weights overflow double precision:"
+                              f" sigma_1/sigma_{k + 1} = {head[0]:.3g} to the power {p:g}")
     blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
               for start in range(0, n_trials, TRIAL_BLOCK)]
     per_trial = np.concatenate(
@@ -102,8 +103,10 @@ def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
         try:
             nu = sv_x_pinv(w1, w2)
         except ValueError:
-            raise ValueError("tail too short for estimator") from None
-        out[row] = 1.0 / np.sqrt(1.0 + nu**2)
+            raise TailTooShort("tail too short for estimator") from None
+        # past nu = 1e154, nu**2 overflows and the sine (< 1e-154) flushes to 0
+        with np.errstate(over="ignore"):
+            out[row] = 1.0 / np.sqrt(1.0 + nu**2)
     return out
 
 

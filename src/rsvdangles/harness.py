@@ -6,10 +6,10 @@ true canonical sines and every bound/estimate family, each evaluated against
 both the true spectrum and the padded approximated spectrum, as one CSV row
 per (matrix, side, k, l, q, seed, i, kind, spectrum_source, value, status).
 
-Per-bound failures (violated gap assumptions, tails too short for the
-estimator or the lower bound) are recorded in the status column and never
-abort a sweep; a grid entry that cannot run (l above rank(A), which is at
-most min(m, n), or upper_c * sqrt(k/l) >= 1) is rejected before any run.
+A bound family that raises a ``BoundFailure`` gets NaN rows with the
+failure's ``status`` and never aborts a sweep; any other exception does. A
+grid entry that cannot run (l above rank(A), which is at most min(m, n), or
+upper_c * sqrt(k/l) >= 1) is rejected before any run.
 Re-running with an identical config reproduces identical CSV bytes.
 """
 
@@ -31,8 +31,9 @@ from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (sketch_ratio, space_agnostic_lower,
-                           space_agnostic_upper, subspace_aware_upper)
+from .prior_bounds import (BoundFailure, make_report, sketch_ratio,
+                           space_agnostic_lower, space_agnostic_upper,
+                           subspace_aware_upper)
 from .rsvd import SketchConfig, gaussian_sketch, rsvd
 from .workers import _share
 
@@ -41,8 +42,6 @@ CSV_HEADER = "matrix,side,k,l,q,seed,i,kind,spectrum_source,value,status"
 OUTDIR_ENV = "RSVDANGLES_OUTDIR"
 
 STATUS_OK = "ok"
-STATUS_GAP = "gap_violated"
-STATUS_TAIL = "tail_short"
 STATUS_TRIVIAL = "trivial_bound"
 
 
@@ -285,6 +284,14 @@ GAP_KINDS = ("gap_norm_rank_l", "gap_norm_rank_k",
              "gap_anglewise_rank_l", "gap_anglewise_rank_k")
 
 
+def _attempt(compute):
+    """``compute()``, or the BoundFailure it raised."""
+    try:
+        return compute()
+    except BoundFailure as exc:
+        return exc
+
+
 def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     """All rows of one (k, l, q, seed) run on a ``build_matrix`` tuple."""
     name, a, factors, true_spec, pad_rank, has_known = matrix
@@ -307,39 +314,31 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     rows: list[Row] = []
 
     for source, spec in (("true", true_spec), ("padded", padded)):
-        try:
-            gaps = gap_bounds(stats, spec, k)
-        except ValueError:
-            gaps = None
+        gaps = _attempt(lambda: gap_bounds(stats, spec, k))
         for side in cfg.sides:
             ctx = {"matrix": name, "side": side, "k": k, "l": l, "q": q, "seed": seed,
                    "spectrum_source": source}
-            reports = [space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c)]
             if source == "true":
                 basis = out.u if side == "left" else out.v
                 truth = (factors.u if side == "left" else factors.v)[:, :k]
                 rows += _rows(ctx, "true_angle", canonical_sines(basis, truth))
                 rows += _rows(ctx, "true_angle_rank_k", canonical_sines(basis[:, :k], truth))
-            try:
-                reports.append(space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c))
-            except ValueError:
-                rows += _rows(ctx, "space_agnostic_lower", nan, STATUS_TAIL)
+            reports = [space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
+                       residual_ratio_bounds(resids[side], spec, k, side)]
             if has_known:
                 reports.append(subspace_aware_upper(spec, ratio, k, q, side))
-            try:
-                est = unbiased_estimate(spec, k, l, q, cfg.estimator_trials, side, seed)
-                rows += _rows(ctx, "estimate", est.mean)
-            except ValueError:
-                rows += _rows(ctx, "estimate", nan, STATUS_TAIL)
-            try:
-                reports.append(residual_ratio_bounds(resids[side], spec, k, side))
-            except ValueError:
-                rows += _rows(ctx, "residual_ratio", nan, STATUS_TAIL)
-            if gaps is None:
-                for kind in GAP_KINDS:
-                    rows += _rows(ctx, kind, nan, STATUS_GAP)
-            else:
-                reports += [rep for rep in gaps if rep.side == side]
+            lower = _attempt(
+                lambda: [space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)])
+            est = _attempt(lambda: [make_report(unbiased_estimate(
+                spec, k, l, q, cfg.estimator_trials, side, seed).mean, "estimate", side)])
+            # a family whose assumptions the spectrum fails gets NaN rows of its kinds
+            for kinds, outcome in ((("space_agnostic_lower",), lower), (("estimate",), est),
+                                   (GAP_KINDS, gaps)):
+                if isinstance(outcome, BoundFailure):
+                    for kind in kinds:
+                        rows += _rows(ctx, kind, nan, outcome.status)
+                else:
+                    reports += [rep for rep in outcome if rep.side == side]
             for rep in reports:
                 rows += _rows(ctx, rep.kind, rep.values, trivial=rep.trivial)
     return rows

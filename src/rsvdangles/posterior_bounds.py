@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import _EPS, Spectrum, as_matrix
-from .prior_bounds import BoundReport, make_report
+from .prior_bounds import BoundReport, GapViolated, make_report
 from .rsvd import RsvdOutput
 
 
@@ -176,7 +176,7 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     gap_anglewise_rank_k (per-index variants), each for side "left"
     (comparing against the rank-l or rank-k left basis) and "right". The
     gaps are computed here from the sigma_k of ``spectrum``, so each
-    spectrum source gets its own. Raises when the gap assumptions fail.
+    spectrum source gets its own. Failed gap assumptions raise GapViolated.
     """
     if k > spectrum.size or k < 1:
         raise ValueError("k out of range for the spectrum")
@@ -184,7 +184,7 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     shat = stats.sigma_hat_next
     out2 = stats.resid_out_of_basis_2
     if sigma_k <= shat or sigma_k <= out2:
-        raise ValueError(
+        raise GapViolated(
             "gap assumption violated (sigma_k <= sigma_hat_{k+1} or sigma_k <= residual norm)")
     d_sigma = sigma_k**2 - shat**2
     d_resid = sigma_k**2 - out2**2

@@ -45,6 +45,33 @@ class BoundReport:
     side: str
 
 
+class BoundFailure(ValueError):
+    """A bound family's assumptions fail on this input; ``status`` names the
+    failure in the CSV. The subclasses take no custom ``__init__``, so they
+    pickle through a worker's reply unchanged."""
+
+    status: str
+
+
+class TailTooShort(BoundFailure):
+    """The tail beyond k is too short for the lower bound or the estimator."""
+
+    status = "tail_short"
+
+
+class GapViolated(BoundFailure):
+    """sigma_k does not exceed both sigma_hat_{k+1} and the out-of-basis
+    residual norm, as the gap certificates assume."""
+
+    status = "gap_violated"
+
+
+class WeightsOverflow(BoundFailure):
+    """The estimator's power weights overflow double precision."""
+
+    status = "weights_overflow"
+
+
 def make_report(raw, kind: str, side: str) -> BoundReport:
     raw = np.asarray(raw, dtype=np.float64)
     return BoundReport(np.clip(raw, 0.0, 1.0), raw > 1.0, kind, side)
@@ -72,10 +99,7 @@ def _logsumexp(x: np.ndarray) -> np.float64:
 def _bound_values(spectrum: Spectrum, k: int, l: float, p: float, mult: float) -> np.ndarray:
     """(1 + mult * l * sigma_i^p / sum_tail sigma^p)^(-1/2) for i = 1..k,
     ascending-angle order (position i pairs with sigma_i)."""
-    t = spectrum.tail(k)
-    if t.size == 0:
-        raise ValueError("empty tail")
-    log_tail = _logsumexp(p * np.log(t))
+    log_tail = _logsumexp(p * np.log(spectrum.tail(k)))
     top = np.log(spectrum.values[:k])
     term = math.log(mult) + math.log(l) + p * top - log_tail
     return np.exp(-0.5 * np.logaddexp(0.0, term))
@@ -121,7 +145,7 @@ def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, 
 
     Defaults to the doubled distortion multiplier c = 2, matching the
     aggressive-oversampling validation protocol. A tail distortion of exactly
-    1 makes the multiplier singular and raises ValueError("insufficient
+    1 makes the multiplier singular and raises TailTooShort("insufficient
     tail"); beyond 1 the concentration argument degrades and the reflected
     denominator |1 - tail| keeps the bound finite and conservative.
     """
@@ -129,7 +153,7 @@ def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, 
     eps_head, eps_tail = _distortions(spectrum, k, l, c)
     denom = abs(1.0 - eps_tail)
     if denom < 1e-12:
-        raise ValueError("insufficient tail")
+        raise TailTooShort("insufficient tail")
     p = power_exponent(q, side)
     mult = (1.0 + eps_head) / denom
     return make_report(_bound_values(spectrum, k, l, p, mult), "space_agnostic_lower", side)

@@ -21,11 +21,12 @@ import pytest
 
 from rsvdangles.angles import canonical_cosines, canonical_sines
 from rsvdangles.estimator import unbiased_estimate
-from rsvdangles.harness import (GAP_KINDS, PRESETS, STATUS_GAP, BalanceConfig,
-                                ExperimentConfig, balance_sweep, run_experiment)
+from rsvdangles.harness import (GAP_KINDS, PRESETS, BalanceConfig, ExperimentConfig,
+                                balance_sweep, run_experiment)
 from rsvdangles.linalg import Spectrum, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
-from rsvdangles.prior_bounds import space_agnostic_lower, space_agnostic_upper
+from rsvdangles.prior_bounds import (GapViolated, space_agnostic_lower,
+                                     space_agnostic_upper)
 from rsvdangles.rsvd import SketchConfig, rsvd
 
 K = 50
@@ -58,7 +59,7 @@ class Sweep:
             run = (r.matrix, r.l, r.q, r.seed)
             values.setdefault((*run, r.side, r.kind, r.spectrum_source),
                               []).append(r.value)
-            if r.status == STATUS_GAP and r.spectrum_source == "true":
+            if r.status == GapViolated.status and r.spectrum_source == "true":
                 self.gap_violated.add(run)
         self.values = {key: np.array(v) for key, v in values.items()}
         self.runs = sorted({key[:4] for key in self.values})

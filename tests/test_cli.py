@@ -157,6 +157,10 @@ def test_estimate_output_does_not_depend_on_workers(tmp_path, monkeypatch, capsy
     pytest.param([1e200, 1e-100, 1e-120, 1e-140, 1e-160], ["--k", "1", "--l", "2", "--q", "3"],
                  "power weights overflow double precision: sigma_1/sigma_2 = 1e+300"
                  " to the power 7", id="power_weight_overflow"),
+    # the tail of 50 is long enough for l = 20; (1e6 / 1) ** 61 overflows
+    pytest.param([1e6] * 5 + [1.0] * 50, ["--k", "5", "--l", "20", "--q", "30"],
+                 "power weights overflow double precision: sigma_1/sigma_6 = 1e+06"
+                 " to the power 61", id="step_weight_overflow"),
     pytest.param([], ["--k", "1", "--l", "2"], "spectrum must be a nonempty 1-d array",
                  id="empty_file"),
 ])
@@ -166,6 +170,16 @@ def test_estimate_rejects_unusable_input_in_one_line(tmp_path, values, flags, me
     assert res.stdout == ""
     # no warning and no traceback besides the one line
     assert res.stderr.splitlines() == [f"error: {message}"]
+
+
+def test_estimate_flushes_overflowing_nu_to_zero_silently(tmp_path):
+    # nu**2 overflows; the exact sines are about 1e-162
+    values = [1e6, 1e6, 1, 1, 1, 1, 1, 1]
+    res = run_cli("estimate", str(write_spectrum(tmp_path, values)),
+                  "--k", "2", "--l", "3", "--q", "13", "--trials", "2")
+    assert res.returncode == 0
+    assert res.stderr == ""
+    assert res.stdout.splitlines()[-2:] == ["1 0 0 0", "2 0 0 0"]
 
 
 def test_estimate_matches_library_call(tmp_path):
@@ -353,6 +367,38 @@ def test_estimate_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, ca
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
     assert_no_child_left()
+
+
+def test_bound_failure_in_estimate_worker_keeps_its_type(monkeypatch):
+    from rsvdangles import estimator
+    from rsvdangles.prior_bounds import TailTooShort
+
+    def raise_tail_too_short():
+        raise TailTooShort("tail too short for estimator")
+
+    fail_in_forked_workers(monkeypatch, estimator, "_estimate_block", raise_tail_too_short)
+    spec = Spectrum.from_values(np.geomspace(3.0, 0.5, 16))
+    with pytest.raises(TailTooShort, match="^tail too short for estimator$") as info:
+        unbiased_estimate(spec, 3, 6, 1, 60, "left", 5, jobs=2)
+    assert info.value.status == "tail_short"
+    assert_no_child_left()
+
+
+def test_plain_value_error_in_a_bound_ends_run_with_one_line(tmp_path, monkeypatch, capsys):
+    from rsvdangles import cli, harness
+
+    def fail(*args, **kwargs):
+        raise ValueError("not a bound failure")
+
+    # only a BoundFailure becomes a status; this error is not written as rows
+    monkeypatch.setattr(harness, "space_agnostic_lower", fail)
+    monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(RUN_CONFIG))
+    rc = cli.main(["run", str(cfg_path), "--outdir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == ["error: not a bound failure"]
+    assert not (tmp_path / "out" / "snn_tiny_bounds.csv").exists()
 
 
 def test_estimate_worker_that_dies_gives_one_error_line(tmp_path, monkeypatch, capsys):

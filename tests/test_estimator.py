@@ -8,19 +8,20 @@ from rsvdangles.estimator import (TRIAL_BLOCK, estimate_cost_model,
                                   unbiased_estimate)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (space_agnostic_lower,
+from rsvdangles.prior_bounds import (TailTooShort, WeightsOverflow,
+                                     space_agnostic_lower,
                                      space_agnostic_upper)
 
 
 class TestGuards:
     def test_zero_tail_beyond_k_cannot_be_estimated(self):
         spec = Spectrum.from_values([2.0, 1.0, 0.0, 0.0])
-        with pytest.raises(ValueError, match="tail too short for estimator"):
+        with pytest.raises(TailTooShort, match="tail too short for estimator"):
             unbiased_estimate(spec, k=2, l=2, q=0, n_trials=1, side="left", seed=0)
 
     def test_tail_shorter_than_sample_size_rejected(self):
         spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
-        with pytest.raises(ValueError, match="tail too short for estimator"):
+        with pytest.raises(TailTooShort, match="tail too short for estimator"):
             unbiased_estimate(spec, k=4, l=10, q=0, n_trials=1, side="left", seed=0)
 
     def test_trial_count_validation(self):
@@ -36,7 +37,7 @@ class TestGuards:
     @pytest.mark.filterwarnings("error")
     def test_power_weight_overflow_named_without_warning(self):
         spec = Spectrum.from_values([1e200, 1e-100, 1e-120, 1e-140, 1e-160])
-        with pytest.raises(ValueError, match="power weights overflow"):
+        with pytest.raises(WeightsOverflow, match="power weights overflow"):
             unbiased_estimate(spec, k=1, l=2, q=3, n_trials=1, side="left", seed=0)
 
 

@@ -1,16 +1,20 @@
 import json
+import math
 import os
+import tempfile
 import time
 import xml.etree.ElementTree as ET
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rsvdangles import workers
 from rsvdangles.angles import canonical_sines
-from rsvdangles.harness import (CSV_HEADER, BalanceConfig, ExperimentConfig,
-                                Panel, Row, Series, balance_panel,
-                                balance_sweep, build_matrix, emit_csv,
+from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
+                                ExperimentConfig, Panel, Row, Series,
+                                balance_panel, balance_sweep, build_matrix, emit_csv,
                                 emit_svg, experiment_panels, feasible_powers,
                                 fixed_budget_bound, pad_spectrum,
                                 run_experiment)
@@ -185,7 +189,7 @@ class TestRunExperiment:
 
     def test_statuses_come_from_fixed_vocabulary(self, rows):
         assert {r.status for r in rows} <= {"ok", "gap_violated", "tail_short",
-                                            "trivial_bound"}
+                                            "weights_overflow", "trivial_bound"}
         assert all(r.spectrum_source in ("true", "padded") for r in rows)
 
     def test_rerun_reproduces_identical_csv_bytes(self, rows, tmp_path):
@@ -258,6 +262,17 @@ class TestRunExperiment:
         assert est and all(r.status == "tail_short" for r in est)
         assert all(np.isnan(r.value) for r in est)
 
+    def test_weights_overflow_recorded_as_its_own_status(self):
+        # sigma_1/sigma_6 = 1e6 to the power 61 overflows, though r - k = 50
+        # leaves the estimator a tail longer than l
+        step = {"generator": "gaussian_decay", "m": 60, "n": 60,
+                "spectrum": {"kind": "step", "k": 5, "beta": 10, "gap": 1e6}}
+        out = run_experiment(ExperimentConfig(matrix=step, grid=[(5, 20, 30)], n_seeds=2))
+        est = [r for r in out if r.kind == "estimate"]
+        assert len(est) == 40
+        assert all(r.status == "weights_overflow" and np.isnan(r.value) for r in est)
+        assert all(r.status == "ok" for r in out if r.kind != "estimate")
+
     def test_full_width_run_degenerates_cleanly(self):
         cfg = tiny_config(grid=[(5, 40, 0)], n_seeds=1)
         out = run_experiment(cfg)
@@ -280,6 +295,91 @@ class TestRunExperiment:
                 for m, side, k, l, q, seed, i, kind, src, _, _
                 in (line.split(",") for line in lines)]
         assert keys == sorted(keys)
+
+
+# the kinds that may carry each failure status
+FAILURE_KINDS = {"gap_violated": set(GAP_KINDS),
+                 "tail_short": {"space_agnostic_lower", "estimate"},
+                 "weights_overflow": {"estimate"}}
+
+
+@st.composite
+def small_configs(draw):
+    """ExperimentConfig keywords of a valid small sweep: a gaussian_decay
+    matrix with a slower, faster or step spectrum, or an snn matrix, with
+    8 to 40 rows and columns, and q up to 40."""
+    m, n = draw(st.integers(8, 40)), draw(st.integers(8, 40))
+    kind = draw(st.sampled_from(["slower", "faster", "step", "snn"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "snn":
+        desc = {"generator": "snn", "m": m, "n": n, "r1": draw(st.integers(1, min(m, n))),
+                "a": draw(st.floats(1.0, 100.0)), "density": draw(st.floats(0.1, 1.0)),
+                "seed": seed}
+    elif kind == "step":
+        head = draw(st.integers(1, min(m, n) // 2))
+        spec = {"kind": "step", "k": head, "beta": draw(st.integers(1, min(m, n) // head - 1)),
+                "gap": draw(st.floats(0.0, 8.0).map(lambda e: 10.0 ** e))}
+        desc = {"generator": "gaussian_decay", "m": m, "n": n, "spectrum": spec, "seed": seed}
+    else:
+        r = draw(st.integers(2, min(m, n)))
+        desc = {"generator": "gaussian_decay", "m": m, "n": n, "seed": seed,
+                "spectrum": {"kind": kind, "r": r, "r1": draw(st.integers(1, r))}}
+    rank = build_matrix(desc)[3].declared_rank
+    assume(rank >= 2)
+    grid = []
+    for _ in range(draw(st.integers(1, 2))):
+        l = draw(st.integers(2, rank))
+        grid.append((draw(st.integers(1, l - 1)), l, draw(st.integers(0, 40))))
+    return {"matrix": desc, "grid": grid,
+            "sides": draw(st.sampled_from([("left",), ("right",), ("left", "right")])),
+            "estimator_trials": draw(st.integers(1, 2)), "n_seeds": draw(st.integers(1, 2)),
+            "base_seed": draw(st.integers(0, 1000))}
+
+
+def csv_bytes(rows) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "rows.csv")
+        emit_csv(rows, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+def slower_40(r1: int) -> dict:
+    return {"generator": "gaussian_decay", "m": 40, "n": 40,
+            "spectrum": {"kind": "slower", "r": 40, "r1": r1}, "seed": 3}
+
+
+def contract_example(matrix: dict, grid: list) -> dict:
+    return {"matrix": matrix, "grid": grid, "sides": ("left", "right"),
+            "estimator_trials": 2, "n_seeds": 2, "base_seed": 0}
+
+
+class TestStatusContract:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(small_configs())
+    # tail_short: r - k = 35 < l = 36 for the estimator, and a tail
+    # distortion 2 sqrt(9 / 36) of exactly 1 for the lower bound
+    @example(contract_example(slower_40(5), [(5, 36, 0), (4, 9, 0)]))
+    # gap_violated: sigma_5 = sigma_6 = 1 on a flat head of 20
+    @example(contract_example(slower_40(20), [(5, 10, 0)]))
+    # weights_overflow: sigma_1/sigma_3 = 1e6 to the power 61
+    @example(contract_example(
+        {"generator": "gaussian_decay", "m": 12, "n": 10,
+         "spectrum": {"kind": "step", "k": 2, "beta": 4, "gap": 1e6}}, [(2, 4, 30)]))
+    def test_each_failure_is_recorded_as_its_status(self, kwargs):
+        rows = run_experiment(ExperimentConfig(**kwargs))
+        gap_failed = {}  # (run, side, source) -> whether each gap kind failed
+        for r in rows:
+            assert math.isnan(r.value) == (r.status in FAILURE_KINDS), r
+            assert r.status in ("ok", "trivial_bound") or r.kind in FAILURE_KINDS[r.status], r
+            if r.kind in GAP_KINDS:
+                gap_failed.setdefault((r.k, r.l, r.q, r.seed, r.side, r.spectrum_source),
+                                      set()).add(r.status == "gap_violated")
+        assert all(len(failed) == 1 for failed in gap_failed.values())
+        first = csv_bytes(rows)
+        assert csv_bytes(run_experiment(ExperimentConfig(**kwargs))) == first
+        with mock.patch.object(workers, "_usable_workers", lambda: 2):
+            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
 
 
 class TestExperimentConfig:

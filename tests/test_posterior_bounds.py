@@ -10,6 +10,7 @@ from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
                                          residual_blocks,
                                          residual_ratio_bounds,
                                          residual_spectrum)
+from rsvdangles.prior_bounds import GapViolated
 from rsvdangles.rsvd import RsvdOutput, SketchConfig, rsvd
 
 
@@ -224,7 +225,7 @@ class TestResidualBlocks:
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
         spec = Spectrum.from_values([0.9, 0.5, 0.25, 0.1])  # sigma_k below both norms
-        with pytest.raises(ValueError, match="gap assumption violated"):
+        with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
 
 
@@ -274,7 +275,7 @@ class TestGapBounds:
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
         spec = Spectrum.from_values([1.5, 1.0, 0.5, 0.25])  # sigma_k below sigma_hat_next
-        with pytest.raises(ValueError, match="gap assumption violated"):
+        with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
 
     def test_scale_invariance(self):

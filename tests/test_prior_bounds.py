@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import Spectrum, seeded_rng
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (make_report, power_exponent, sketch_ratio,
+from rsvdangles.prior_bounds import (BoundFailure, GapViolated, TailTooShort,
+                                     WeightsOverflow, make_report,
+                                     power_exponent, sketch_ratio,
                                      space_agnostic_lower,
                                      space_agnostic_upper,
                                      subspace_aware_envelope,
@@ -103,7 +106,7 @@ class TestLowerBound:
 
     def test_tail_distortion_of_exactly_one_is_singular(self):
         spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
-        with pytest.raises(ValueError, match="insufficient tail"):
+        with pytest.raises(TailTooShort, match="insufficient tail"):
             space_agnostic_lower(spec, 1, 4, 0, "left", c=1.0)
 
     def test_reflected_branch_beyond_one_stays_finite(self):
@@ -243,3 +246,15 @@ def test_report_clamping_marks_trivial_indices():
     rep = make_report(np.array([0.5, 1.2]), "space_agnostic_upper", "left")
     assert np.array_equal(rep.values, [0.5, 1.0])
     assert np.array_equal(rep.trivial, [False, True])
+
+
+@pytest.mark.parametrize("cls, status", [(TailTooShort, "tail_short"),
+                                         (GapViolated, "gap_violated"),
+                                         (WeightsOverflow, "weights_overflow")])
+def test_bound_failures_pickle_with_type_status_and_message(cls, status):
+    # a failure raised in a forked worker crosses the pool's pipe pickled
+    exc = pickle.loads(pickle.dumps(cls("raised in a worker process")))
+    assert type(exc) is cls
+    assert isinstance(exc, BoundFailure) and isinstance(exc, ValueError)
+    assert exc.status == status
+    assert str(exc) == "raised in a worker process"
