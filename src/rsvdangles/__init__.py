@@ -31,8 +31,7 @@ from .mmio import read_matrix, write_matrix
 from .posterior_bounds import (ResidualStats, gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
 from .prior_bounds import (BoundReport, sketch_ratio, space_agnostic_lower,
-                           space_agnostic_upper, subspace_aware_envelope,
-                           subspace_aware_upper)
+                           space_agnostic_upper, subspace_aware_upper)
 from .rsvd import RsvdOutput, SketchConfig, gaussian_sketch, rsvd
 
 __version__ = "0.1.0"
@@ -48,7 +47,7 @@ __all__ = [
     "read_matrix", "residual_blocks", "residual_ratio_bounds",
     "residual_spectrum", "rsvd", "run_experiment", "seeded_rng",
     "sketch_ratio", "space_agnostic_lower", "space_agnostic_upper",
-    "spectrum_faster", "spectrum_slower", "subspace_aware_envelope",
-    "subspace_aware_upper", "sv_x_pinv", "svd_full",
+    "spectrum_faster", "spectrum_slower", "subspace_aware_upper",
+    "sv_x_pinv", "svd_full",
     "unbiased_estimate", "write_matrix",
 ]

@@ -104,10 +104,16 @@ def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
             nu = sv_x_pinv(w1, w2)
         except ValueError:
             raise TailTooShort("tail too short for estimator") from None
-        # past nu = 1e154, nu**2 overflows and the sine (< 1e-154) flushes to 0
-        with np.errstate(over="ignore"):
-            out[row] = 1.0 / np.sqrt(1.0 + nu**2)
+        out[row] = sines_from_nu(nu)
     return out
+
+
+def sines_from_nu(nu):
+    """The sines 1 / sqrt(1 + nu^2) of singular values nu of
+    weighted_top @ pinv(weighted_tail)."""
+    # past nu = 1e154, nu**2 overflows and the sine (< 1e-154) flushes to 0
+    with np.errstate(over="ignore"):
+        return 1.0 / np.sqrt(1.0 + nu**2)
 
 
 def estimate_cost_model(r: int, l: int, n_trials: int) -> int:

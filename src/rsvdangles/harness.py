@@ -23,8 +23,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .angles import canonical_sines
-from .estimator import unbiased_estimate
-from .linalg import _EPS, Spectrum, ortho, svd_full
+from .estimator import sines_from_nu, unbiased_estimate
+from .linalg import _EPS, Spectrum, sv_x_pinv, svd_full
 from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
@@ -407,8 +407,9 @@ class BalanceConfig:
             raise ValueError("budget admits no feasible q")
         if self.gap < 1.0:
             raise ValueError("gap must be >= 1")
-        if self.budget_factor > 1.0 + self.tail_factor:
-            raise ValueError("budget exceeds the matrix size")
+        if self.budget_factor > self.tail_factor:
+            # so l <= r - k: a trial's tail block y_2 is at least as tall as wide
+            raise ValueError("config value must be <= tail_factor: budget_factor")
         tail = self.tail_factor * self.k
         if abs(tail - round(tail)) > 1e-9:
             raise ValueError("(1 + tail_factor) * k must be integral")
@@ -457,40 +458,34 @@ def balance_sweep(cfg: BalanceConfig) -> list[dict]:
         return [{**base, "trial": -1, "largest_sine": float("nan")} for base in curve]
     pairs = [(base, trial) for base in curve for trial in range(cfg.trials)]
     spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
-    head = np.eye(cfg.size, cfg.k)
     tasks = [(base["q"], base["l"], trial) for base, trial in pairs]
-    sines = _share(_balance_trial, (cfg, spec, head), tasks, len(tasks))
+    sines = _share(_balance_trial, (cfg, spec), tasks, len(tasks))
     return [{**base, "trial": trial, "largest_sine": sine}
             for (base, trial), sine in zip(pairs, sines)]
 
 
-def _balance_trial(cfg: BalanceConfig, spec: Spectrum, head: np.ndarray,
-                   task) -> float:
-    """The largest sine of one (q, l, trial) of the balance study, against
-    ``head`` = e_1..e_k.
+def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
+    """The largest sine of one (q, l, trial) of the balance study: that of
+    rsvd of the planted a = U Sigma V^T with the sketch omega, against U_k.
 
-    The trial plants a = U Sigma V^T and would run rsvd on it with the sketch
-    omega, measuring against U_k. It runs in both singular bases instead.
-    On the left, the stabilized iteration commutes with the orthogonal U, and
-    canonical angles do not change under it, so B = Sigma V^T and e_1..e_k
-    give the same sines. On the right, B B^T = Sigma^2 and
-    ortho(V Sigma x) = V ortho(Sigma x) D with D a diagonal of signs, so
-    ortho(B omega) and ortho(B ortho(B^T x)) span what ortho(Sigma y) and
-    ortho(Sigma ortho(Sigma x)) span, for y = V^T omega; the sines depend
-    only on that span. y comes from one QR of [right block | omega]
-    (``gaussian_decay_right_sketch``), so neither V nor a is formed, and no
-    r-by-r product or final SVD runs. The sines agree to rounding.
+    Canonical angles do not change under the orthogonal U and V, so with
+    y = V^T omega the stabilized iteration spans range(Sigma^(2q+1) y), and
+    its sines against e_1..e_k are the estimator's formula. Sigma is
+    diag(gap I_k, I), so nu = gap^(2q+1) sv(y_1 pinv(y_2)). y comes from one
+    QR of [right block | omega] (``gaussian_decay_right_sketch``), so
+    neither V nor a is formed. The power scales the scalar, not y_1: an
+    overflowing power gives the sine 0, where it would fail ``sv_x_pinv``'s
+    finite-input check.
     """
     q, l, trial = task
-    r = cfg.size
+    k, r = cfg.k, cfg.size
     omega = gaussian_sketch(r, l, cfg.seed + 200_000 * (q + 1) + trial)
     y = gaussian_decay_right_sketch(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
                                     omega)
-    s = spec.values[:r, None]
-    x = ortho(s * y)
-    for _ in range(q):
-        x = ortho(s * ortho(s * x))
-    return float(canonical_sines(x, head)[-1])
+    s = sv_x_pinv(y[:k], y[k:])
+    with np.errstate(over="ignore"):
+        nu = np.float64(cfg.gap) ** (2 * q + 1) * s[-1]
+    return float(sines_from_nu(nu))
 
 
 def emit_balance_csv(rows: list[dict], path) -> None:

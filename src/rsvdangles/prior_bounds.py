@@ -15,8 +15,7 @@ neither overflow nor flush to zero.
 The comparator bound (``subspace_aware_upper``) is driven by the
 projected-sketch norm ratio ||omega2 @ pinv(omega1)||_2. ``sketch_ratio``
 computes it from the projections of the sketch onto the true right singular
-subspace, so only for matrices whose factors are known;
-``subspace_aware_envelope`` supplies a fully prior probabilistic stand-in.
+subspace, so only for matrices whose factors are known.
 """
 
 from __future__ import annotations
@@ -181,8 +180,7 @@ def subspace_aware_upper(spectrum: Spectrum, ratio: float, k: int, q: int,
     """Comparator upper bound driven by the projected-sketch norm ratio.
 
     ``ratio`` is ``sketch_ratio`` of the realized sketch, which needs the
-    true factors, or ``subspace_aware_envelope``, its prior high-probability
-    envelope. Per index:
+    true factors. Per index:
     (1 + sigma_i^p / (sigma_{k+1}^p * ratio^2))^(-1/2).
     """
     _check_bound_args(spectrum, k, k + 1, q)
@@ -195,20 +193,3 @@ def subspace_aware_upper(spectrum: Spectrum, ratio: float, k: int, q: int,
         term = p * (logsig - log_next) - 2.0 * math.log(ratio)
         vals = np.exp(-0.5 * np.logaddexp(0.0, term))
     return make_report(vals, "subspace_aware_upper", side)
-
-
-def subspace_aware_envelope(k: int, l: int, n: int, delta: float) -> float:
-    """High-probability envelope for the projected-sketch norm ratio.
-
-    With probability at least 1 - delta the ratio is at most
-    e*sqrt(l)/(l-k+1) * (2/delta)^(1/(l-k+1)) * (sqrt(n-k) + sqrt(l) +
-    sqrt(2*log(2/delta))). Requires l >= k + 2.
-    """
-    if l < k + 2:
-        raise ValueError("envelope requires l >= k + 2")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie in (0, 1)")
-    lead = math.e * math.sqrt(l) / (l - k + 1)
-    amp = (2.0 / delta) ** (1.0 / (l - k + 1))
-    body = math.sqrt(n - k) + math.sqrt(l) + math.sqrt(2.0 * math.log(2.0 / delta))
-    return lead * amp * body

@@ -284,6 +284,8 @@ BAD_BALANCE_FLAGS = {
     "balance_nan_size_factor": (["--size-factor", "nan"], "tail_factor"),
     "balance_nan_gap": (["--gap", "nan"], "gap"),
     "balance_infinite_gap": (["--gap", "inf"], "gap"),
+    # l = budget * k must fit the tail of size-factor * k rows
+    "balance_budget_above_tail": (["--budget", "13"], "budget_factor"),
     # the first gap could run, but every gap is checked before any output
     "balance_nan_second_gap": (["--gap", "1.1", "nan"], "gap"),
 }

@@ -3,6 +3,7 @@ import math
 import os
 import tempfile
 import time
+import warnings
 import xml.etree.ElementTree as ET
 from unittest import mock
 
@@ -471,8 +472,8 @@ class TestBudgetCurve:
         with pytest.raises(ValueError, match="feasible"):
             BalanceConfig(k=10, budget_factor=3.0, tail_factor=32.0,
                           oversample_factor=2.0, gap=1.1)
-        with pytest.raises(ValueError, match="matrix size"):
-            BalanceConfig(k=10, budget_factor=40.0, tail_factor=32.0,
+        with pytest.raises(ValueError, match=": budget_factor$"):
+            BalanceConfig(k=10, budget_factor=33.0, tail_factor=32.0,
                           oversample_factor=1.05, gap=1.1)
         with pytest.raises(ValueError, match=": k$"):
             BalanceConfig(k=0, budget_factor=16.0, tail_factor=32.0,
@@ -516,7 +517,8 @@ class TestBalanceSweep:
 
     def test_trials_match_rsvd_of_the_planted_matrix(self):
         # the oracle plants a = U Sigma V^T, runs rsvd on a and measures
-        # against U_k; the sweep iterates on the diagonal Sigma and V^T omega.
+        # against U_k; the sweep reads the sine off sv(y_1 pinv(y_2)) for
+        # y = V^T omega.
         # A stream that skipped the left draw would plant another V and miss
         # by far more than rounding.
         for gap in (1.3, 1.01):
@@ -533,6 +535,14 @@ class TestBalanceSweep:
                                                   cfg.seed + 200_000 * (q + 1) + trial))
                     sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
                     assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
+
+    def test_huge_gap_gives_vanishing_sines_without_warnings(self):
+        # gap^(2q+1) overflows from q=3 on; the sines flush to 0 quietly
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = balance_sweep(tiny_balance(gap=1e60))
+        assert all(0.0 <= r["largest_sine"] <= 1.0 for r in rows)
+        assert all(r["largest_sine"] < 1e-50 for r in rows if r["q"] == 0)
 
     def test_parallel_execution_gives_identical_rows(self, monkeypatch):
         use_workers(monkeypatch, 1)

@@ -12,7 +12,6 @@ from rsvdangles.prior_bounds import (BoundFailure, GapViolated, TailTooShort,
                                      power_exponent, sketch_ratio,
                                      space_agnostic_lower,
                                      space_agnostic_upper,
-                                     subspace_aware_envelope,
                                      subspace_aware_upper, _bound_values,
                                      _distortions, _logsumexp)
 
@@ -201,45 +200,6 @@ class TestSubspaceAwareUpper:
         p = 4 * 1 + 4
         expect = (1.0 + (spec.values[:2] / spec.values[2]) ** p / expect_ratio**2) ** -0.5
         assert np.allclose(rep.values, expect, rtol=1e-12)
-
-    def test_envelope_fed_bound_dominates_sketch_fed_bound(self):
-        spec = self._spectrum()
-        k, l, n = 2, 5, spec.declared_rank
-        envelope = subspace_aware_envelope(k, l, n, 0.5)
-        for seed in range(5):
-            omega = seeded_rng(seed).standard_normal((n, l))
-            ratio = sketch_ratio(omega[:k], omega[k:])
-            assert envelope >= ratio
-            for q in (0, 1):
-                for side in ("left", "right"):
-                    realized = subspace_aware_upper(spec, ratio, k, q, side)
-                    prior = subspace_aware_upper(spec, envelope, k, q, side)
-                    assert (prior.values >= realized.values).all()
-
-
-class TestEnvelope:
-    def test_transcription_against_inline_arithmetic(self):
-        k, l, n, delta = 8, 10, 100, 0.5
-        got = subspace_aware_envelope(k, l, n, delta)
-        expect = (math.e * math.sqrt(l) / (l - k + 1)
-                  * (2.0 / delta) ** (1.0 / (l - k + 1))
-                  * (math.sqrt(n - k) + math.sqrt(l) + math.sqrt(2 * math.log(2 / delta))))
-        assert got == pytest.approx(expect, rel=1e-15)
-        assert got == pytest.approx(65.5838, abs=1e-3)
-
-    def test_monotone_decreasing_in_sample_size(self):
-        vals = [subspace_aware_envelope(8, l, 100, 0.5) for l in range(10, 33)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_looser_failure_probability_shrinks_envelope(self):
-        assert (subspace_aware_envelope(8, 12, 100, 0.99)
-                < subspace_aware_envelope(8, 12, 100, 0.01))
-
-    def test_preconditions(self):
-        with pytest.raises(ValueError, match="l >= k"):
-            subspace_aware_envelope(8, 9, 100, 0.5)
-        with pytest.raises(ValueError, match="delta"):
-            subspace_aware_envelope(8, 12, 100, 1.5)
 
 
 def test_report_clamping_marks_trivial_indices():
