@@ -52,7 +52,8 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
     Space-agnostic: depends only on (spectrum, k, l, q, side, seed,
     n_trials). Requires r - k >= l so the weighted tail block has full
     column rank; otherwise raises TailTooShort("tail too short for estimator"),
-    and WeightsOverflow where the power weights overflow, before any trial.
+    and WeightsOverflow where the power weights overflow, before any trial,
+    or where the weighted head overflows with a trial's draw.
     The trials run in blocks of ``TRIAL_BLOCK``, shared by at most ``jobs``
     workers (see ``workers._share``); the report does not depend on the
     worker count.
@@ -98,12 +99,21 @@ def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
     out = np.empty((len(trials), k))
     for row, j in enumerate(trials):
         omega = gaussian_sketch(r, l, seed ^ j)
-        w1 = top_w[:, None] * omega[:k]
+        with np.errstate(over="ignore"):
+            w1 = top_w[:, None] * omega[:k]
         w2 = tail_w[:, None] * omega[k:]
         try:
             nu = sv_x_pinv(w1, w2)
         except ValueError:
-            raise TailTooShort("tail too short for estimator") from None
+            # either the tail is rank deficient, or the finite head weights
+            # overflow with the draw, in w1 or in the solve; the unweighted
+            # head (entries of a Gaussian draw) cannot overflow there
+            try:
+                sv_x_pinv(omega[:k], w2)
+            except ValueError:
+                raise TailTooShort("tail too short for estimator") from None
+            raise WeightsOverflow("power weights overflow double precision with the"
+                                  f" Gaussian draw: top weight {top_w[0]:.3g}") from None
         out[row] = sines_from_nu(nu)
     return out
 
@@ -111,9 +121,10 @@ def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
 def sines_from_nu(nu):
     """The sines 1 / sqrt(1 + nu^2) of singular values nu of
     weighted_top @ pinv(weighted_tail)."""
-    # past nu = 1e154, nu**2 overflows and the sine (< 1e-154) flushes to 0
-    with np.errstate(over="ignore"):
-        return 1.0 / np.sqrt(1.0 + nu**2)
+    # past nu = 1.3e154, nu**2 overflows; there 1/nu is the sine to rounding
+    with np.errstate(over="ignore", divide="ignore"):
+        nu2 = nu**2
+        return np.where(np.isinf(nu2), 1.0 / nu, 1.0 / np.sqrt(1.0 + nu2))
 
 
 def estimate_cost_model(r: int, l: int, n_trials: int) -> int:

@@ -19,6 +19,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,15 +39,16 @@ from .rsvd import SketchConfig, gaussian_sketch, rsvd
 from .workers import _share
 
 SCHEMA_VERSION = 1
-CSV_HEADER = "matrix,side,k,l,q,seed,i,kind,spectrum_source,value,status"
 OUTDIR_ENV = "RSVDANGLES_OUTDIR"
 
 STATUS_OK = "ok"
 STATUS_TRIVIAL = "trivial_bound"
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
+    """One CSV row. Its field order is the column order and the sort order;
+    the fields before ``value`` are unique within a table."""
+
     matrix: str
     side: str
     k: int
@@ -60,8 +62,9 @@ class Row:
     status: str
 
 
-_SORT_KEY = lambda r: (r.matrix, r.side, r.k, r.l, r.q, r.seed, r.i, r.kind,
-                       r.spectrum_source)
+CSV_HEADER = ",".join(Row._fields)
+# one line per Row; %.17g writes a float as f"{value:.17g}" does
+_CSV_LINE = ",".join("%.17g" if f == "value" else "%s" for f in Row._fields) + "\n"
 
 
 @dataclass
@@ -270,14 +273,14 @@ def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def _rows(ctx: dict, kind: str, values, status: str = STATUS_OK,
+def _rows(ctx: tuple, kind: str, values, status: str = STATUS_OK,
           trivial=None) -> list[Row]:
     """One row per angle index of ``values``; the indices flagged in
     ``trivial`` (a bound report's mask) get the trivial-bound status."""
-    return [Row(kind=kind, i=i, value=float(v),
-                status=STATUS_TRIVIAL if trivial is not None and trivial[i - 1] else status,
-                **ctx)
-            for i, v in enumerate(values, start=1)]
+    matrix, side, k, l, q, seed, source = ctx
+    return [Row(matrix, side, k, l, q, seed, i, kind, source, v,
+                STATUS_TRIVIAL if trivial is not None and trivial[i - 1] else status)
+            for i, v in enumerate(values.tolist(), start=1)]
 
 
 GAP_KINDS = ("gap_norm_rank_l", "gap_norm_rank_k",
@@ -316,8 +319,7 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     for source, spec in (("true", true_spec), ("padded", padded)):
         gaps = _attempt(lambda: gap_bounds(stats, spec, k))
         for side in cfg.sides:
-            ctx = {"matrix": name, "side": side, "k": k, "l": l, "q": q, "seed": seed,
-                   "spectrum_source": source}
+            ctx = (name, side, k, l, q, seed, source)
             if source == "true":
                 basis = out.u if side == "left" else out.v
                 truth = (factors.u if side == "left" else factors.v)[:, :k]
@@ -367,7 +369,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
     chunks = _share(_run_single, (matrix, cfg), tasks, cfg.jobs)
-    rows = sorted((r for chunk in chunks for r in chunk), key=_SORT_KEY)
+    rows = sorted(r for chunk in chunks for r in chunk)
 
     if cfg.outdir:
         os.makedirs(cfg.outdir, exist_ok=True)
@@ -529,12 +531,10 @@ def _format_cell(v) -> str:
 def emit_csv(rows: list[Row], path) -> None:
     """Write rows in the canonical sort order; bytes are a pure function of
     the table."""
-    rows = sorted(rows, key=_SORT_KEY)
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.matrix},{r.side},{r.k},{r.l},{r.q},{r.seed},{r.i},"
-                     f"{r.kind},{r.spectrum_source},{r.value:.17g},{r.status}\n")
+        for r in sorted(rows):
+            fh.write(_CSV_LINE % r)
 
 
 @dataclass(frozen=True)

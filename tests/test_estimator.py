@@ -2,10 +2,11 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rsvdangles import workers
 from rsvdangles.estimator import (TRIAL_BLOCK, estimate_cost_model,
-                                  unbiased_estimate)
+                                  sines_from_nu, unbiased_estimate)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (TailTooShort, WeightsOverflow,
@@ -39,6 +40,28 @@ class TestGuards:
         spec = Spectrum.from_values([1e200, 1e-100, 1e-120, 1e-140, 1e-160])
         with pytest.raises(WeightsOverflow, match="power weights overflow"):
             unbiased_estimate(spec, k=1, l=2, q=3, n_trials=1, side="left", seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("head", [1.7e308, 1e308])
+    def test_head_overflowing_with_the_draw_is_weights_overflow(self, head):
+        # the weights are finite; 1.7e308 overflows in weights times draw,
+        # 1e308 in the solve against the tail
+        spec = Spectrum.from_values([head] + [1.0] * 6)
+        with pytest.raises(WeightsOverflow, match="with the Gaussian draw"):
+            unbiased_estimate(spec, k=1, l=2, q=0, n_trials=20, side="left", seed=0)
+
+
+class TestSinesFromNu:
+    @pytest.mark.filterwarnings("error")
+    def test_sine_past_overflowing_square_is_reciprocal(self):
+        assert sines_from_nu(np.array([1e180, np.inf])).tolist() == [1e-180, 0.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.3407807929942596e154), min_size=1, max_size=5))
+    @example([0.0, 5e-324, 1.0, 1e154, 1.3407807929942596e154])
+    def test_finite_squares_keep_their_bits(self, nu):
+        nu = np.array(nu)
+        assert sines_from_nu(nu).tobytes() == (1.0 / np.sqrt(1.0 + nu**2)).tobytes()
 
 
 class TestReportStructure:

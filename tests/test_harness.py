@@ -22,7 +22,8 @@ from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_gaussian_decay, gen_step_spectrum
 from rsvdangles.mmio import write_matrix
-from rsvdangles.prior_bounds import space_agnostic_upper
+from rsvdangles.prior_bounds import (GapViolated, TailTooShort, WeightsOverflow,
+                                     space_agnostic_upper)
 from rsvdangles.rsvd import SketchConfig, rsvd
 from rsvdangles.workers import _share, _usable_workers
 
@@ -592,6 +593,41 @@ class TestEmission:
         # order-independent: reversed input produces identical bytes
         emit_csv(rows[::-1], path)
         assert path.read_text() == expect
+
+    @staticmethod
+    def former_emit_csv(rows, path):
+        """The writer as it stood before Row became a NamedTuple: a sort
+        key and one f-string of attribute lookups, kept as the oracle."""
+        rows = sorted(rows, key=lambda r: (r.matrix, r.side, r.k, r.l, r.q, r.seed,
+                                           r.i, r.kind, r.spectrum_source))
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write("matrix,side,k,l,q,seed,i,kind,spectrum_source,value,status\n")
+            for r in rows:
+                fh.write(f"{r.matrix},{r.side},{r.k},{r.l},{r.q},{r.seed},{r.i},"
+                         f"{r.kind},{r.spectrum_source},{r.value:.17g},{r.status}\n")
+
+    def test_header_is_the_field_order(self):
+        assert CSV_HEADER == ",".join(Row._fields)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), keys=st.lists(
+        st.tuples(st.sampled_from(["m", "snn_a1", "gauss_slower"]),
+                  st.sampled_from(["left", "right"]), st.integers(1, 60),
+                  st.integers(2, 300), st.integers(0, 40), st.integers(0, 2**40),
+                  st.integers(1, 60), st.sampled_from(["true_angle", "estimate", *GAP_KINDS]),
+                  st.sampled_from(["true", "padded"])),
+        max_size=40, unique=True))
+    def test_writes_the_former_writers_bytes(self, tmp_path_factory, data, keys):
+        values = st.one_of(st.floats(), st.sampled_from(
+            [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308]))
+        statuses = st.sampled_from(["ok", "trivial_bound", TailTooShort.status,
+                                    GapViolated.status, WeightsOverflow.status])
+        rows = [Row(*key, data.draw(values), data.draw(statuses)) for key in keys]
+        rows = data.draw(st.permutations(rows))
+        path = tmp_path_factory.mktemp("csv")
+        emit_csv(rows, path / "new.csv")
+        self.former_emit_csv(rows, path / "old.csv")
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
     def test_svg_is_wellformed_and_deterministic(self, tmp_path):
         panel = Panel("demo", "x", "y", [
