@@ -7,7 +7,8 @@ both the true spectrum and the padded approximated spectrum, as one CSV row
 per (matrix, side, k, l, q, seed, i, kind, spectrum_source, value, status).
 
 A bound family that raises a ``BoundFailure`` gets NaN rows with the
-failure's ``status`` and never aborts a sweep; any other exception does. A
+failure's ``status`` and never aborts a sweep, and a run whose sketch
+collapses gets NaN rows of every kind; any other exception aborts it. A
 grid entry that cannot run (l above rank(A), which is at most min(m, n), or
 upper_c * sqrt(k/l) >= 1) is rejected before any run.
 Re-running with an identical config reproduces identical CSV bytes.
@@ -32,9 +33,9 @@ from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (BoundFailure, make_report, sketch_ratio,
-                           space_agnostic_lower, space_agnostic_upper,
-                           subspace_aware_upper)
+from .prior_bounds import (BoundFailure, SketchCollapsed, make_report,
+                           sketch_ratio, space_agnostic_lower,
+                           space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, gaussian_sketch, rsvd
 from .workers import _share
 
@@ -299,7 +300,16 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     """All rows of one (k, l, q, seed) run on a ``build_matrix`` tuple."""
     name, a, factors, true_spec, pad_rank, has_known = matrix
     k, l, q, seed = task
-    out = rsvd(a, SketchConfig(k, l, q, seed))
+    nan = np.full(k, np.nan)
+    try:
+        out = rsvd(a, SketchConfig(k, l, q, seed))
+    except SketchCollapsed as exc:
+        # no basis to measure or bound: NaN rows of every kind the run writes,
+        # the true_angle kinds for the true spectrum only
+        kinds = [kind for kind in _KIND_COLORS if has_known or kind != "subspace_aware_upper"]
+        return [row for source in ("true", "padded") for side in cfg.sides
+                for kind in kinds if source == "true" or not kind.startswith("true_angle")
+                for row in _rows((name, side, k, l, q, seed, source), kind, nan, exc.status)]
     padded = pad_spectrum(Spectrum.from_values(out.sigma), pad_rank)
     # The projected residuals do not depend on the spectrum source. The right
     # one is always taken: its top value is the out-of-basis norm that
@@ -313,7 +323,6 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
         r = true_spec.declared_rank
         ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
                              factors.v[:, k:r].T @ out.sketch)
-    nan = np.full(k, np.nan)
     rows: list[Row] = []
 
     for source, spec in (("true", true_spec), ("padded", padded)):
@@ -473,9 +482,11 @@ def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
     Canonical angles do not change under the orthogonal U and V, so with
     y = V^T omega the stabilized iteration spans range(Sigma^(2q+1) y), and
     its sines against e_1..e_k are the estimator's formula. Sigma is
-    diag(gap I_k, I), so nu = gap^(2q+1) sv(y_1 pinv(y_2)). y comes from one
-    QR of [right block | omega] (``gaussian_decay_right_sketch``), so
-    neither V nor a is formed. The power scales the scalar, not y_1: an
+    diag(gap I_k, I), so nu = gap^(2q+1) sv(y_1 pinv(y_2)), which needs y_2
+    only up to a left orthogonal factor. y_1 over the triangular factor of
+    y_2 comes from one QR of [first k columns of the right block | omega]
+    (``gaussian_decay_right_sketch``), so neither V nor a is formed, and
+    no r-by-r QR runs. The power scales the scalar, not y_1: an
     overflowing power gives the sine 0, where it would fail ``sv_x_pinv``'s
     finite-input check.
     """
@@ -483,7 +494,7 @@ def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
     k, r = cfg.k, cfg.size
     omega = gaussian_sketch(r, l, cfg.seed + 200_000 * (q + 1) + trial)
     y = gaussian_decay_right_sketch(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
-                                    omega)
+                                    k, omega)
     s = sv_x_pinv(y[:k], y[k:])
     with np.errstate(over="ignore"):
         nu = np.float64(cfg.gap) ** (2 * q + 1) * s[-1]
@@ -554,6 +565,7 @@ class Panel:
     series: list[Series] = field(default_factory=list)
 
 
+# every kind a run writes, with its colour in the panels
 _KIND_COLORS = {
     "true_angle": "#000000",
     "true_angle_rank_k": "#6e6e6e",

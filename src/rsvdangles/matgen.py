@@ -54,25 +54,30 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
 
 
 def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
-                                omega: np.ndarray) -> np.ndarray:
-    """v.T @ omega for the factors of gen_gaussian_decay(m, n, spectrum,
-    seed), with neither v nor a formed.
+                                k: int, omega: np.ndarray) -> np.ndarray:
+    """[v_k.T @ omega; T], (k + l)-by-l, for the factors v of
+    gen_gaussian_decay(m, n, spectrum, seed) and an n-by-l omega, where T
+    is the l-by-l triangular factor of v_perp.T @ omega for an orthonormal
+    basis v_perp of the complement of span(v_k). Neither v nor a is formed.
 
-    The Householder reflectors of the QR of the n-by-r Gaussian block that
-    gen_gaussian_decay orthonormalizes into v, applied to omega, give
-    Q.T @ omega, whose first r rows are v.T @ omega. One QR of [block | omega]
-    leaves them in the last columns of R, as least squares applies Q.T to b
-    (Golub & Van Loan, Matrix Computations, 4th ed., secs. 5.2-5.3). The
-    left block is drawn and dropped, so that the stream and v stay the same.
-    Raises ValueError("rank deficient sketch") where ortho would for v.
+    The QR that orthonormalizes the n-by-r Gaussian block G into v is
+    column-nested: span(v_k) = span(G[:, :k]), and its first k Householder
+    reflectors are those of G[:, :k] alone. One QR of [G[:, :k] | omega]
+    applies them to omega, as least squares applies Q.T to b (Golub & Van
+    Loan, Matrix Computations, 4th ed., secs. 5.2-5.3), so the last l
+    columns of R hold v_k.T @ omega over T. As pinv(Q_T T) = inv(T) Q_T.T,
+    sv_x_pinv of the two blocks is sv(v_k.T omega pinv(v_perp.T omega)).
+    The left block is drawn and dropped, and the whole right block drawn,
+    so that the stream and v stay the same. Raises ValueError("rank
+    deficient sketch") where ortho would for G's first k columns.
     """
     r = spectrum.declared_rank
-    stacked = np.hstack([_planted_draws(m, n, r, seed)[1], omega])
-    norm = np.linalg.norm(stacked[:, :r])
+    stacked = np.hstack([_planted_draws(m, n, r, seed)[1][:, :k], omega])
+    norm = np.linalg.norm(stacked[:, :k])
     factor = np.linalg.qr(stacked, mode="r")
-    if np.abs(np.diag(factor[:, :r])).min() <= 1e-12 * norm:
+    if np.abs(np.diag(factor[:, :k])).min() <= 1e-12 * norm:
         raise ValueError("rank deficient sketch")
-    return factor[:r, r:].copy()
+    return factor[:, k:]
 
 
 def spectrum_slower(r: int, r1: int) -> Spectrum:

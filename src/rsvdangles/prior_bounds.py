@@ -45,9 +45,10 @@ class BoundReport:
 
 
 class BoundFailure(ValueError):
-    """A bound family's assumptions fail on this input; ``status`` names the
-    failure in the CSV. The subclasses take no custom ``__init__``, so they
-    pickle through a worker's reply unchanged."""
+    """A bound family's assumptions fail on this input, or the run's sketch
+    collapsed; ``status`` names the failure in the CSV. The subclasses take
+    no custom ``__init__``, so they pickle through a worker's reply
+    unchanged."""
 
     status: str
 
@@ -69,6 +70,13 @@ class WeightsOverflow(BoundFailure):
     """The estimator's power weights overflow double precision."""
 
     status = "weights_overflow"
+
+
+class SketchCollapsed(BoundFailure):
+    """The randomized SVD's sketch lost rank in its power iteration, so the
+    run has no basis to bound."""
+
+    status = "sketch_collapsed"
 
 
 def make_report(raw, kind: str, side: str) -> BoundReport:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import SvdFactors, as_matrix, ortho, seeded_rng, svd_full
+from .prior_bounds import SketchCollapsed
 
 
 @dataclass(frozen=True)
@@ -79,8 +80,8 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
 
     Returns factors (u, sigma, v) of width l with u = Q_X @ (small right
     factor), where Q_X spans the power-iterated sketch. Raises
-    ValueError("rank deficient sketch") when the sketch collapses, e.g. for
-    l > rank(a).
+    SketchCollapsed("rank deficient sketch"), a ValueError, when the sketch
+    collapses, e.g. for l > rank(a).
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -88,9 +89,20 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
     if np.linalg.norm(a) == 0.0:
         raise ValueError("rsvd requires a nonzero matrix")
     omega = gaussian_sketch(n, cfg.l, cfg.seed)
-    x = ortho(a @ omega)
+    x = _sketch_basis(a @ omega)
     for _ in range(cfg.q):
-        x = ortho(a @ ortho(a.T @ x))
+        x = _sketch_basis(a @ _sketch_basis(a.T @ x))
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.
     return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), omega)
+
+
+def _sketch_basis(x: np.ndarray) -> np.ndarray:
+    """ortho(x). For a finite x its only failure is the rank check, which
+    is raised as SketchCollapsed; an overflowing x keeps ortho's error."""
+    try:
+        return ortho(x)
+    except ValueError as exc:
+        if not np.isfinite(x).all():
+            raise
+        raise SketchCollapsed(str(exc)) from None

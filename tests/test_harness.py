@@ -302,7 +302,11 @@ class TestRunExperiment:
 # the kinds that may carry each failure status
 FAILURE_KINDS = {"gap_violated": set(GAP_KINDS),
                  "tail_short": {"space_agnostic_lower", "estimate"},
-                 "weights_overflow": {"estimate"}}
+                 "weights_overflow": {"estimate"},
+                 "sketch_collapsed": {"true_angle", "true_angle_rank_k",
+                                      "space_agnostic_upper", "space_agnostic_lower",
+                                      "subspace_aware_upper", "estimate", "residual_ratio",
+                                      *GAP_KINDS}}
 
 
 @st.composite
@@ -351,9 +355,15 @@ def slower_40(r1: int) -> dict:
             "spectrum": {"kind": "slower", "r": 40, "r1": r1}, "seed": 3}
 
 
-def contract_example(matrix: dict, grid: list) -> dict:
+def contract_example(matrix: dict, grid: list, trials: int = 2) -> dict:
     return {"matrix": matrix, "grid": grid, "sides": ("left", "right"),
-            "estimator_trials": 2, "n_seeds": 2, "base_seed": 0}
+            "estimator_trials": trials, "n_seeds": 2, "base_seed": 0}
+
+
+def step_40(gap: float) -> dict:
+    """A 40x40 step spectrum: two values at ``gap`` over 38 ones."""
+    return {"generator": "gaussian_decay", "m": 40, "n": 40,
+            "spectrum": {"kind": "step", "k": 2, "beta": 19, "gap": gap}, "seed": 1}
 
 
 class TestStatusContract:
@@ -368,6 +378,9 @@ class TestStatusContract:
     @example(contract_example(
         {"generator": "gaussian_decay", "m": 12, "n": 10,
          "spectrum": {"kind": "step", "k": 2, "beta": 4, "gap": 1e6}}, [(2, 4, 30)]))
+    # sketch_collapsed: at gap 1e12 and q=1 the sketch's tail directions fall
+    # below ortho's rank test
+    @example(contract_example(step_40(1e12), [(2, 4, 0), (2, 4, 1)]))
     def test_each_failure_is_recorded_as_its_status(self, kwargs):
         rows = run_experiment(ExperimentConfig(**kwargs))
         gap_failed = {}  # (run, side, source) -> whether each gap kind failed
@@ -380,6 +393,35 @@ class TestStatusContract:
         assert all(len(failed) == 1 for failed in gap_failed.values())
         first = csv_bytes(rows)
         assert csv_bytes(run_experiment(ExperimentConfig(**kwargs))) == first
+        with mock.patch.object(workers, "_usable_workers", lambda: 2):
+            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
+
+    def test_collapsed_sketch_spoils_only_its_run(self):
+        # at gap 1e12 the sketch passes ortho's rank test at q=0, not at q=1
+        rows = run_experiment(ExperimentConfig(**contract_example(
+            step_40(1e12), [(2, 4, 0), (2, 4, 1)])))
+        by_q = {q: [r for r in rows if r.q == q] for q in (0, 1)}
+        assert all(r.status == "ok" for r in by_q[0])
+        assert all(r.status == "sketch_collapsed" and math.isnan(r.value) for r in by_q[1])
+        # the collapsed run writes the rows an intact run writes
+        assert ([r._replace(q=0, value=0.0, status="") for r in by_q[1]]
+                == [r._replace(value=0.0, status="") for r in by_q[0]])
+
+    @pytest.mark.parametrize("gap, trials, failed", [
+        # sigma_1/sigma_3 = 1e10 to the power 31 and 32: the weights overflow
+        (1e10, 3, {(seed, side, source) for seed in (0, 1) for side in ("left", "right")
+                   for source in ("true", "padded")}),
+        # gap^32 is finite just below 2^32, but on the right it overflows
+        # with one of seed 1's draws
+        (4.2949e9, 5, {(1, "right", "true"), (1, "right", "padded")})])
+    def test_weights_overflow_reached_through_a_run(self, gap, trials, failed):
+        kwargs = contract_example(step_40(gap), [(2, 4, 15)], trials)
+        rows = run_experiment(ExperimentConfig(**kwargs))
+        assert {(r.seed, r.side, r.spectrum_source) for r in rows
+                if r.status == "weights_overflow"} == failed
+        assert all(r.status == "ok" for r in rows if r.status != "weights_overflow")
+        assert all(r.kind == "estimate" for r in rows if r.status == "weights_overflow")
+        first = csv_bytes(rows)
         with mock.patch.object(workers, "_usable_workers", lambda: 2):
             assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
 

@@ -5,7 +5,7 @@ import pytest
 
 from rsvdangles.angles import canonical_sines
 from rsvdangles import matgen
-from rsvdangles.linalg import Spectrum, seeded_rng, svd_full
+from rsvdangles.linalg import Spectrum, seeded_rng, sv_x_pinv, svd_full
 from rsvdangles.matgen import (gaussian_decay_right_sketch, gen_gaussian_decay,
                                gen_snn, gen_step_spectrum, load_mnist,
                                spectrum_faster, spectrum_slower)
@@ -45,25 +45,40 @@ class TestGaussianDecay:
             gen_gaussian_decay(5, 5, spectrum_slower(10, 2), seed=0)
 
     def test_right_sketch_is_v_transpose_omega(self, monkeypatch):
-        spec = spectrum_slower(30, 4)
+        # rank n, so v[:, k:] spans the complement of span(v_k)
+        spec = spectrum_slower(35, 4)
         pm = gen_gaussian_decay(40, 35, spec, seed=5)
         omega = seeded_rng(9).standard_normal((35, 6))
-        want = pm.factors.v.T @ omega
-        got = gaussian_decay_right_sketch(40, 35, spec, 5, omega)
-        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        v, k = pm.factors.v, 4
+        head = v[:, :k].T @ omega
+        got = gaussian_decay_right_sketch(40, 35, spec, 5, k, omega)
+        assert got.shape == (k + 6, 6)
+        assert np.linalg.norm(got[:k] - head) <= 1e-13 * np.linalg.norm(head)
+        # T is triangular with T^T T = omega^T (I - V_k V_k^T) omega
+        t = got[k:]
+        assert np.array_equal(t, np.triu(t))
+        gram = omega.T @ omega - head.T @ head
+        assert np.linalg.norm(t.T @ t - gram) <= 1e-13 * np.linalg.norm(omega) ** 2
+        want = sv_x_pinv(head, v[:, k:].T @ omega)
+        assert sv_x_pinv(got[:k], t) == pytest.approx(want, rel=1e-12, abs=0)
         # a stream that skipped the left draw would plant another v
         monkeypatch.setattr(matgen, "_planted_draws", lambda m, n, r, seed:
                             (None, seeded_rng(seed).standard_normal((n, r))))
-        skipped = gaussian_decay_right_sketch(40, 35, spec, 5, omega)
-        assert np.linalg.norm(skipped - want) > 0.1 * np.linalg.norm(want)
+        skipped = gaussian_decay_right_sketch(40, 35, spec, 5, k, omega)
+        assert np.linalg.norm(skipped[:k] - head) > 0.1 * np.linalg.norm(head)
 
     def test_right_sketch_checks_rank(self, monkeypatch):
         with pytest.raises(ValueError, match="declared rank"):
-            gaussian_decay_right_sketch(5, 5, spectrum_slower(10, 2), 0, np.ones((5, 1)))
-        monkeypatch.setattr(matgen, "_planted_draws",
-                            lambda m, n, r, seed: (None, np.ones((n, r))))
+            gaussian_decay_right_sketch(5, 5, spectrum_slower(10, 2), 0, 1, np.ones((5, 1)))
+        # the first two of the block's columns are equal, the third apart;
+        # k=1 passes, as only the first k columns are checked
+        block = np.ones((8, 3))
+        block[:, 2] = np.arange(8.0)
+        monkeypatch.setattr(matgen, "_planted_draws", lambda m, n, r, seed: (None, block))
+        omega = seeded_rng(1).standard_normal((8, 2))
+        gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 1, omega)
         with pytest.raises(ValueError, match="rank deficient sketch"):
-            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, np.ones((8, 2)))
+            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 2, omega)
 
 
 class TestSpectrumFamilies:

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from rsvdangles.linalg import Spectrum, seeded_rng
 from rsvdangles.matgen import gen_step_spectrum
-from rsvdangles.prior_bounds import (BoundFailure, GapViolated, TailTooShort,
-                                     WeightsOverflow, make_report,
+from rsvdangles.prior_bounds import (BoundFailure, GapViolated, SketchCollapsed,
+                                     TailTooShort, WeightsOverflow, make_report,
                                      power_exponent, sketch_ratio,
                                      space_agnostic_lower,
                                      space_agnostic_upper,
@@ -210,7 +210,8 @@ def test_report_clamping_marks_trivial_indices():
 
 @pytest.mark.parametrize("cls, status", [(TailTooShort, "tail_short"),
                                          (GapViolated, "gap_violated"),
-                                         (WeightsOverflow, "weights_overflow")])
+                                         (WeightsOverflow, "weights_overflow"),
+                                         (SketchCollapsed, "sketch_collapsed")])
 def test_bound_failures_pickle_with_type_status_and_message(cls, status):
     # a failure raised in a forked worker crosses the pool's pipe pickled
     exc = pickle.loads(pickle.dumps(cls("raised in a worker process")))

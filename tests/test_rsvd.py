@@ -4,6 +4,7 @@ import pytest
 from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
+from rsvdangles.prior_bounds import SketchCollapsed
 from rsvdangles.rsvd import SketchConfig, gaussian_sketch, rsvd
 
 
@@ -84,8 +85,13 @@ class TestRsvd:
     def test_rank_deficient_sketch_propagates(self):
         rng = seeded_rng(0)
         a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))
-        with pytest.raises(ValueError, match="rank deficient sketch"):
+        with pytest.raises(SketchCollapsed, match="rank deficient sketch"):
             rsvd(a, SketchConfig(k=2, l=6, q=0, seed=0))
+
+    def test_overflowing_sketch_is_not_a_collapse(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as info:
+            rsvd(np.full((6, 6), 1e308), SketchConfig(k=1, l=2, q=0, seed=0))
+        assert not isinstance(info.value, SketchCollapsed)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
