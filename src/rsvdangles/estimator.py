@@ -128,5 +128,9 @@ def sines_from_nu(nu):
 
 
 def estimate_cost_model(r: int, l: int, n_trials: int) -> int:
-    """Nominal flop count of the estimator: n_trials * r * l^2."""
+    """Nominal flop count of the estimator: n_trials * r * l^2, the order of
+    each trial's Gram product of its weighted tail. It leaves out the
+    r-by-l Gaussian draw: O(r l) per trial, but the larger share of a
+    trial's time at the sample sizes in use, so wall time grows more slowly
+    in l than this count."""
     return int(n_trials) * int(r) * int(l) * int(l)

@@ -582,15 +582,20 @@ _KIND_COLORS = {
 
 
 def experiment_panels(rows: list[Row]):
-    """Group experiment rows into one panel per (matrix, k, l, side, q)."""
+    """Group experiment rows into one panel per (matrix, k, l, side, q). A
+    panel with no finite value names its rows' statuses in its title."""
     # panel key -> (kind, source) -> angle index -> finite values in row order
     groups: dict[tuple, dict[tuple, dict[int, list[float]]]] = {}
+    statuses: dict[tuple, set[str]] = {}
     for r in rows:
-        pts = groups.setdefault((r.matrix, r.k, r.l, r.side, r.q), {}).setdefault(
-            (r.kind, r.spectrum_source), {})
+        key = (r.matrix, r.k, r.l, r.side, r.q)
+        pts = groups.setdefault(key, {}).setdefault((r.kind, r.spectrum_source), {})
         if math.isfinite(r.value):
             pts.setdefault(r.i, []).append(r.value)
-    for (matrix, k, l, side, q), combos in sorted(groups.items()):
+        else:
+            statuses.setdefault(key, set()).add(r.status)
+    for key, combos in sorted(groups.items()):
+        matrix, k, l, side, q = key
         series = []
         for (kind, source), pts in sorted(combos.items()):
             if not pts:
@@ -600,8 +605,10 @@ def experiment_panels(rows: list[Row]):
             label = kind if source == "true" else f"{kind} (padded)"
             series.append(Series(label, _KIND_COLORS.get(kind, "#555555"),
                                  source == "padded", [float(x) for x in xs], ys))
-        panel = Panel(f"{matrix}: k={k}, l={l}, q={q}, {side} subspace",
-                      "angle index", "sine", series)
+        title = f"{matrix}: k={k}, l={l}, q={q}, {side} subspace"
+        if not series:
+            title += f" (no finite values: {', '.join(sorted(statuses[key]))})"
+        panel = Panel(title, "angle index", "sine", series)
         yield panel, f"{matrix}_k{k}_l{l}_{side}_q{q}.svg"
 
 

@@ -11,6 +11,7 @@ determines every random draw, independent of scheduling or platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,56 +130,96 @@ def svd_full(m) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
+def _scaled_gram(a: np.ndarray, shift: float):
+    """(top, g, T) for top = max|a|, the Gram g = fl(a~^T a~) of
+    a~ = fl(a / top) and T = trace(g); g is None unless a is nonzero and
+    the Cholesky factorization of fl(g - tau I) with tau = shift * T
+    completes.
+
+    The entries of a~ lie in [-1, 1], so g cannot overflow, T >= 1, and
+    underflow costs an absolute 1e-320 or so. A completed factorization has
+    a computed factor C with C^T C = fl(g - tau I) + F and |F| <=
+    gamma_{l+1} |C^T| |C| for an l-column a (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., Thm 10.3), so ||F||_2 <=
+    gamma_{l+1} trace(C^T C) <= gamma_{l+1} (1 + u) T / (1 - gamma_{l+1})
+    with u = eps / 2, and the computed g - tau I + F is positive
+    semidefinite. With u T for the rounding of the shifted diagonal,
+    lambda_min(g) >= tau - u T - ||F||_2. The callers add the rounding of
+    g itself and derive their shift from that.
+    """
+    top = float(np.abs(a).max())
+    if top == 0.0:
+        return top, None, 0.0
+    at = a / top
+    g = at.T @ at
+    trace = float(np.trace(g))
+    try:
+        np.linalg.cholesky(g - shift * trace * np.eye(g.shape[0]))
+    except np.linalg.LinAlgError:
+        return top, None, trace
+    return top, g, trace
+
+
 def _certified_full_rank(r: np.ndarray) -> bool:
     """True only if sigma_min(r) / sigma_max(r) >= sqrt(2 (l + 1) eps) for
     the finite l-by-l triangle r, far above the 1e-12 at which ``sv_x_pinv``
     raises.
 
-    Dividing r by its largest |entry| gives r~ with entries in [-1, 1], so
-    the Gram G = fl(r~^T r~) cannot overflow, T = trace(G) >= 1, and
-    underflow costs an absolute 1e-320 or so. With u = eps / 2: the division
-    moves each singular value by at most u ||r~||_F; G = r~^T r~ + E with
-    ||E||_2 <= gamma_l ||r~||_F^2 and ||r~||_F^2 <= T / (1 - gamma_l), as
-    each entry is a dot product of length l (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., sec. 3.5). If the Cholesky
-    factorization of A = fl(G - tau I) completes, its computed factor C has
-    C^T C = A + F with |F| <= gamma_{l+1} |C^T| |C| (Higham, Thm 10.3), so
-    ||F||_2 <= gamma_{l+1} trace(C^T C) <= gamma_{l+1} (1 + u) T / (1 -
-    gamma_{l+1}), and A + F is positive semidefinite. By Weyl's inequality
-    lambda_min(r~^T r~) >= tau - u T - ||F||_2 - ||E||_2, where u T bounds
-    the rounding of A's diagonal; the three terms sum to (l + 1) eps T to
-    first order. tau = 4 (l + 1) eps T leaves sigma_min(r~)^2 >=
+    With ``_scaled_gram``'s r~ and g: the division moves each singular value
+    by at most u ||r~||_F; g = r~^T r~ + E with ||E||_2 <= gamma_l ||r~||_F^2
+    and ||r~||_F^2 <= T / (1 - gamma_l), as each entry is a dot product of
+    length l (Higham, sec. 3.5). By Weyl's inequality lambda_min(r~^T r~) >=
+    tau - u T - ||F||_2 - ||E||_2, and the three terms sum to (l + 1) eps T
+    to first order. tau = 4 (l + 1) eps T leaves sigma_min(r~)^2 >=
     3 (l + 1) eps T against sigma_max(r~)^2 <= T / (1 - gamma_l), and the
     division's u ||r~||_F takes far less than the step from 3 to 2. The
     values-only SVD errs by p(l) eps sigma_max(r), with LAPACK's modestly
     growing p, so the dense check could not have raised.
     """
-    top = float(np.abs(r).max())
-    if top == 0.0:
-        return False
-    rt = r / top
-    g = rt.T @ rt
-    l = r.shape[1]
-    g.flat[::l + 1] -= 4.0 * (l + 1) * _EPS * float(np.trace(g))  # tau
-    try:
-        np.linalg.cholesky(g)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    return _scaled_gram(r, 4.0 * (r.shape[1] + 1) * _EPS)[1] is not None
 
 
 def sv_x_pinv(x, y) -> np.ndarray:
     """Singular values of x @ pinv(y) for a tall y of full column rank.
 
     With the reduced QR y = Q R, pinv(y) = inv(R) Q.T, and Q.T has
-    orthonormal rows, so the values are those of solve(R.T, x.T): one QR of
-    the tall block, one small solve and one values-only SVD. Raises
-    ValueError("rank deficient y") when the smallest singular value of y is
-    at most 1e-12 times its largest, and ValueError naming the overflow
-    when a finite y has column norms beyond the float range, so that R is
-    not finite. A scaled Gram-Cholesky test (``_certified_full_rank``)
-    settles the rank first wherever y is far from the limit; only where it
-    fails does a values-only SVD of R decide.
+    orthonormal rows, so the values are those of solve(R.T, x.T): one small
+    solve and one values-only SVD.
+
+    R is taken from the Cholesky factor L of ``_scaled_gram``'s g wherever
+    the shifted factorization certifies that this moves every value by at
+    most 1e-10 relative. For an n-by-l y, take ``_scaled_gram``'s y~, g and
+    T, and write (y / top)^T (y / top) = R~^T R~, so that R~ = R / top.
+    With u = eps / 2, to first order: the division's rounding
+    (|y~ - y / top| <= u |y / top|) moves the Gram by 2 u T, and g's own
+    rounding, dot products of length n, by gamma_n T. Cholesky's backward
+    error adds gamma_{l+1} T, so L L^T = R~^T R~ + H with ||H||_2 <=
+    (n + l + 3) u T. Then L L^T = R~^T (I + K) R~ with ||K||_2 <= eta =
+    ||H||_2 / lambda_min(R~^T R~), so for W = x inv(R~),
+    x inv(L L^T) x^T = W inv(I + K) W^T lies between W W^T / (1 + eta) and
+    W W^T / (1 - eta) in the Loewner order. Every singular value of
+    solve(L, x.T) / top is therefore the matching value of
+    x @ pinv(y) = W Q^T / top within a factor 1 / sqrt(1 -+ eta): a relative
+    error of eta / 2 to first order, on the smallest values as on the
+    largest. The shifted factorization gives lambda_min(R~^T R~) >=
+    tau - (n + l + 4) u T (``_scaled_gram``'s terms, with the Gram's
+    2 u T + gamma_n T), so tau = (n + l + 4) eps T / 2e-10 =
+    1e10 (n + l + 4) u T leaves eta < 1.0000001e-10: every value moves by at
+    most about 5e-11 relative, half of 1e-10, which leaves room for the
+    higher-order terms. Dividing the values, not the matrix, by top adds one
+    rounding to each; the solve and the values-only SVD round as on the
+    Householder path. The shift also proves sigma_min(y) / sigma_max(y) >=
+    sqrt(tau / T) > 2e-3, far above the 1e-12 cut-off below, so no rank
+    check runs.
+
+    Where that factorization fails, y is 0, ||y||_F = top sqrt(T) overflows
+    or a value is not finite, R comes from a Householder QR of y instead.
+    That path raises ValueError("rank deficient y") when the smallest
+    singular value of y is at most 1e-12 times its largest, and ValueError
+    naming the overflow when a finite y has column norms beyond the float
+    range, so that R is not finite. A scaled Gram-Cholesky test
+    (``_certified_full_rank``) settles its rank first wherever y is far
+    from the limit; only where it fails does a values-only SVD of R decide.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -186,6 +227,20 @@ def sv_x_pinv(x, y) -> np.ndarray:
         raise ValueError("y must have at least as many rows as columns")
     if x.shape[1] != y.shape[1]:
         raise ValueError("x and y column counts differ")
+    n, l = y.shape
+    top, g, trace = _scaled_gram(y, (n + l + 4) * _EPS / 2e-10)
+    # an overflowing ||y||_F = top sqrt(T) goes to the Householder path,
+    # which names it
+    if g is not None and math.isfinite(top * math.sqrt(trace)):
+        try:
+            z = np.linalg.solve(np.linalg.cholesky(g), x.T)
+        except np.linalg.LinAlgError:
+            z = None
+        if z is not None and np.isfinite(z).all():
+            with np.errstate(over="ignore"):
+                s = np.linalg.svd(z, compute_uv=False) / top
+            if np.isfinite(s).all():
+                return s
     r = np.linalg.qr(y, mode="r")
     if not np.isfinite(r).all():
         raise ValueError("y overflows: its QR factor R is not finite")

@@ -1,5 +1,3 @@
-import time
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -154,19 +152,3 @@ class TestCostModel:
 
     def test_quadratic_in_sample_size(self):
         assert estimate_cost_model(64, 24, 5) == 4 * estimate_cost_model(64, 12, 5)
-
-    @pytest.mark.slow
-    def test_measured_scaling_tracks_prediction(self):
-        spec = Spectrum.from_values(np.linspace(2.0, 0.5, 2000))
-
-        # the two sizes alternate, so a drift in machine speed reaches both
-        best = {64: float("inf"), 128: float("inf")}
-        for _ in range(3):
-            for l in best:
-                t0 = time.perf_counter()
-                unbiased_estimate(spec, 10, l, 1, 3, "left", 0)
-                best[l] = min(best[l], time.perf_counter() - t0)
-
-        ratio = best[128] / best[64]
-        # predicted 4x for doubled sample size, generous band for BLAS noise
-        assert 2.5 <= ratio <= 6.0

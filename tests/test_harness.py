@@ -692,3 +692,14 @@ class TestEmission:
         for panel, fname in panels:
             assert fname.endswith(".svg")
             assert any(s.label == "true_angle" for s in panel.series)
+
+    def test_panel_without_finite_values_names_the_statuses(self, tmp_path):
+        # at gap 1e13 the sketch collapses already at q=0, on every seed
+        rows = run_experiment(ExperimentConfig(**contract_example(step_40(1e13), [(2, 4, 0)])))
+        panels = list(experiment_panels(rows))
+        assert [fname for _, fname in panels] == ["gaussian_decay_k2_l4_left_q0.svg",
+                                                  "gaussian_decay_k2_l4_right_q0.svg"]
+        for panel, fname in panels:
+            assert panel.title.endswith(" subspace (no finite values: sketch_collapsed)")
+            emit_svg(panel, tmp_path / fname)
+            assert "no finite values: sketch_collapsed" in (tmp_path / fname).read_text()

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -143,7 +145,16 @@ class TestSvXPinv:
             with pytest.raises(ValueError, match="rank deficient y"):
                 sv_x_pinv(x, y)
         else:
-            assert sv_x_pinv(x, y).tobytes() == expect.tobytes()
+            with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+                got = sv_x_pinv(x, y)
+            if qr.called:
+                assert got.tobytes() == expect.tobytes()
+            else:
+                # the Gram path: within its certified 1e-10 relative on
+                # every value, the smallest included; x is a Gaussian draw,
+                # so the rounding of the solve and the SVD, which both paths
+                # share, stays far below that
+                assert np.all(np.abs(got - expect) <= 1e-10 * expect)
 
     @pytest.mark.parametrize("cond, svd_calls", [(1e3, 1), (1e10, 2)])
     def test_dense_check_runs_only_as_fallback(self, monkeypatch, cond, svd_calls):
@@ -159,6 +170,26 @@ class TestSvXPinv:
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         sv_x_pinv(x, y)
         assert len(calls) == svd_calls
+
+    @pytest.mark.parametrize("y_kind, qr_calls", [("gaussian", 0), ("cond_1e3", 1)])
+    def test_householder_qr_runs_only_as_fallback(self, monkeypatch, y_kind, qr_calls):
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        if y_kind == "gaussian":
+            # the shape of the weighted tail in the estimate benchmark
+            rng = seeded_rng(5)
+            y = rng.standard_normal((500, 100))
+        else:
+            rng, y = self.conditioned_y(11, 60, 20, 1e3, 1.0)
+        x = rng.standard_normal((5, y.shape[1]))
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        sv_x_pinv(x, y)
+        assert len(calls) == qr_calls
 
     def test_overflowing_column_norms_raise(self):
         # finite entries, but the column norms of y exceed the float range
