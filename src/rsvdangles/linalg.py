@@ -130,55 +130,6 @@ def svd_full(m) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
-def _scaled_gram(a: np.ndarray, shift: float):
-    """(top, g, T) for top = max|a|, the Gram g = fl(a~^T a~) of
-    a~ = fl(a / top) and T = trace(g); g is None unless a is nonzero and
-    the Cholesky factorization of fl(g - tau I) with tau = shift * T
-    completes.
-
-    The entries of a~ lie in [-1, 1], so g cannot overflow, T >= 1, and
-    underflow costs an absolute 1e-320 or so. A completed factorization has
-    a computed factor C with C^T C = fl(g - tau I) + F and |F| <=
-    gamma_{l+1} |C^T| |C| for an l-column a (Higham, Accuracy and Stability
-    of Numerical Algorithms, 2nd ed., Thm 10.3), so ||F||_2 <=
-    gamma_{l+1} trace(C^T C) <= gamma_{l+1} (1 + u) T / (1 - gamma_{l+1})
-    with u = eps / 2, and the computed g - tau I + F is positive
-    semidefinite. With u T for the rounding of the shifted diagonal,
-    lambda_min(g) >= tau - u T - ||F||_2. The callers add the rounding of
-    g itself and derive their shift from that.
-    """
-    top = float(np.abs(a).max())
-    if top == 0.0:
-        return top, None, 0.0
-    at = a / top
-    g = at.T @ at
-    trace = float(np.trace(g))
-    try:
-        np.linalg.cholesky(g - shift * trace * np.eye(g.shape[0]))
-    except np.linalg.LinAlgError:
-        return top, None, trace
-    return top, g, trace
-
-
-def _certified_full_rank(r: np.ndarray) -> bool:
-    """True only if sigma_min(r) / sigma_max(r) >= sqrt(2 (l + 1) eps) for
-    the finite l-by-l triangle r, far above the 1e-12 at which ``sv_x_pinv``
-    raises.
-
-    With ``_scaled_gram``'s r~ and g: the division moves each singular value
-    by at most u ||r~||_F; g = r~^T r~ + E with ||E||_2 <= gamma_l ||r~||_F^2
-    and ||r~||_F^2 <= T / (1 - gamma_l), as each entry is a dot product of
-    length l (Higham, sec. 3.5). By Weyl's inequality lambda_min(r~^T r~) >=
-    tau - u T - ||F||_2 - ||E||_2, and the three terms sum to (l + 1) eps T
-    to first order. tau = 4 (l + 1) eps T leaves sigma_min(r~)^2 >=
-    3 (l + 1) eps T against sigma_max(r~)^2 <= T / (1 - gamma_l), and the
-    division's u ||r~||_F takes far less than the step from 3 to 2. The
-    values-only SVD errs by p(l) eps sigma_max(r), with LAPACK's modestly
-    growing p, so the dense check could not have raised.
-    """
-    return _scaled_gram(r, 4.0 * (r.shape[1] + 1) * _EPS)[1] is not None
-
-
 def sv_x_pinv(x, y) -> np.ndarray:
     """Singular values of x @ pinv(y) for a tall y of full column rank.
 
@@ -186,40 +137,58 @@ def sv_x_pinv(x, y) -> np.ndarray:
     orthonormal rows, so the values are those of solve(R.T, x.T): one small
     solve and one values-only SVD.
 
-    R is taken from the Cholesky factor L of ``_scaled_gram``'s g wherever
-    the shifted factorization certifies that this moves every value by at
-    most 1e-10 relative. For an n-by-l y, take ``_scaled_gram``'s y~, g and
-    T, and write (y / top)^T (y / top) = R~^T R~, so that R~ = R / top.
-    With u = eps / 2, to first order: the division's rounding
-    (|y~ - y / top| <= u |y / top|) moves the Gram by 2 u T, and g's own
-    rounding, dot products of length n, by gamma_n T. Cholesky's backward
-    error adds gamma_{l+1} T, so L L^T = R~^T R~ + H with ||H||_2 <=
-    (n + l + 3) u T. Then L L^T = R~^T (I + K) R~ with ||K||_2 <= eta =
-    ||H||_2 / lambda_min(R~^T R~), so for W = x inv(R~),
-    x inv(L L^T) x^T = W inv(I + K) W^T lies between W W^T / (1 + eta) and
-    W W^T / (1 - eta) in the Loewner order. Every singular value of
-    solve(L, x.T) / top is therefore the matching value of
-    x @ pinv(y) = W Q^T / top within a factor 1 / sqrt(1 -+ eta): a relative
-    error of eta / 2 to first order, on the smallest values as on the
-    largest. The shifted factorization gives lambda_min(R~^T R~) >=
-    tau - (n + l + 4) u T (``_scaled_gram``'s terms, with the Gram's
-    2 u T + gamma_n T), so tau = (n + l + 4) eps T / 2e-10 =
-    1e10 (n + l + 4) u T leaves eta < 1.0000001e-10: every value moves by at
-    most about 5e-11 relative, half of 1e-10, which leaves room for the
-    higher-order terms. Dividing the values, not the matrix, by top adds one
-    rounding to each; the solve and the values-only SVD round as on the
-    Householder path. The shift also proves sigma_min(y) / sigma_max(y) >=
+    For an n-by-l y, let 2^e be the least power of two above max|y|
+    (``math.frexp``) and y~ = 2^-e y, whose entries lie in (-1, 1). Unlike
+    a division by max|y|, this scaling is exact, except that an entry
+    pushed below the normal range keeps an absolute error of 2^-1075 at
+    most. One Gram G = fl(y~^T y~) serves two shifted Cholesky tests. G
+    cannot overflow, T = trace(G) >= 1/4, and with u = eps / 2, to first
+    order: G = y~^T y~ + E with ||E||_2 <= gamma_n T, as each entry is a
+    dot product of length n (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., sec. 3.5). If the factorization of fl(G - tau I)
+    completes, its factor C has C^T C = fl(G - tau I) + F with
+    ||F||_2 <= gamma_{l+1} T (Thm 10.3), and the rounding of the shifted
+    diagonal adds u T, so lambda_min(y~^T y~) >= tau - (n + l + 2) u T.
+
+    The fast shift, tau = (n + l + 4) eps T / 2e-10 = 1e10 (n + l + 4) u T,
+    takes R from L = cholesky(G). Write y~^T y~ = R~^T R~ with R~ = 2^-e R.
+    Cholesky's backward error gives L L^T = R~^T R~ + H with
+    ||H||_2 <= (n + l + 1) u T, so L L^T = R~^T (I + K) R~ with
+    ||K||_2 <= eta = ||H||_2 / lambda_min(R~^T R~) < 1e-10. For
+    W = x inv(R~), x inv(L L^T) x^T = W inv(I + K) W^T lies between
+    W W^T / (1 + eta) and W W^T / (1 - eta) in the Loewner order, so every
+    singular value of solve(2^e L, x.T) is the matching value of
+    x @ pinv(y) = 2^-e W Q^T within a factor 1 / sqrt(1 -+ eta): at most
+    about 5e-11 relative, on the smallest values as on the largest. The two
+    spare units of u T in tau cover the higher-order terms and the
+    underflow. The shift also proves sigma_min(y) / sigma_max(y) >=
     sqrt(tau / T) > 2e-3, far above the 1e-12 cut-off below, so no rank
     check runs.
 
-    Where that factorization fails, y is 0, ||y||_F = top sqrt(T) overflows
-    or a value is not finite, R comes from a Householder QR of y instead.
-    That path raises ValueError("rank deficient y") when the smallest
-    singular value of y is at most 1e-12 times its largest, and ValueError
-    naming the overflow when a finite y has column norms beyond the float
-    range, so that R is not finite. A scaled Gram-Cholesky test
-    (``_certified_full_rank``) settles its rank first wherever y is far
-    from the limit; only where it fails does a values-only SVD of R decide.
+    Where the fast shift fails, R comes from a Householder QR of y~ as
+    R~. That QR commutes with the power-of-two scaling, so 2^e R~ is, bit
+    for bit, the triangle of a QR of y itself wherever that triangle is
+    right; where y's column norms lie near the float range, a QR of y
+    itself returns a finite but wrong triangle, and 2^e R~ stays right.
+    The rank shift
+    tau = 4 (n + l + 1) eps T then leaves lambda_min(y~^T y~) >=
+    3 (n + l + 1) eps T against sigma_max(y~)^2 <= T / (1 - gamma_n), so
+    sigma_min(y) / sigma_max(y) >= sqrt(2 (n + l + 1) eps) with room for
+    the higher-order terms. The QR's backward error (Thm 19.4) and the
+    values-only SVD's, each a modest multiple of eps sigma_max, could not
+    bring R~ down to the cut-off, so no rank check runs there either. Only
+    where that factorization also fails does a values-only SVD of R~
+    decide: ValueError("rank deficient y") when its smallest singular value
+    is at most 1e-12 times its largest, or when y is 0.
+
+    Both paths end alike. The triangle 2^e L or 2^e R~^T is scaled back,
+    which is exact: solve(2^e L, x.T) = 2^-e solve(L, x.T) bit for bit, so
+    the solve and the values-only SVD round as they would on y~. A
+    ValueError names the overflow where a finite y has column norms beyond
+    the float range, so that the triangle is not finite, and where the
+    solve overflows. Where max|y| is subnormal, the scaled-back triangle is
+    subnormal too, and both paths then round as a Householder QR of y
+    itself does; no caller in this package passes such a y.
     """
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
@@ -228,24 +197,31 @@ def sv_x_pinv(x, y) -> np.ndarray:
     if x.shape[1] != y.shape[1]:
         raise ValueError("x and y column counts differ")
     n, l = y.shape
-    top, g, trace = _scaled_gram(y, (n + l + 4) * _EPS / 2e-10)
-    # an overflowing ||y||_F = top sqrt(T) goes to the Householder path,
-    # which names it
-    if g is not None and math.isfinite(top * math.sqrt(trace)):
+    top = float(np.abs(y).max())
+    if top == 0.0:
+        raise ValueError("rank deficient y")
+    e = math.frexp(top)[1]
+    yt = np.ldexp(y, -e)
+    g = yt.T @ yt
+    trace = float(np.trace(g))
+    try:
+        np.linalg.cholesky(g - (n + l + 4) * _EPS / 2e-10 * trace * np.eye(l))
+    except np.linalg.LinAlgError:
+        r = np.linalg.qr(yt, mode="r")
         try:
-            z = np.linalg.solve(np.linalg.cholesky(g), x.T)
+            np.linalg.cholesky(g - 4.0 * (n + l + 1) * _EPS * trace * np.eye(l))
         except np.linalg.LinAlgError:
-            z = None
-        if z is not None and np.isfinite(z).all():
-            with np.errstate(over="ignore"):
-                s = np.linalg.svd(z, compute_uv=False) / top
-            if np.isfinite(s).all():
-                return s
-    r = np.linalg.qr(y, mode="r")
-    if not np.isfinite(r).all():
-        raise ValueError("y overflows: its QR factor R is not finite")
-    if not _certified_full_rank(r):
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[-1] <= 1e-12 * s[0]:
-            raise ValueError("rank deficient y")
-    return np.linalg.svd(np.linalg.solve(r.T, x.T), compute_uv=False)
+            s = np.linalg.svd(r, compute_uv=False)
+            if s[-1] <= 1e-12 * s[0]:
+                raise ValueError("rank deficient y") from None
+        lower = r.T
+    else:
+        lower = np.linalg.cholesky(g)
+    with np.errstate(over="ignore"):
+        np.ldexp(lower, e, out=lower)
+    if not np.isfinite(lower).all():
+        raise ValueError("y overflows: its column norms exceed the float range")
+    z = np.linalg.solve(lower, x.T)
+    if not np.isfinite(z).all():
+        raise ValueError("x @ pinv(y) overflows: a value exceeds the float range")
+    return np.linalg.svd(z, compute_uv=False)

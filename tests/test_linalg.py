@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -130,8 +131,8 @@ class TestSvXPinv:
            log_cond=st.one_of(st.floats(0.0, 16.0), st.floats(11.0, 13.0)),
            log_scale=st.one_of(st.floats(-200.0, 200.0), st.floats(150.0, 200.0),
                                st.floats(-200.0, -150.0)))
-    # unscaled, the Gram of y's triangle overflows at 1e170 and underflows
-    # at 1e-170
+    # y's entries near 1e170 and 1e-170: the scaling to max|y| near 1 must
+    # keep the Gram of y~ finite and out of the underflow range
     @example(seed=1, n=12, extra_rows=3, p=2, log_cond=13.0, log_scale=170.0)
     @example(seed=2, n=12, extra_rows=3, p=2, log_cond=1.0, log_scale=-170.0)
     def test_agrees_with_dense_rank_check(self, seed, n, extra_rows, p,
@@ -190,6 +191,38 @@ class TestSvXPinv:
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         sv_x_pinv(x, y)
         assert len(calls) == qr_calls
+
+    def test_one_gram_serves_both_shifts(self):
+        # the cond-1e3 y of test_dense_check_runs_only_as_fallback: the fast
+        # shift declines, the rank shift completes
+        rng, y = self.conditioned_y(11, 60, 20, 1e3, 1.0)
+        x = rng.standard_normal((5, 20))
+        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol, \
+                mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            sv_x_pinv(x, y)
+        assert chol.call_count == 2 and qr.call_count == 1
+        first, second = (call.args[0] for call in chol.call_args_list)
+        off = ~np.eye(20, dtype=bool)
+        assert np.array_equal(first[off], second[off])
+
+    def test_householder_r_is_right_near_overflow(self):
+        # the fast shift declines cond 1e8; at 1e308, a QR of y itself
+        # returns a finite but wrong triangle for some of these draws
+        for seed in range(8):
+            rng, y = self.conditioned_y(seed, 6, 3, 1e8, 1e308)
+            x = rng.standard_normal((2, 3))
+            e = math.frexp(float(np.abs(y).max()))[1]
+            r = np.linalg.qr(np.ldexp(y, -e), mode="r")
+            want = np.ldexp(np.linalg.svd(np.linalg.solve(r.T, x.T),
+                                          compute_uv=False), -e)
+            assert np.all(np.abs(sv_x_pinv(x, y) - want) <= 1e-13 * want)
+
+    def test_overflowing_solve_is_named(self):
+        rng = seeded_rng(1)
+        x = 1e200 * rng.standard_normal((3, 5))
+        y = 1e-200 * rng.standard_normal((30, 5))
+        with pytest.raises(ValueError, match=r"x @ pinv\(y\) overflows"):
+            sv_x_pinv(x, y)
 
     def test_overflowing_column_norms_raise(self):
         # finite entries, but the column norms of y exceed the float range
