@@ -18,7 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .angles import canonical_cosines, canonical_sines
+from .angles import canonical_sines
 from .estimator import EstimateReport, estimate_cost_model, unbiased_estimate
 from .harness import (BalanceConfig, ExperimentConfig, Row, balance_sweep,
                       emit_csv, emit_svg, fixed_budget_bound, pad_spectrum,
@@ -40,7 +40,7 @@ __all__ = [
     "BalanceConfig", "BoundReport", "EstimateReport",
     "ExperimentConfig", "PlantedMatrix", "ResidualStats", "Row", "RsvdOutput",
     "SketchConfig", "Spectrum", "SvdFactors", "balance_sweep",
-    "canonical_cosines", "canonical_sines", "emit_csv", "emit_svg",
+    "canonical_sines", "emit_csv", "emit_svg",
     "estimate_cost_model", "fixed_budget_bound", "gap_bounds",
     "gaussian_sketch", "gen_gaussian_decay", "gen_snn", "gen_step_spectrum",
     "load_mnist", "ortho", "pad_spectrum",

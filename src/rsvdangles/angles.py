@@ -2,8 +2,7 @@
 
 Index convention used across the whole package: angle vectors are emitted in
 ascending-angle order, so position i (1-based) holds sin of the i-th
-smallest canonical angle and sine vectors are non-decreasing. Cosine vectors
-are aligned with the same positions and are therefore non-increasing.
+smallest canonical angle and sine vectors are non-decreasing.
 
 Sines are computed from the complement projection (I - Qb Qb^T) Qs rather
 than from 1 - cos^2, which stays accurate for the small angles that matter
@@ -17,14 +16,13 @@ import numpy as np
 from .linalg import as_matrix, ortho
 
 
-def _ortho_operand(m, name: str) -> np.ndarray:
-    try:
-        return ortho(m)
-    except ValueError as exc:
-        raise ValueError("rank deficient input") from exc
+def canonical_sines(big, small) -> np.ndarray:
+    """Sines of the canonical angles between range(big) and range(small).
 
-
-def _check_pair(big, small):
+    Returns the k = small.shape[1] sines in ascending-angle order. Values are
+    clamped to [0, 1] after checking they do not exceed 1 + 1e-8, which would
+    indicate a broken orthonormalization upstream.
+    """
     big = as_matrix(big, "big")
     small = as_matrix(small, "small")
     d, l = big.shape
@@ -33,36 +31,12 @@ def _check_pair(big, small):
         raise ValueError("subspaces must live in the same ambient dimension")
     if not k <= l <= d:
         raise ValueError("need small cols <= big cols <= ambient dim")
-    return big, small
-
-
-def canonical_sines(big, small) -> np.ndarray:
-    """Sines of the canonical angles between range(big) and range(small).
-
-    Returns the k = small.shape[1] sines in ascending-angle order. Values are
-    clamped to [0, 1] after checking they do not exceed 1 + 1e-8, which would
-    indicate a broken orthonormalization upstream.
-    """
-    big, small = _check_pair(big, small)
-    qb = _ortho_operand(big, "big")
-    qs = _ortho_operand(small, "small")
+    try:
+        qb, qs = ortho(big), ortho(small)
+    except ValueError as exc:
+        raise ValueError("rank deficient input") from exc
     resid = qs - qb @ (qb.T @ qs)
     s = np.linalg.svd(resid, compute_uv=False)
     if s.size and s[0] > 1.0 + 1e-8:
         raise ValueError("sine out of range")
     return np.clip(s[::-1], 0.0, 1.0)
-
-
-def canonical_cosines(big, small) -> np.ndarray:
-    """Cosines of the canonical angles, index-aligned with canonical_sines.
-
-    Position i holds cos of the i-th smallest angle, so the vector is
-    non-increasing.
-    """
-    big, small = _check_pair(big, small)
-    qb = _ortho_operand(big, "big")
-    qs = _ortho_operand(small, "small")
-    c = np.linalg.svd(qb.T @ qs, compute_uv=False)
-    if c.size and c[0] > 1.0 + 1e-8:
-        raise ValueError("cosine out of range")
-    return np.clip(c, 0.0, 1.0)

@@ -10,7 +10,8 @@ A bound family that raises a ``BoundFailure`` gets NaN rows with the
 failure's ``status`` and never aborts a sweep, and a run whose sketch
 collapses gets NaN rows of every kind; any other exception aborts it. A
 grid entry that cannot run (l above rank(A), which is at most min(m, n), or
-upper_c * sqrt(k/l) >= 1) is rejected before any run.
+upper_c * sqrt(k/l) >= 1) is rejected before any run, and so is a matrix
+whose squared Frobenius norm overflows.
 Re-running with an identical config reproduces identical CSV bytes.
 """
 
@@ -375,6 +376,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
         if cfg.upper_c * math.sqrt(k / l) >= 1.0:
             raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs"
                              f" upper_c * sqrt(k/l) < 1 (upper_c={cfg.upper_c})")
+    with np.errstate(over="ignore"):  # a run's residual Grams square a's entries
+        if not math.isfinite(np.vdot(a, a)):
+            raise ValueError(f"matrix {name} too large: its squared Frobenius norm overflows")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
     chunks = _share(_run_single, (matrix, cfg), tasks, cfg.jobs)
@@ -424,6 +428,9 @@ class BalanceConfig:
         tail = self.tail_factor * self.k
         if abs(tail - round(tail)) > 1e-9:
             raise ValueError("(1 + tail_factor) * k must be integral")
+        if self.size > np.iinfo(np.intp).max:  # the list of power counts is shorter
+            raise ValueError("config value makes (1 + tail_factor) * k exceed"
+                             " the largest array length: tail_factor")
 
     @property
     def size(self) -> int:
@@ -502,11 +509,12 @@ def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
 
 
 def emit_balance_csv(rows: list[dict], path) -> None:
-    cols = ("gap", "k", "q", "l", "phi", "trial", "largest_sine")
+    # one %-format per row, as in emit_csv; %.17g writes a float as f"{v:.17g}" does
+    line = "%(gap).17g,%(k)s,%(q)s,%(l)s,%(phi).17g,%(trial)s,%(largest_sine).17g\n"
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
+        fh.write("gap,k,q,l,phi,trial,largest_sine\n")
         for row in rows:
-            fh.write(",".join(_format_cell(row[c]) for c in cols) + "\n")
+            fh.write(line % row)
 
 
 def balance_panel(rows: list[dict]) -> "Panel":
@@ -531,12 +539,6 @@ def balance_panel(rows: list[dict]) -> "Panel":
 
 
 # --- CSV / SVG emission ----------------------------------------------------
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def emit_csv(rows: list[Row], path) -> None:

@@ -95,27 +95,24 @@ class SvdFactors:
         if (self.sigma < 0).any() or (np.diff(self.sigma) > 0).any():
             raise ValueError("singular values must be nonnegative and non-increasing")
 
-    @property
-    def width(self) -> int:
-        return int(self.sigma.size)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
 
 def ortho(m) -> np.ndarray:
     """Orthonormal basis of range(m) via reduced unpivoted QR.
 
     Raises ValueError("rank deficient sketch") when an R diagonal entry falls
     below 1e-12 times the Frobenius norm of the input, which signals that a
-    sketch collapsed (or the input was rank deficient to begin with).
+    sketch collapsed (or the input was rank deficient to begin with). Both
+    sides are scaled by 2^-e, 2^e the least power of two above max|m|, as in
+    ``sv_x_pinv``. That is exact, so the norm cannot overflow, and wherever it
+    was finite unscaled the test decides as before.
     """
     m = as_matrix(m)
     rows, cols = m.shape
     if cols > rows:
         raise ValueError("ortho requires cols <= rows")
     q, r = np.linalg.qr(m)
-    if np.abs(np.diag(r)).min() <= 1e-12 * np.linalg.norm(m):
+    e = math.frexp(float(np.abs(m).max()))[1]
+    if np.ldexp(np.abs(np.diag(r)).min(), -e) <= 1e-12 * np.linalg.norm(np.ldexp(m, -e)):
         raise ValueError("rank deficient sketch")
     return q
 

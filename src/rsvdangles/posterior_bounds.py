@@ -38,9 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _EPS, Spectrum, as_matrix
+from .linalg import _EPS, Spectrum, SvdFactors, as_matrix
 from .prior_bounds import BoundReport, GapViolated, make_report
-from .rsvd import RsvdOutput
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     return make_report(np.minimum(by_gap, by_index), "residual_ratio", side)
 
 
-def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> ResidualStats:
+def residual_blocks(a, f: SvdFactors, k: int, right_residual: Spectrum) -> ResidualStats:
     """Residual-block norms for a delivered rank-l approximation.
 
     The three spectral norms are certified from above, so the gap bounds
@@ -149,12 +148,11 @@ def residual_blocks(a, out: RsvdOutput, k: int, right_residual: Spectrum) -> Res
     are the top values of the l-by-l Gram matrix of the m-by-l in-basis
     residual and of its trailing block, with the margin of
     ``_certified_top``. ``right_residual`` is
-    ``residual_spectrum(a, out.v, "right", k)``; its top value is the
+    ``residual_spectrum(a, f.v, "right", k)``; its top value is the
     out-of-basis norm.
     """
     a = as_matrix(a)
-    f = out.factors
-    if not 1 <= k < f.width:
+    if not 1 <= k < f.sigma.size:
         raise ValueError("need 1 <= k < l")
     # (a - u sigma v^T) v = a v - u sigma, as v has orthonormal columns
     err_v = a @ f.v - f.u * f.sigma

@@ -43,24 +43,11 @@ class SketchConfig:
 
 
 @dataclass(frozen=True)
-class RsvdOutput:
+class RsvdOutput(SvdFactors):
     """Factors of a randomized SVD with the n-by-l Gaussian sketch that
-    produced them (None for factors built another way)."""
+    produced them."""
 
-    factors: SvdFactors
-    sketch: np.ndarray | None = None
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.factors.u
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return self.factors.sigma
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.factors.v
+    sketch: np.ndarray
 
 
 def gaussian_sketch(n: int, l: int, seed: int) -> np.ndarray:
@@ -86,7 +73,7 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
     a = as_matrix(a)
     m, n = a.shape
     cfg.validate_for_shape(m, n)
-    if np.linalg.norm(a) == 0.0:
+    if not a.any():
         raise ValueError("rsvd requires a nonzero matrix")
     omega = gaussian_sketch(n, cfg.l, cfg.seed)
     x = _sketch_basis(a @ omega)
@@ -94,7 +81,7 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
         x = _sketch_basis(a @ _sketch_basis(a.T @ x))
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.
-    return RsvdOutput(SvdFactors(x @ f.v, f.sigma, f.u), omega)
+    return RsvdOutput(x @ f.v, f.sigma, f.u, omega)
 
 
 def _sketch_basis(x: np.ndarray) -> np.ndarray:

@@ -292,6 +292,8 @@ BAD_BALANCE_FLAGS = {
     "balance_infinite_gap": (["--gap", "inf"], "gap"),
     # l = budget * k must fit the tail of size-factor * k rows
     "balance_budget_above_tail": (["--budget", "13"], "budget_factor"),
+    # a study of (1 + size-factor) * k rows could not be held, nor its power counts listed
+    "balance_huge_budget": (["--budget", "1e300", "--size-factor", "1e300"], "tail_factor"),
     # the first gap could run, but every gap is checked before any output
     "balance_nan_second_gap": (["--gap", "1.1", "nan"], "gap"),
 }

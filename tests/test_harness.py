@@ -15,8 +15,9 @@ from rsvdangles import workers
 from rsvdangles.angles import canonical_sines
 from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
                                 ExperimentConfig, Panel, Row, Series,
-                                balance_panel, balance_sweep, build_matrix, emit_csv,
-                                emit_svg, experiment_panels, feasible_powers,
+                                balance_panel, balance_sweep, build_matrix,
+                                emit_balance_csv, emit_csv, emit_svg,
+                                experiment_panels, feasible_powers,
                                 fixed_budget_bound, pad_spectrum,
                                 run_experiment)
 from rsvdangles.linalg import Spectrum
@@ -240,6 +241,17 @@ class TestRunExperiment:
         path = tmp_path / "rank3.mtx"
         write_matrix(rng.standard_normal((12, 3)) @ rng.standard_normal((3, 10)), path)
         return {"path": str(path)}
+
+    @pytest.mark.usefixtures("forbid_fork")
+    def test_matrix_with_overflowing_norm_rejected_before_any_run(self):
+        # each head value squared overflows; the sketch itself would not
+        step = {"generator": "gaussian_decay", "m": 30, "n": 30,
+                "spectrum": {"kind": "step", "k": 2, "beta": 14, "gap": 1e200}}
+        assert build_matrix(step)[3].values[0] == 1e200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
+                run_experiment(ExperimentConfig(matrix=step, grid=[(2, 6, 1)], jobs=2))
 
     def test_roundoff_values_do_not_count_toward_rank(self, rank3_file):
         spec = build_matrix(rank3_file)[3]
@@ -524,6 +536,10 @@ class TestBudgetCurve:
         with pytest.raises(ValueError, match=": trials$"):
             BalanceConfig(k=10, budget_factor=16.0, tail_factor=32.0,
                           oversample_factor=1.05, gap=1.1, trials=-1)
+        # no array, nor the list of power counts, could be that long
+        with pytest.raises(ValueError, match=": tail_factor$"):
+            BalanceConfig(k=2, budget_factor=1e300, tail_factor=1e300,
+                          oversample_factor=1.05, gap=1.1)
 
     @pytest.mark.parametrize("key", ["budget_factor", "tail_factor",
                                      "oversample_factor", "gap"])
@@ -669,6 +685,36 @@ class TestEmission:
         path = tmp_path_factory.mktemp("csv")
         emit_csv(rows, path / "new.csv")
         self.former_emit_csv(rows, path / "old.csv")
+        assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
+
+    @staticmethod
+    def former_emit_balance_csv(rows, path):
+        """The balance writer as it stood before it took one %-format line:
+        one formatted cell at a time, kept as the oracle."""
+        def cell(v):
+            return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+        cols = ("gap", "k", "q", "l", "phi", "trial", "largest_sine")
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
+            fh.write(",".join(cols) + "\n")
+            for row in rows:
+                fh.write(",".join(cell(row[c]) for c in cols) + "\n")
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_balance_writer_writes_the_former_writers_bytes(self, tmp_path_factory, data):
+        floats = st.one_of(st.floats(), st.sampled_from(
+            [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072009e-308]))
+        counts = st.integers(0, 2**40)
+        rows = data.draw(st.lists(st.fixed_dictionaries({
+            "gap": floats, "k": counts, "q": counts, "l": counts, "phi": floats,
+            "trial": st.integers(-1, 2**40), "largest_sine": floats}), max_size=30))
+        # the phi-only rows of trials=0 carry trial -1 and a NaN sine
+        rows += balance_sweep(tiny_balance(trials=0))
+        rows = data.draw(st.permutations(rows))
+        path = tmp_path_factory.mktemp("balance_csv")
+        emit_balance_csv(rows, path / "new.csv")
+        self.former_emit_balance_csv(rows, path / "old.csv")
         assert (path / "new.csv").read_bytes() == (path / "old.csv").read_bytes()
 
     def test_svg_is_wellformed_and_deterministic(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -46,6 +47,15 @@ class TestOrtho:
         with pytest.raises(ValueError, match="rank deficient sketch"):
             ortho(m)
 
+    def test_norm_past_the_overflow_threshold_is_not_a_collapse(self):
+        # ||m||_F^2 overflows from about 1.3e154 on; the rank test must not
+        m = seeded_rng(4).standard_normal((20, 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = ortho(m * 1e160)
+        assert np.linalg.norm(q.T @ q - np.eye(4), 2) <= 1e-10
+        assert np.linalg.norm(q @ (q.T @ m) - m) <= 1e-10 * np.linalg.norm(m)
+
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError, match="cols <= rows"):
             ortho(np.ones((2, 5)))
@@ -71,7 +81,8 @@ class TestSvdFull:
         f = svd_full(a)
         p = min(m, n)
         assert f.sigma.size == p
-        assert np.linalg.norm(f.reconstruct() - a) <= 1e-10 * max(1.0, np.linalg.norm(a))
+        assert (np.linalg.norm((f.u * f.sigma) @ f.v.T - a)
+                <= 1e-10 * max(1.0, np.linalg.norm(a)))
         assert np.linalg.norm(f.u.T @ f.u - np.eye(p), 2) <= 1e-10
         assert np.linalg.norm(f.v.T @ f.v - np.eye(p), 2) <= 1e-10
         assert (np.diff(f.sigma) <= 0).all() and (f.sigma >= 0).all()

@@ -21,7 +21,7 @@ class TestGaussianDecay:
         spec = spectrum_slower(60, 8)
         pm = gen_gaussian_decay(80, 70, spec, seed=1)
         f = pm.factors
-        assert np.linalg.norm(f.reconstruct() - pm.a) <= 1e-10 * np.linalg.norm(pm.a)
+        assert np.linalg.norm((f.u * f.sigma) @ f.v.T - pm.a) <= 1e-10 * np.linalg.norm(pm.a)
         assert np.linalg.norm(f.u.T @ f.u - np.eye(60), 2) <= 1e-10
         assert np.linalg.norm(f.v.T @ f.v - np.eye(60), 2) <= 1e-10
 
@@ -148,7 +148,8 @@ class TestSnn:
             pm = gen_snn(120, 120, r1=20, a_param=a_param, density=0.05, seed=7)
             assert pm.a.shape == (120, 120)
             assert pm.name == "snn"
-            assert np.linalg.norm(pm.factors.reconstruct() - pm.a) <= \
+            f = pm.factors
+            assert np.linalg.norm((f.u * f.sigma) @ f.v.T - pm.a) <= \
                 1e-10 * np.linalg.norm(pm.a)
 
     def test_determinism(self):

@@ -11,13 +11,13 @@ from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
                                          residual_ratio_bounds,
                                          residual_spectrum)
 from rsvdangles.prior_bounds import GapViolated
-from rsvdangles.rsvd import RsvdOutput, SketchConfig, rsvd
+from rsvdangles.rsvd import SketchConfig, rsvd
 
 
 def exact_rank_l_output(a, l):
     """Rank-l truncation of the exact SVD packaged as an algorithm output."""
     f = svd_full(a)
-    return RsvdOutput(SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l]))
+    return SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l])
 
 
 def residual_stats(a, out, k):
@@ -178,7 +178,7 @@ class TestResidualBlocks:
         pm = gen_gaussian_decay(50, 40, spec, seed=8)
         out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=3))
         stats = residual_stats(pm.a, out, k=5)
-        err = pm.a - out.factors.reconstruct()
+        err = pm.a - (out.u * out.sigma) @ out.v.T
         assert stats.resid_in_basis_2 == pytest.approx(
             np.linalg.norm(err @ out.v, 2), rel=1e-12)
         assert stats.resid_beyond_k_2 == pytest.approx(
@@ -216,7 +216,7 @@ class TestResidualBlocks:
         spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
         pm = gen_gaussian_decay(50, 40, spec, seed=7)
         out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=2))
-        err = pm.a - out.factors.reconstruct()
+        err = pm.a - (out.u * out.sigma) @ out.v.T
         in_basis = np.linalg.norm(err @ out.v) ** 2
         out_basis = np.linalg.norm(err - (err @ out.v) @ out.v.T) ** 2
         assert np.linalg.norm(err) ** 2 == pytest.approx(in_basis + out_basis, rel=1e-10)

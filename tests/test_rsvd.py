@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestRsvd:
     def test_full_width_sketch_reproduces_matrix(self):
         a = np.diag([3.0, 2.0, 1.0, 0.5])
         out = rsvd(a, SketchConfig(k=2, l=4, q=0, seed=1))
-        assert np.linalg.norm(out.factors.reconstruct() - a) <= 1e-10
+        assert np.linalg.norm((out.u * out.sigma) @ out.v.T - a) <= 1e-10
 
     def test_deterministic_rerun(self):
         rng = seeded_rng(2)
@@ -96,6 +98,14 @@ class TestRsvd:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
             rsvd(np.zeros((5, 5)), SketchConfig(1, 2, 0, seed=0))
+
+    def test_huge_entries_run_without_warnings(self):
+        # ||a||_F^2 overflows: the zero test must not square the entries
+        a = np.diag([3.0, 2.0, 1.0, 0.5]) * 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = rsvd(a, SketchConfig(k=2, l=4, q=1, seed=1))
+        assert np.allclose(out.sigma, [3e160, 2e160, 1e160, 0.5e160], rtol=1e-12)
 
     def test_mean_largest_angle_improves_with_power_iterations(self):
         spec = spectrum_slower(120, 10)
