@@ -172,6 +172,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # its message is often empty
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

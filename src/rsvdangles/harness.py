@@ -37,7 +37,7 @@ from .posterior_bounds import (gap_bounds, residual_blocks,
 from .prior_bounds import (BoundFailure, SketchCollapsed, make_report,
                            sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
-from .rsvd import SketchConfig, gaussian_sketch, rsvd
+from .rsvd import SketchConfig, rsvd
 from .workers import _share
 
 SCHEMA_VERSION = 1
@@ -492,16 +492,15 @@ def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
     diag(gap I_k, I), so nu = gap^(2q+1) sv(y_1 pinv(y_2)), which needs y_2
     only up to a left orthogonal factor. y_1 over the triangular factor of
     y_2 comes from one QR of [first k columns of the right block | omega]
-    (``gaussian_decay_right_sketch``), so neither V nor a is formed, and
-    no r-by-r QR runs. The power scales the scalar, not y_1: an
-    overflowing power gives the sine 0, where it would fail ``sv_x_pinv``'s
-    finite-input check.
+    (``gaussian_decay_right_sketch``), so neither V nor a is formed, no
+    r-by-r QR runs and no r-by-r array is held. The power scales the
+    scalar, not y_1: an overflowing power gives the sine 0, where it would
+    fail ``sv_x_pinv``'s finite-input check.
     """
     q, l, trial = task
     k, r = cfg.k, cfg.size
-    omega = gaussian_sketch(r, l, cfg.seed + 200_000 * (q + 1) + trial)
     y = gaussian_decay_right_sketch(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
-                                    k, omega)
+                                    k, l, cfg.seed + 200_000 * (q + 1) + trial)
     s = sv_x_pinv(y[:k], y[k:])
     with np.errstate(over="ignore"):
         nu = np.float64(cfg.gap) ** (2 * q + 1) * s[-1]

@@ -25,6 +25,25 @@ def seeded_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=int(seed) & _MASK64))
 
 
+# doubles in the one buffer that normal_row_blocks draws through (128 KiB)
+_DRAW_BUFFER = 16_384
+
+
+def normal_row_blocks(rng: np.random.Generator, n: int, width: int):
+    """Yield (i, rows) for the rows i, i + 1, ... of the n-by-width matrix
+    rng.standard_normal((n, width)) would draw, drawn block by block into
+    one reused buffer of _DRAW_BUFFER doubles (one row if a row is wider);
+    each block is overwritten by the next. The generator fills row-major and
+    keeps no state between calls but its stream position, so the same words
+    are consumed in the same order, and the draws that follow agree too."""
+    height = max(1, min(n, _DRAW_BUFFER // max(width, 1)))
+    buf = np.empty((height, width))
+    for i in range(0, n, height):
+        rows = buf[:n - i]
+        rng.standard_normal(out=rows)
+        yield i, rows
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Validate and convert input into a finite 2-d float64 array."""
     m = np.asarray(a, dtype=np.float64)

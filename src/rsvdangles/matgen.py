@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, SvdFactors, as_matrix, ortho, seeded_rng, svd_full
+from .linalg import (Spectrum, SvdFactors, as_matrix, normal_row_blocks, ortho,
+                     seeded_rng, svd_full)
+from .rsvd import gaussian_sketch
 
 
 @dataclass(frozen=True)
@@ -29,13 +31,24 @@ class PlantedMatrix:
         return Spectrum.from_values(self.factors.sigma)
 
 
-def _planted_draws(m: int, n: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _planted_row_blocks(m: int, n: int, r: int, seed: int):
     """The Gaussian blocks behind a planted pair of bases, in stream order:
-    m-by-r for the left basis, then n-by-r for the right one."""
+    m-by-r for the left basis, then n-by-r for the right one, as (side, i,
+    rows) row blocks of normal_row_blocks, side 0 for the left block and 1
+    for the right."""
     if r > min(m, n):
         raise ValueError("declared rank exceeds min(m, n)")
     rng = seeded_rng(seed)
-    return rng.standard_normal((m, r)), rng.standard_normal((n, r))
+    return ((side, i, rows) for side, size in enumerate((m, n))
+            for i, rows in normal_row_blocks(rng, size, r))
+
+
+def _planted_draws(m: int, n: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The two blocks of _planted_row_blocks, whole."""
+    blocks = np.empty((m, r)), np.empty((n, r))
+    for side, i, rows in _planted_row_blocks(m, n, r, seed):
+        blocks[side][i:i + len(rows)] = rows
+    return blocks
 
 
 def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
@@ -54,11 +67,12 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
 
 
 def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
-                                k: int, omega: np.ndarray) -> np.ndarray:
+                                k: int, l: int, sketch_seed: int) -> np.ndarray:
     """[v_k.T @ omega; T], (k + l)-by-l, for the factors v of
-    gen_gaussian_decay(m, n, spectrum, seed) and an n-by-l omega, where T
-    is the l-by-l triangular factor of v_perp.T @ omega for an orthonormal
-    basis v_perp of the complement of span(v_k). Neither v nor a is formed.
+    gen_gaussian_decay(m, n, spectrum, seed) and omega =
+    gaussian_sketch(n, l, sketch_seed), where T is the l-by-l triangular
+    factor of v_perp.T @ omega for an orthonormal basis v_perp of the
+    complement of span(v_k). Neither v nor a is formed.
 
     The QR that orthonormalizes the n-by-r Gaussian block G into v is
     column-nested: span(v_k) = span(G[:, :k]), and its first k Householder
@@ -67,12 +81,21 @@ def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
     Loan, Matrix Computations, 4th ed., secs. 5.2-5.3), so the last l
     columns of R hold v_k.T @ omega over T. As pinv(Q_T T) = inv(T) Q_T.T,
     sv_x_pinv of the two blocks is sv(v_k.T omega pinv(v_perp.T omega)).
-    The left block is drawn and dropped, and the whole right block drawn,
-    so that the stream and v stay the same. Raises ValueError("rank
-    deficient sketch") where ortho would for G's first k columns.
+    The left block and the whole of G are drawn, a few rows at a time, so
+    that the stream and v stay the same; only G's first k columns are kept,
+    and omega is drawn into the last l columns, so no r-by-r or separate
+    n-by-l array is held. Raises ValueError("rank deficient sketch") where
+    ortho would for G's first k columns.
     """
     r = spectrum.declared_rank
-    stacked = np.hstack([_planted_draws(m, n, r, seed)[1][:, :k], omega])
+    if not 1 <= k <= r:
+        raise ValueError("need 1 <= k <= declared rank")
+    blocks = _planted_row_blocks(m, n, r, seed)
+    stacked = np.empty((n, k + l))
+    gaussian_sketch(n, l, sketch_seed, out=stacked[:, k:])
+    for side, i, rows in blocks:
+        if side:
+            stacked[i:i + len(rows), :k] = rows[:, :k]
     norm = np.linalg.norm(stacked[:, :k])
     factor = np.linalg.qr(stacked, mode="r")
     if np.abs(np.diag(factor[:, :k])).min() <= 1e-12 * norm:

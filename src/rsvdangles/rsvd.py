@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SvdFactors, as_matrix, ortho, seeded_rng, svd_full
+from .linalg import (SvdFactors, as_matrix, normal_row_blocks, ortho, seeded_rng,
+                     svd_full)
 from .prior_bounds import SketchCollapsed
 
 
@@ -50,16 +51,20 @@ class RsvdOutput(SvdFactors):
     sketch: np.ndarray
 
 
-def gaussian_sketch(n: int, l: int, seed: int) -> np.ndarray:
-    """Deterministic n-by-l Gaussian sketch with i.i.d. N(0, 1/l) entries.
+def gaussian_sketch(n: int, l: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Deterministic n-by-l Gaussian sketch with i.i.d. N(0, 1/l) entries,
+    written into out (an n-by-l array, of any strides) if it is given.
 
     The stream is keyed by the seed alone and filled row-major, so a fixed
     (n, l, seed) triple reproduces the same matrix bit for bit.
     """
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
-    rng = seeded_rng(seed)
-    return rng.standard_normal((n, l)) / math.sqrt(l)
+    if out is None:
+        out = np.empty((n, l))
+    for i, rows in normal_row_blocks(seeded_rng(seed), n, l):
+        np.divide(rows, math.sqrt(l), out=out[i:i + len(rows)])
+    return out
 
 
 def rsvd(a, cfg: SketchConfig) -> RsvdOutput:

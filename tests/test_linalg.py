@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, ortho,
-                               seeded_rng, sv_x_pinv, svd_full)
+from rsvdangles import linalg
+from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, normal_row_blocks,
+                               ortho, seeded_rng, sv_x_pinv, svd_full)
 
 
 def test_as_matrix_rejects_nonfinite_and_empty():
@@ -19,6 +20,20 @@ def test_as_matrix_rejects_nonfinite_and_empty():
         as_matrix(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         as_matrix(np.zeros(4))
+
+
+# heights 1 (a row wider than the buffer), 7, 16, 64 and the whole matrix
+@pytest.mark.parametrize("buffer", [5, 70, 160, 640, 16_384])
+@pytest.mark.parametrize("seed", [1, 7, 123456789, 2**63 + 5])
+def test_normal_row_blocks_draw_the_whole_matrix_and_stream(monkeypatch, buffer, seed):
+    monkeypatch.setattr(linalg, "_DRAW_BUFFER", buffer)
+    want = seeded_rng(seed)
+    whole, after = want.standard_normal((66, 10)), want.standard_normal(5)
+    rng, got = seeded_rng(seed), np.full((66, 10), np.nan)
+    for i, rows in normal_row_blocks(rng, 66, 10):
+        got[i:i + len(rows)] = rows
+    assert np.array_equal(got, whole)
+    assert np.array_equal(rng.standard_normal(5), after)
 
 
 class TestOrtho:

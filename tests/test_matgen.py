@@ -1,14 +1,16 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rsvdangles.angles import canonical_sines
-from rsvdangles import matgen
+from rsvdangles import linalg, matgen
 from rsvdangles.linalg import Spectrum, seeded_rng, sv_x_pinv, svd_full
-from rsvdangles.matgen import (gaussian_decay_right_sketch, gen_gaussian_decay,
-                               gen_snn, gen_step_spectrum, load_mnist,
-                               spectrum_faster, spectrum_slower)
+from rsvdangles.matgen import (_planted_draws, gaussian_decay_right_sketch,
+                               gen_gaussian_decay, gen_snn, gen_step_spectrum,
+                               load_mnist, spectrum_faster, spectrum_slower)
+from rsvdangles.rsvd import gaussian_sketch
 
 
 class TestGaussianDecay:
@@ -44,14 +46,14 @@ class TestGaussianDecay:
         with pytest.raises(ValueError, match="declared rank"):
             gen_gaussian_decay(5, 5, spectrum_slower(10, 2), seed=0)
 
-    def test_right_sketch_is_v_transpose_omega(self, monkeypatch):
+    def test_right_sketch_is_v_transpose_omega(self):
         # rank n, so v[:, k:] spans the complement of span(v_k)
         spec = spectrum_slower(35, 4)
         pm = gen_gaussian_decay(40, 35, spec, seed=5)
-        omega = seeded_rng(9).standard_normal((35, 6))
+        omega = gaussian_sketch(35, 6, 9)
         v, k = pm.factors.v, 4
         head = v[:, :k].T @ omega
-        got = gaussian_decay_right_sketch(40, 35, spec, 5, k, omega)
+        got = gaussian_decay_right_sketch(40, 35, spec, 5, k, 6, 9)
         assert got.shape == (k + 6, 6)
         assert np.linalg.norm(got[:k] - head) <= 1e-13 * np.linalg.norm(head)
         # T is triangular with T^T T = omega^T (I - V_k V_k^T) omega
@@ -62,23 +64,54 @@ class TestGaussianDecay:
         want = sv_x_pinv(head, v[:, k:].T @ omega)
         assert sv_x_pinv(got[:k], t) == pytest.approx(want, rel=1e-12, abs=0)
         # a stream that skipped the left draw would plant another v
-        monkeypatch.setattr(matgen, "_planted_draws", lambda m, n, r, seed:
-                            (None, seeded_rng(seed).standard_normal((n, r))))
-        skipped = gaussian_decay_right_sketch(40, 35, spec, 5, k, omega)
+        skipped = seeded_rng(5).standard_normal((35, 35))[:, :k]
+        skipped = np.linalg.qr(np.hstack([skipped, omega]), mode="r")[:, k:]
         assert np.linalg.norm(skipped[:k] - head) > 0.1 * np.linalg.norm(head)
 
+    # the default buffer; a height that divides neither 13 nor 11 for both
+    # the 10-wide planted rows (3) and the 4-wide sketch rows (7); and a
+    # buffer narrower than a planted row (one row at a time)
+    @pytest.mark.parametrize("buffer", [None, 30, 8])
+    def test_right_sketch_streams_the_whole_blocks_bit_for_bit(self, monkeypatch, buffer):
+        if buffer is not None:
+            monkeypatch.setattr(linalg, "_DRAW_BUFFER", buffer)
+        m, n, r, k, l = 13, 11, 10, 3, 4
+        spec = spectrum_slower(r, 2)
+        for seed, sketch_seed in [(1, 7), (123456789, 2**63 + 5)]:
+            # the right block follows the left one in a single stream
+            stream = seeded_rng(seed)
+            stream.standard_normal((m, r))
+            right = _planted_draws(m, n, r, seed)[1]
+            assert np.array_equal(right, stream.standard_normal((n, r)))
+            stacked = np.hstack([right[:, :k], gaussian_sketch(n, l, sketch_seed)])
+            want = np.linalg.qr(stacked, mode="r")[:, k:]
+            got = gaussian_decay_right_sketch(m, n, spec, seed, k, l, sketch_seed)
+            assert np.array_equal(got, want)
+
+    def test_right_sketch_holds_no_r_by_r_array(self):
+        tracemalloc.start()
+        try:
+            gaussian_decay_right_sketch(2000, 2000, spectrum_slower(2000, 2), 3, 2, 4, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 2000x2000 block alone is 32 MB
+        assert peak < 4e6
+
     def test_right_sketch_checks_rank(self, monkeypatch):
-        with pytest.raises(ValueError, match="declared rank"):
-            gaussian_decay_right_sketch(5, 5, spectrum_slower(10, 2), 0, 1, np.ones((5, 1)))
-        # the first two of the block's columns are equal, the third apart;
-        # k=1 passes, as only the first k columns are checked
+        with pytest.raises(ValueError, match="declared rank exceeds"):
+            gaussian_decay_right_sketch(5, 5, spectrum_slower(10, 2), 0, 1, 1, 0)
+        with pytest.raises(ValueError, match="need 1 <= k <= declared rank"):
+            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 4, 2, 1)
+        # the first two of the right block's columns are equal, the third
+        # apart; k=1 passes, as only the first k columns are checked
         block = np.ones((8, 3))
         block[:, 2] = np.arange(8.0)
-        monkeypatch.setattr(matgen, "_planted_draws", lambda m, n, r, seed: (None, block))
-        omega = seeded_rng(1).standard_normal((8, 2))
-        gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 1, omega)
+        monkeypatch.setattr(matgen, "_planted_row_blocks", lambda m, n, r, seed:
+                            iter([(0, 0, np.zeros((m, r))), (1, 0, block)]))
+        gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 1, 2, 1)
         with pytest.raises(ValueError, match="rank deficient sketch"):
-            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 2, omega)
+            gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 2, 2, 1)
 
 
 class TestSpectrumFamilies:

@@ -1,8 +1,10 @@
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from rsvdangles import linalg
 from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import Spectrum, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
@@ -17,6 +19,15 @@ class TestGaussianSketch:
         assert np.array_equal(a, b)
         c = gaussian_sketch(100, 7, seed=43)
         assert not np.array_equal(a, c)
+
+    def test_one_whole_draw_over_sqrt_l_in_any_array(self, monkeypatch):
+        # drawn two rows at a time, also into a column block of a wider array
+        monkeypatch.setattr(linalg, "_DRAW_BUFFER", 14)
+        want = seeded_rng(42).standard_normal((100, 7)) / math.sqrt(7)
+        assert np.array_equal(gaussian_sketch(100, 7, seed=42), want)
+        wide = np.zeros((100, 10))
+        gaussian_sketch(100, 7, 42, out=wide[:, 3:])
+        assert np.array_equal(wide[:, 3:], want) and not wide[:, :3].any()
 
     def test_moment_concentration(self):
         n, l = 2000, 50
