@@ -83,9 +83,9 @@ def _cmd_balance(args) -> int:
                           trials=args.trials, seed=args.seed)
             for gap in args.gap]  # every gap is checked before the first sweep
     outdir = _resolve_outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
     for cfg in cfgs:
         rows = balance_sweep(cfg)
+        os.makedirs(outdir, exist_ok=True)  # once there are rows to write
         tag = f"balance_k{cfg.k}_gap{cfg.gap:g}"
         emit_balance_csv(rows, os.path.join(outdir, f"{tag}.csv"))
         emit_svg(balance_panel(rows), os.path.join(outdir, f"{tag}.svg"))

@@ -11,7 +11,8 @@ Large nu means a well-captured direction and a small angle, so the numpy
 descending nu order already yields ascending-angle theta vectors. Trial j
 uses the stream keyed by ``seed ^ j``, so the trials are independent: they
 run in fixed blocks that forked workers may share (``jobs``) without
-changing a bit of the report.
+changing a bit of the report. One draw per trial serves several (spectrum,
+side) weightings at once (``estimate_weightings``), as a sweep run needs.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import Spectrum, sv_x_pinv
-from .prior_bounds import TailTooShort, WeightsOverflow, power_exponent
+from .prior_bounds import (BoundFailure, TailTooShort, WeightsOverflow,
+                           power_exponent)
 from .rsvd import gaussian_sketch
 from .workers import _share
 
@@ -54,9 +56,31 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
     column rank; otherwise raises TailTooShort("tail too short for estimator"),
     and WeightsOverflow where the power weights overflow, before any trial,
     or where the weighted head overflows with a trial's draw.
-    The trials run in blocks of ``TRIAL_BLOCK``, shared by at most ``jobs``
-    workers (see ``workers._share``); the report does not depend on the
-    worker count.
+    This is the one-weighting case of ``estimate_weightings``: the trials
+    run in blocks of ``TRIAL_BLOCK``, shared by at most ``jobs`` workers
+    (see ``workers._share``), and the report does not depend on the worker
+    count.
+    """
+    [outcome] = estimate_weightings([(spectrum, side)], k, l, q, n_trials, seed, jobs)
+    if isinstance(outcome, BoundFailure):
+        raise outcome
+    return outcome
+
+
+def estimate_weightings(weightings: list, k: int, l: int, q: int, n_trials: int,
+                        seed: int, jobs: int = 1) -> list:
+    """``unbiased_estimate`` for each (spectrum, side) pair of ``weightings``,
+    on one Gaussian draw per trial.
+
+    Returns one outcome per pair, in order: its EstimateReport, or the
+    BoundFailure that ``unbiased_estimate`` would raise for it. Trial j
+    draws gaussian_sketch(r, l, seed ^ j) once, at the largest declared
+    rank r among the pairs that pass the checks before any trial. The
+    stream fills row-major, so the first r' rows of that draw are, bit for
+    bit, the draw at rank r', and a pair of rank r' reads those: every
+    report equals its own ``unbiased_estimate`` call bit for bit. A pair
+    whose trial fails keeps the failure of its first failing trial in
+    trial order, whatever the worker count; the other pairs go on.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -64,6 +88,38 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
         raise ValueError("need 1 <= k <= l")
     if q < 0:
         raise ValueError("q must be >= 0")
+    weights = []
+    for spectrum, side in weightings:
+        try:
+            weights.append(_weights(spectrum, k, l, q, side))
+        except BoundFailure as exc:
+            weights.append(exc)
+    ranks = [w[0] for w in weights if not isinstance(w, BoundFailure)]
+    if not ranks:
+        return weights
+    blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
+              for start in range(0, n_trials, TRIAL_BLOCK)]
+    results = _share(_estimate_block, (max(ranks), k, l, seed, weights), blocks, jobs)
+    outcomes = []
+    for parts in zip(*results):  # the blocks of one pair, in trial order
+        failures = [part for part in parts if isinstance(part, BoundFailure)]
+        if failures:
+            outcomes.append(failures[0])
+            continue
+        per_trial = np.concatenate(parts)
+        outcomes.append(EstimateReport(
+            mean=per_trial.mean(axis=0),
+            per_trial=per_trial,
+            min_band=per_trial.min(axis=0),
+            max_band=per_trial.max(axis=0),
+            n_trials=n_trials,
+        ))
+    return outcomes
+
+
+def _weights(spectrum: Spectrum, k: int, l: int, q: int, side: str) -> tuple:
+    """(declared rank, top weights, tail weights) of one (spectrum, side)
+    pair; raises the BoundFailure that stops it before any trial."""
     r = spectrum.declared_rank
     if r - k < l:
         raise TailTooShort("tail too short for estimator")
@@ -79,42 +135,44 @@ def unbiased_estimate(spectrum: Spectrum, k: int, l: int, q: int,
     if not (np.isfinite(top_w).all() and np.isfinite(tail_w).all()):
         raise WeightsOverflow("power weights overflow double precision:"
                               f" sigma_1/sigma_{k + 1} = {head[0]:.3g} to the power {p:g}")
-    blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
-              for start in range(0, n_trials, TRIAL_BLOCK)]
-    per_trial = np.concatenate(
-        _share(_estimate_block, (r, k, l, seed, top_w, tail_w), blocks, jobs))
-    mean = per_trial.mean(axis=0)
-    return EstimateReport(
-        mean=mean,
-        per_trial=per_trial,
-        min_band=per_trial.min(axis=0),
-        max_band=per_trial.max(axis=0),
-        n_trials=n_trials,
-    )
+    return r, top_w, tail_w
 
 
-def _estimate_block(r: int, k: int, l: int, seed: int, top_w: np.ndarray,
-                    tail_w: np.ndarray, trials: range) -> np.ndarray:
-    """The sines of trials ``trials``, one row per trial."""
-    out = np.empty((len(trials), k))
+def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
+                    trials: range) -> list:
+    """Per (rank, top weights, tail weights) triple of ``weights``, the
+    sines of trials ``trials``, one row per trial, or the BoundFailure of
+    its first failing trial among them; a BoundFailure in ``weights`` is
+    passed through. Each trial draws one r-by-l Gaussian, and a triple of
+    rank r' weights its first r' rows."""
+    out = [w if isinstance(w, BoundFailure) else np.empty((len(trials), k))
+           for w in weights]
     for row, j in enumerate(trials):
         omega = gaussian_sketch(r, l, seed ^ j)
-        with np.errstate(over="ignore"):
-            w1 = top_w[:, None] * omega[:k]
-        w2 = tail_w[:, None] * omega[k:]
-        try:
-            nu = sv_x_pinv(w1, w2)
-        except ValueError:
-            # either the tail is rank deficient, or the finite head weights
-            # overflow with the draw, in w1 or in the solve; the unweighted
-            # head (entries of a Gaussian draw) cannot overflow there
+        for w, weight in enumerate(weights):
+            if isinstance(out[w], BoundFailure):
+                continue
+            rank, top_w, tail_w = weight
+            with np.errstate(over="ignore"):
+                w1 = top_w[:, None] * omega[:k]
+            w2 = tail_w[:, None] * omega[k:rank]
             try:
-                sv_x_pinv(omega[:k], w2)
+                nu = sv_x_pinv(w1, w2)
             except ValueError:
-                raise TailTooShort("tail too short for estimator") from None
-            raise WeightsOverflow("power weights overflow double precision with the"
-                                  f" Gaussian draw: top weight {top_w[0]:.3g}") from None
-        out[row] = sines_from_nu(nu)
+                # either the tail is rank deficient, or the finite head
+                # weights overflow with the draw, in w1 or in the solve; the
+                # unweighted head (entries of a Gaussian draw) cannot
+                # overflow there
+                try:
+                    sv_x_pinv(omega[:k], w2)
+                except ValueError:
+                    out[w] = TailTooShort("tail too short for estimator")
+                else:
+                    out[w] = WeightsOverflow(
+                        "power weights overflow double precision with the"
+                        f" Gaussian draw: top weight {top_w[0]:.3g}")
+                continue
+            out[w][row] = sines_from_nu(nu)
     return out
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .angles import canonical_sines
-from .estimator import sines_from_nu, unbiased_estimate
+from .estimator import estimate_weightings, sines_from_nu
 from .linalg import _EPS, Spectrum, sv_x_pinv, svd_full
 from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
@@ -325,8 +325,13 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
         ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
                              factors.v[:, k:r].T @ out.sketch)
     rows: list[Row] = []
+    sources = (("true", true_spec), ("padded", padded))
+    # one Gaussian draw per estimator trial, weighted for every source and side
+    estimates = iter(estimate_weightings(
+        [(spec, side) for _, spec in sources for side in cfg.sides],
+        k, l, q, cfg.estimator_trials, seed))
 
-    for source, spec in (("true", true_spec), ("padded", padded)):
+    for source, spec in sources:
         gaps = _attempt(lambda: gap_bounds(stats, spec, k))
         for side in cfg.sides:
             ctx = (name, side, k, l, q, seed, source)
@@ -341,8 +346,9 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
                 reports.append(subspace_aware_upper(spec, ratio, k, q, side))
             lower = _attempt(
                 lambda: [space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)])
-            est = _attempt(lambda: [make_report(unbiased_estimate(
-                spec, k, l, q, cfg.estimator_trials, side, seed).mean, "estimate", side)])
+            est = next(estimates)
+            if not isinstance(est, BoundFailure):
+                est = [make_report(est.mean, "estimate", side)]
             # a family whose assumptions the spectrum fails gets NaN rows of its kinds
             for kinds, outcome in ((("space_agnostic_lower",), lower), (("estimate",), est),
                                    (GAP_KINDS, gaps)):

@@ -166,20 +166,24 @@ def sv_x_pinv(x, y) -> np.ndarray:
     ||F||_2 <= gamma_{l+1} T (Thm 10.3), and the rounding of the shifted
     diagonal adds u T, so lambda_min(y~^T y~) >= tau - (n + l + 2) u T.
 
-    The fast shift, tau = (n + l + 4) eps T / 2e-10 = 1e10 (n + l + 4) u T,
-    takes R from L = cholesky(G). Write y~^T y~ = R~^T R~ with R~ = 2^-e R.
-    Cholesky's backward error gives L L^T = R~^T R~ + H with
+    The fast shift, tau = (n + l + 4) sqrt(eps) T / 2 = (n + l + 4) u T /
+    sqrt(eps), takes R from L = cholesky(G). Write y~^T y~ = R~^T R~ with
+    R~ = 2^-e R. Cholesky's backward error gives L L^T = R~^T R~ + H with
     ||H||_2 <= (n + l + 1) u T, so L L^T = R~^T (I + K) R~ with
-    ||K||_2 <= eta = ||H||_2 / lambda_min(R~^T R~) < 1e-10. For
-    W = x inv(R~), x inv(L L^T) x^T = W inv(I + K) W^T lies between
-    W W^T / (1 + eta) and W W^T / (1 - eta) in the Loewner order, so every
-    singular value of solve(2^e L, x.T) is the matching value of
+    ||K||_2 <= eta = ||H||_2 / lambda_min(R~^T R~). The shift leaves
+    lambda_min(R~^T R~) >= tau - (n + l + 2) u T, so
+    eta <= (n + l + 1) sqrt(eps) / (n + l + 4 - (n + l + 2) sqrt(eps))
+    < sqrt(eps) wherever (n + l + 2) sqrt(eps) < 3, that is for any n + l
+    below 2e8. For W = x inv(R~), x inv(L L^T) x^T = W inv(I + K) W^T lies
+    between W W^T / (1 + eta) and W W^T / (1 - eta) in the Loewner order,
+    so every singular value of solve(2^e L, x.T) is the matching value of
     x @ pinv(y) = 2^-e W Q^T within a factor 1 / sqrt(1 -+ eta): at most
-    about 5e-11 relative, on the smallest values as on the largest. The two
-    spare units of u T in tau cover the higher-order terms and the
-    underflow. The shift also proves sigma_min(y) / sigma_max(y) >=
-    sqrt(tau / T) > 2e-3, far above the 1e-12 cut-off below, so no rank
-    check runs.
+    about eta / 2 < sqrt(eps) / 2 = 7.45e-9 relative, on the smallest values
+    as on the largest. That keeps half the digits, as the Gram route of
+    ``posterior_bounds`` does. The two spare units of u T in tau cover the
+    higher-order terms and the underflow. The shift also proves
+    sigma_min(y) / sigma_max(y) >= sqrt(tau / T) >= sqrt(3 sqrt(eps)) > 2e-4,
+    as n + l >= 2, far above the 1e-12 cut-off below, so no rank check runs.
 
     Where the fast shift fails, R comes from a Householder QR of y~ as
     R~. That QR commutes with the power-of-two scaling, so 2^e R~ is, bit
@@ -221,7 +225,7 @@ def sv_x_pinv(x, y) -> np.ndarray:
     g = yt.T @ yt
     trace = float(np.trace(g))
     try:
-        np.linalg.cholesky(g - (n + l + 4) * _EPS / 2e-10 * trace * np.eye(l))
+        np.linalg.cholesky(g - (n + l + 4) * math.sqrt(_EPS) / 2 * trace * np.eye(l))
     except np.linalg.LinAlgError:
         r = np.linalg.qr(yt, mode="r")
         try:

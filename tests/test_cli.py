@@ -324,13 +324,14 @@ def test_error_reporting_is_clean(tmp_path, case):
 
 def test_balance_out_of_memory_is_one_error_line(tmp_path):
     # (1 + 1e17) * 2 rows fit an array's length, but the 5e16 power counts
-    # cannot be listed; the outdir is made before the sweep, so it may exist
+    # cannot be listed; no sweep has rows, so no outdir is made
     res = run_cli("balance", "--k", "2", "--budget", "1e17", "--size-factor", "1e17",
                   "--trials", "0", "--outdir", str(tmp_path / "out"))
     assert res.returncode == 1
     assert "Traceback" not in res.stderr
     assert len(res.stderr.splitlines()) == 1
     assert res.stderr.startswith("error: out of memory")
+    assert not (tmp_path / "out").exists()
 
 
 def raise_value_error():

@@ -4,7 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rsvdangles import workers
 from rsvdangles.estimator import (TRIAL_BLOCK, estimate_cost_model,
-                                  sines_from_nu, unbiased_estimate)
+                                  estimate_weightings, sines_from_nu,
+                                  unbiased_estimate)
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (TailTooShort, WeightsOverflow,
@@ -102,6 +103,26 @@ class TestSharedTrials:
             assert rep.per_trial.shape == (n_trials, 5)
             for field in ("per_trial", "mean", "min_band", "max_band"):
                 assert np.array_equal(getattr(rep, field), getattr(one, field))
+
+
+class TestWeightings:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_weighting_is_its_own_estimator_call(self, monkeypatch, jobs):
+        monkeypatch.setattr(workers, "_usable_workers", lambda: 2)
+        ok = Spectrum.from_values(np.geomspace(4.0, 0.2, 30))
+        # finite weights that overflow with a draw, as in TestGuards
+        overflow = Spectrum.from_values([1.7e308] + [1.0] * 6)
+        short = Spectrum.from_values(np.geomspace(2.0, 0.5, 3))
+        weightings = [(ok, "left"), (overflow, "left"), (short, "right"), (ok, "right")]
+        outcomes = estimate_weightings(weightings, 1, 3, 0, 60, 5, jobs)
+        assert isinstance(outcomes[1], WeightsOverflow)
+        assert str(outcomes[1]).endswith("with the Gaussian draw: top weight 1.7e+308")
+        assert isinstance(outcomes[2], TailTooShort)
+        for (spec, side), rep in zip(weightings[::3], outcomes[::3]):
+            one = unbiased_estimate(spec, 1, 3, 0, 60, side, 5)
+            assert rep.per_trial.tobytes() == one.per_trial.tobytes()
+            assert rep.mean.tobytes() == one.mean.tobytes()
 
 
 class TestSpaceAgnosticism:

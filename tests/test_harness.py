@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from rsvdangles import workers
 from rsvdangles.angles import canonical_sines
+from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
                                 ExperimentConfig, Panel, Row, Series,
                                 balance_panel, balance_sweep, build_matrix,
@@ -266,6 +268,42 @@ class TestRunExperiment:
         run_experiment(ExperimentConfig(matrix=rank3_file, grid=[(1, 3, 0)],
                                         outdir=str(out)))
         assert (out / "rank3_bounds.csv").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_estimate_rows_are_one_estimator_call_per_weighting(self, tmp_path,
+                                                                monkeypatch, jobs):
+        # numerical rank 10 below min(m, n) = 14: the true spectrum reads the
+        # first 10 rows of each trial's 14-row draw, and at l = 9 its tail is
+        # too short while the padded spectrum's is not
+        rng = np.random.default_rng(1)
+        path = tmp_path / "rank10.mtx"
+        write_matrix(rng.standard_normal((16, 10)) @ rng.standard_normal((10, 14)), path)
+        use_workers(monkeypatch, 2)
+        cfg = ExperimentConfig(matrix={"path": str(path)}, grid=[(2, 4, 1), (2, 9, 0)],
+                               estimator_trials=3, n_seeds=2, jobs=jobs)
+        _, a, _, true_spec, pad_rank, _ = build_matrix(cfg.matrix)
+        assert (true_spec.declared_rank, pad_rank) == (10, 14)
+        got = {}
+        for r in run_experiment(cfg):
+            if r.kind == "estimate":
+                got.setdefault((r.k, r.l, r.q, r.seed, r.spectrum_source, r.side),
+                               []).append((r.value.hex(), r.status))
+        want = {}
+        for (k, l, q), seed in itertools.product(cfg.grid, range(cfg.n_seeds)):
+            sigma = rsvd(a, SketchConfig(k, l, q, seed)).sigma
+            padded = pad_spectrum(Spectrum.from_values(sigma), pad_rank)
+            for (source, spec), side in itertools.product(
+                    (("true", true_spec), ("padded", padded)), cfg.sides):
+                try:
+                    values = unbiased_estimate(spec, k, l, q, 3, side, seed).mean
+                    status = "ok"
+                except TailTooShort:
+                    values, status = np.full(k, np.nan), "tail_short"
+                want[k, l, q, seed, source, side] = [(v.hex(), status)
+                                                     for v in values.tolist()]
+        assert got == want
+        assert {key[4] for key, rows in got.items() if rows[0][1] == "tail_short"} == {"true"}
+        assert {rows[0][1] for key, rows in got.items() if key[1] == 4} == {"ok"}
 
     def test_errors_recorded_not_raised(self, rows):
         # 40x40 at l = rank/5 keeps gaps healthy, so force a tail_short case:

@@ -177,11 +177,31 @@ class TestSvXPinv:
             if qr.called:
                 assert got.tobytes() == expect.tobytes()
             else:
-                # the Gram path: within its certified 1e-10 relative on
-                # every value, the smallest included; x is a Gaussian draw,
-                # so the rounding of the solve and the SVD, which both paths
-                # share, stays far below that
-                assert np.all(np.abs(got - expect) <= 1e-10 * expect)
+                # the Gram path: within its certified sqrt(eps)/2 = 7.45e-9
+                # relative on every value, the smallest included; x is a
+                # Gaussian draw, so the rounding of the solve and the SVD,
+                # which both paths share, stays far below the room to 7.5e-9
+                assert np.all(np.abs(got - expect) <= 7.5e-9 * expect)
+
+    @pytest.mark.parametrize("margin, qr_calls", [(1.05, 0), (0.95, 1)])
+    def test_fast_shift_is_half_the_digits(self, margin, qr_calls):
+        # a 60x20 y whose lambda_min(G) / T lies 5% inside or outside the
+        # fast shift tau / T = (n + l + 4) sqrt(eps) / 2: nineteen singular
+        # values 1 and one s with s^2 / (19 + s^2) = margin * tau / T
+        n, l = 60, 20
+        shift = margin * (n + l + 4) * math.sqrt(np.finfo(float).eps) / 2
+        rng = seeded_rng(4)
+        u = np.linalg.qr(rng.standard_normal((n, l)))[0]
+        v = np.linalg.qr(rng.standard_normal((l, l)))[0]
+        sigma = np.ones(l)
+        sigma[-1] = math.sqrt(19 * shift / (1 - shift))
+        y = (u * sigma) @ v.T
+        x = rng.standard_normal((5, l))
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            got = sv_x_pinv(x, y)
+        assert qr.call_count == qr_calls
+        expect = self.dense_reference(x, y)
+        assert np.all(np.abs(got - expect) <= 7.5e-9 * expect)
 
     @pytest.mark.parametrize("cond, svd_calls", [(1e3, 1), (1e10, 2)])
     def test_dense_check_runs_only_as_fallback(self, monkeypatch, cond, svd_calls):

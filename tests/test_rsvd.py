@@ -29,6 +29,11 @@ class TestGaussianSketch:
         gaussian_sketch(100, 7, 42, out=wide[:, 3:])
         assert np.array_equal(wide[:, 3:], want) and not wide[:, :3].any()
 
+    @pytest.mark.parametrize("r, n, l", [(1, 2, 1), (9, 30, 7), (40, 41, 40)])
+    def test_leading_rows_are_the_smaller_draw(self, r, n, l):
+        # the estimator draws once at the largest rank and slices it
+        assert gaussian_sketch(r, l, 17).tobytes() == gaussian_sketch(n, l, 17)[:r].tobytes()
+
     def test_moment_concentration(self):
         n, l = 2000, 50
         om = gaussian_sketch(n, l, seed=0)
