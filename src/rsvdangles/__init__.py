@@ -23,7 +23,8 @@ from .estimator import EstimateReport, estimate_cost_model, unbiased_estimate
 from .harness import (BalanceConfig, ExperimentConfig, Row, balance_sweep,
                       emit_csv, emit_svg, fixed_budget_bound, pad_spectrum,
                       run_experiment)
-from .linalg import Spectrum, SvdFactors, ortho, seeded_rng, sv_x_pinv, svd_full
+from .linalg import (RankDeficient, Spectrum, SvdFactors, ortho, seeded_rng,
+                     sv_x_pinv, svd_full)
 from .matgen import (PlantedMatrix, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
@@ -38,8 +39,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BalanceConfig", "BoundReport", "EstimateReport",
-    "ExperimentConfig", "PlantedMatrix", "ResidualStats", "Row", "RsvdOutput",
-    "SketchConfig", "Spectrum", "SvdFactors", "balance_sweep",
+    "ExperimentConfig", "PlantedMatrix", "RankDeficient", "ResidualStats", "Row",
+    "RsvdOutput", "SketchConfig", "Spectrum", "SvdFactors", "balance_sweep",
     "canonical_sines", "emit_csv", "emit_svg",
     "estimate_cost_model", "fixed_budget_bound", "gap_bounds",
     "gaussian_sketch", "gen_gaussian_decay", "gen_snn", "gen_step_spectrum",

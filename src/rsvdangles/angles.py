@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, ortho
+from .linalg import RankDeficient, as_matrix, ortho
 
 
 def canonical_sines(big, small) -> np.ndarray:
@@ -21,7 +21,9 @@ def canonical_sines(big, small) -> np.ndarray:
 
     Returns the k = small.shape[1] sines in ascending-angle order. Values are
     clamped to [0, 1] after checking they do not exceed 1 + 1e-8, which would
-    indicate a broken orthonormalization upstream.
+    indicate a broken orthonormalization upstream. Raises
+    RankDeficient("rank deficient input") where either input lacks full
+    column rank.
     """
     big = as_matrix(big, "big")
     small = as_matrix(small, "small")
@@ -33,8 +35,8 @@ def canonical_sines(big, small) -> np.ndarray:
         raise ValueError("need small cols <= big cols <= ambient dim")
     try:
         qb, qs = ortho(big), ortho(small)
-    except ValueError as exc:
-        raise ValueError("rank deficient input") from exc
+    except RankDeficient as exc:
+        raise RankDeficient("rank deficient input") from exc
     resid = qs - qb @ (qb.T @ qs)
     s = np.linalg.svd(resid, compute_uv=False)
     if s.size and s[0] > 1.0 + 1e-8:

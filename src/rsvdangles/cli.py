@@ -49,7 +49,8 @@ def _cmd_gen(args) -> int:
     }[args.kind]()
     desc["seed"] = args.seed
     desc["name"] = args.name or args.kind.replace("-", "_")
-    name, a, _, _, _, _ = build_matrix(desc)
+    target = build_matrix(desc)
+    name, a = target.name, target.a
     outdir = _resolve_outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
     mtx_path = os.path.join(outdir, f"{name}.mtx")
@@ -82,11 +83,17 @@ def _cmd_balance(args) -> int:
                           oversample_factor=args.oversample, gap=gap,
                           trials=args.trials, seed=args.seed)
             for gap in args.gap]  # every gap is checked before the first sweep
-    outdir = _resolve_outdir(args.outdir)
+    tags = {}  # output file stem -> the gap that writes it
     for cfg in cfgs:
+        tag = f"balance_k{cfg.k}_gap{cfg.gap:g}"
+        if tag in tags:
+            raise ValueError(f"gaps {tags[tag]!r} and {cfg.gap!r} would both write"
+                             f" {tag}.csv and .svg: gap")
+        tags[tag] = cfg.gap
+    outdir = _resolve_outdir(args.outdir)
+    for tag, cfg in zip(tags, cfgs):
         rows = balance_sweep(cfg)
         os.makedirs(outdir, exist_ok=True)  # once there are rows to write
-        tag = f"balance_k{cfg.k}_gap{cfg.gap:g}"
         emit_balance_csv(rows, os.path.join(outdir, f"{tag}.csv"))
         emit_svg(balance_panel(rows), os.path.join(outdir, f"{tag}.svg"))
         q, phi = min({r["q"]: r["phi"] for r in rows}.items(), key=lambda kv: kv[1])

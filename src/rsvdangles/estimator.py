@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, sv_x_pinv
+from .linalg import RankDeficient, Spectrum, sv_x_pinv
 from .prior_bounds import (BoundFailure, TailTooShort, WeightsOverflow,
                            power_exponent)
 from .rsvd import gaussian_sketch
@@ -144,7 +144,9 @@ def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
     sines of trials ``trials``, one row per trial, or the BoundFailure of
     its first failing trial among them; a BoundFailure in ``weights`` is
     passed through. Each trial draws one r-by-l Gaussian, and a triple of
-    rank r' weights its first r' rows."""
+    rank r' weights its first r' rows. A trial fails as TailTooShort where
+    its weighted tail is rank deficient, even if its head overflows too, and
+    as WeightsOverflow where the finite head weights overflow with the draw."""
     out = [w if isinstance(w, BoundFailure) else np.empty((len(trials), k))
            for w in weights]
     for row, j in enumerate(trials):
@@ -158,19 +160,12 @@ def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
             w2 = tail_w[:, None] * omega[k:rank]
             try:
                 nu = sv_x_pinv(w1, w2)
+            except RankDeficient:
+                out[w] = TailTooShort("tail too short for estimator")
+                continue
             except ValueError:
-                # either the tail is rank deficient, or the finite head
-                # weights overflow with the draw, in w1 or in the solve; the
-                # unweighted head (entries of a Gaussian draw) cannot
-                # overflow there
-                try:
-                    sv_x_pinv(omega[:k], w2)
-                except ValueError:
-                    out[w] = TailTooShort("tail too short for estimator")
-                else:
-                    out[w] = WeightsOverflow(
-                        "power weights overflow double precision with the"
-                        f" Gaussian draw: top weight {top_w[0]:.3g}")
+                out[w] = WeightsOverflow("power weights overflow double precision with the"
+                                         f" Gaussian draw: top weight {top_w[0]:.3g}")
                 continue
             out[w][row] = sines_from_nu(nu)
     return out

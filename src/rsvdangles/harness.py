@@ -27,7 +27,7 @@ import numpy as np
 
 from .angles import canonical_sines
 from .estimator import estimate_weightings, sines_from_nu
-from .linalg import _EPS, Spectrum, sv_x_pinv, svd_full
+from .linalg import _EPS, Spectrum, SvdFactors, sv_x_pinv, svd_full
 from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
@@ -87,11 +87,16 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.grid:
             raise ValueError("grid must be nonempty")
+        seen = set()
         for k, l, q in self.grid:
             if not (1 <= k < l):
                 raise ValueError(f"grid point (k={k}, l={l}, q={q}) needs k < l")
             if q < 0:
                 raise ValueError("q must be >= 0")
+            # a repeat would write each of its rows twice under one key
+            if (k, l, q) in seen:
+                raise ValueError(f"grid point (k={k}, l={l}, q={q}) is listed more than once")
+            seen.add((k, l, q))
         if (not self.sides or len(set(self.sides)) < len(self.sides)
                 or not set(self.sides) <= {"left", "right"}):
             raise ValueError("config value must name left, right or both, once each: sides")
@@ -197,10 +202,22 @@ PRESETS = [
 ]
 
 
-def build_matrix(desc: dict):
-    """Materialize a matrix descriptor.
+class Target(NamedTuple):
+    """A materialized matrix descriptor: the matrix ``a``, its exact factors
+    and true spectrum, the length its approximated spectra are padded to,
+    and whether the comparator bound may read the factors (``known``)."""
 
-    Returns (name, a, factors, true_spectrum, pad_rank, has_known_factors).
+    name: str
+    a: np.ndarray
+    factors: SvdFactors
+    spectrum: Spectrum
+    pad_rank: int
+    known: bool
+
+
+def build_matrix(desc: dict) -> Target:
+    """Materialize a matrix descriptor as a ``Target``.
+
     File-backed and image matrices get exact factors from a dense SVD for
     ground-truth evaluation, but are treated as having unknown subspaces for
     the comparator bound; their padding rank is min(m, n). A spectrum from a
@@ -214,7 +231,7 @@ def build_matrix(desc: dict):
         pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
                                 _desc_value(desc, "seed", _is_int, 0),
                                 name=_desc_value(desc, "name", _is_name, "gaussian_decay"))
-        return pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True
+        return Target(pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True)
     if gen == "snn":
         pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
                      _desc_value(desc, "r1"), _desc_value(desc, "a", _is_number),
@@ -222,7 +239,7 @@ def build_matrix(desc: dict):
                      _desc_value(desc, "seed", _is_int, 0),
                      name=_desc_value(desc, "name", _is_name, "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
-        return pm.name, pm.a, pm.factors, spec, spec.declared_rank, True
+        return Target(pm.name, pm.a, pm.factors, spec, spec.declared_rank, True)
     if gen == "mnist":
         a = load_mnist(_desc_value(desc, "path", _is_path),
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
@@ -235,7 +252,7 @@ def build_matrix(desc: dict):
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
     f = svd_full(a)
-    return name, a, f, _computed_spectrum(a, f.sigma), min(a.shape), False
+    return Target(name, a, f, _computed_spectrum(a, f.sigma), min(a.shape), False)
 
 
 def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
@@ -297,9 +314,9 @@ def _attempt(compute):
         return exc
 
 
-def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
-    """All rows of one (k, l, q, seed) run on a ``build_matrix`` tuple."""
-    name, a, factors, true_spec, pad_rank, has_known = matrix
+def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
+    """All rows of one (k, l, q, seed) run on a ``build_matrix`` target."""
+    name, a, factors, true_spec = target.name, target.a, target.factors, target.spectrum
     k, l, q, seed = task
     nan = np.full(k, np.nan)
     try:
@@ -307,11 +324,12 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     except SketchCollapsed as exc:
         # no basis to measure or bound: NaN rows of every kind the run writes,
         # the true_angle kinds for the true spectrum only
-        kinds = [kind for kind in _KIND_COLORS if has_known or kind != "subspace_aware_upper"]
+        kinds = [kind for kind in _KIND_COLORS
+                 if target.known or kind != "subspace_aware_upper"]
         return [row for source in ("true", "padded") for side in cfg.sides
                 for kind in kinds if source == "true" or not kind.startswith("true_angle")
                 for row in _rows((name, side, k, l, q, seed, source), kind, nan, exc.status)]
-    padded = pad_spectrum(Spectrum.from_values(out.sigma), pad_rank)
+    padded = pad_spectrum(Spectrum.from_values(out.sigma), target.pad_rank)
     # The projected residuals do not depend on the spectrum source. The right
     # one is always taken: its top value is the out-of-basis norm that
     # residual_blocks needs.
@@ -319,7 +337,7 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
     if "left" in cfg.sides:
         resids["left"] = residual_spectrum(a, out.u, "left", k)
     stats = residual_blocks(a, out, k, resids["right"])
-    if has_known:
+    if target.known:
         # the sketch ratio depends on neither the spectrum source nor the side
         r = true_spec.declared_rank
         ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
@@ -342,7 +360,7 @@ def _run_single(matrix, cfg: ExperimentConfig, task) -> list[Row]:
                 rows += _rows(ctx, "true_angle_rank_k", canonical_sines(basis[:, :k], truth))
             reports = [space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
                        residual_ratio_bounds(resids[side], spec, k, side)]
-            if has_known:
+            if target.known:
                 reports.append(subspace_aware_upper(spec, ratio, k, q, side))
             lower = _attempt(
                 lambda: [space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)])
@@ -369,12 +387,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
     workers (see ``workers._share``); the rows do not depend on the worker
     count.
     """
-    matrix = build_matrix(cfg.matrix)
-    name, a, _, true_spec = matrix[:4]
+    target = build_matrix(cfg.matrix)
+    name, a = target.name, target.a
     # A sketch wider than the rank collapses, and the space-agnostic upper
     # bound needs a head distortion upper_c * sqrt(k/l) below 1, so such an
     # entry could not run.
-    rank = true_spec.declared_rank
+    rank = target.spectrum.declared_rank
     for k, l, q in cfg.grid:
         if l > rank:
             raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs l <= rank(A)={rank}"
@@ -387,7 +405,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
             raise ValueError(f"matrix {name} too large: its squared Frobenius norm overflows")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
-    chunks = _share(_run_single, (matrix, cfg), tasks, cfg.jobs)
+    chunks = _share(_run_single, (target, cfg), tasks, cfg.jobs)
     rows = sorted(r for chunk in chunks for r in chunk)
 
     if cfg.outdir:

@@ -18,6 +18,14 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _EPS = float(np.finfo(np.float64).eps)
+# the one cut-off of every rank test: a smallest singular value or R diagonal
+# entry at most this times the scale of the input counts as rank lost
+_RANK_TOL = 1e-12
+
+
+class RankDeficient(ValueError):
+    """A rank test found its input short of full column rank. Callers read
+    the verdict from this type rather than from the message."""
 
 
 def seeded_rng(seed: int) -> np.random.Generator:
@@ -118,12 +126,12 @@ class SvdFactors:
 def ortho(m) -> np.ndarray:
     """Orthonormal basis of range(m) via reduced unpivoted QR.
 
-    Raises ValueError("rank deficient sketch") when an R diagonal entry falls
-    below 1e-12 times the Frobenius norm of the input, which signals that a
-    sketch collapsed (or the input was rank deficient to begin with). Both
-    sides are scaled by 2^-e, 2^e the least power of two above max|m|, as in
-    ``sv_x_pinv``. That is exact, so the norm cannot overflow, and wherever it
-    was finite unscaled the test decides as before.
+    Raises RankDeficient("rank deficient sketch") when an R diagonal entry
+    falls below _RANK_TOL times the Frobenius norm of the input, which
+    signals that a sketch collapsed (or the input was rank deficient to
+    begin with). Both sides are scaled by 2^-e, 2^e the least power of two
+    above max|m|, as in ``sv_x_pinv``. That is exact, so the norm cannot
+    overflow, and wherever it was finite unscaled the test decides as before.
     """
     m = as_matrix(m)
     rows, cols = m.shape
@@ -131,8 +139,8 @@ def ortho(m) -> np.ndarray:
         raise ValueError("ortho requires cols <= rows")
     q, r = np.linalg.qr(m)
     e = math.frexp(float(np.abs(m).max()))[1]
-    if np.ldexp(np.abs(np.diag(r)).min(), -e) <= 1e-12 * np.linalg.norm(np.ldexp(m, -e)):
-        raise ValueError("rank deficient sketch")
+    if np.ldexp(np.abs(np.diag(r)).min(), -e) <= _RANK_TOL * np.linalg.norm(np.ldexp(m, -e)):
+        raise RankDeficient("rank deficient sketch")
     return q
 
 
@@ -157,14 +165,14 @@ def sv_x_pinv(x, y) -> np.ndarray:
     (``math.frexp``) and y~ = 2^-e y, whose entries lie in (-1, 1). Unlike
     a division by max|y|, this scaling is exact, except that an entry
     pushed below the normal range keeps an absolute error of 2^-1075 at
-    most. One Gram G = fl(y~^T y~) serves two shifted Cholesky tests. G
-    cannot overflow, T = trace(G) >= 1/4, and with u = eps / 2, to first
-    order: G = y~^T y~ + E with ||E||_2 <= gamma_n T, as each entry is a
-    dot product of length n (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., sec. 3.5). If the factorization of fl(G - tau I)
-    completes, its factor C has C^T C = fl(G - tau I) + F with
-    ||F||_2 <= gamma_{l+1} T (Thm 10.3), and the rounding of the shifted
-    diagonal adds u T, so lambda_min(y~^T y~) >= tau - (n + l + 2) u T.
+    most. The Gram G = fl(y~^T y~) cannot overflow, T = trace(G) >= 1/4,
+    and with u = eps / 2, to first order: G = y~^T y~ + E with
+    ||E||_2 <= gamma_n T, as each entry is a dot product of length n
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    sec. 3.5). If the factorization of fl(G - tau I) completes, its factor
+    C has C^T C = fl(G - tau I) + F with ||F||_2 <= gamma_{l+1} T
+    (Thm 10.3), and the rounding of the shifted diagonal adds u T, so
+    lambda_min(y~^T y~) >= tau - (n + l + 2) u T.
 
     The fast shift, tau = (n + l + 4) sqrt(eps) T / 2 = (n + l + 4) u T /
     sqrt(eps), takes R from L = cholesky(G). Write y~^T y~ = R~^T R~ with
@@ -183,23 +191,18 @@ def sv_x_pinv(x, y) -> np.ndarray:
     ``posterior_bounds`` does. The two spare units of u T in tau cover the
     higher-order terms and the underflow. The shift also proves
     sigma_min(y) / sigma_max(y) >= sqrt(tau / T) >= sqrt(3 sqrt(eps)) > 2e-4,
-    as n + l >= 2, far above the 1e-12 cut-off below, so no rank check runs.
+    as n + l >= 2, far above the _RANK_TOL cut-off, so no rank check runs.
 
     Where the fast shift fails, R comes from a Householder QR of y~ as
     R~. That QR commutes with the power-of-two scaling, so 2^e R~ is, bit
     for bit, the triangle of a QR of y itself wherever that triangle is
     right; where y's column norms lie near the float range, a QR of y
-    itself returns a finite but wrong triangle, and 2^e R~ stays right.
-    The rank shift
-    tau = 4 (n + l + 1) eps T then leaves lambda_min(y~^T y~) >=
-    3 (n + l + 1) eps T against sigma_max(y~)^2 <= T / (1 - gamma_n), so
-    sigma_min(y) / sigma_max(y) >= sqrt(2 (n + l + 1) eps) with room for
-    the higher-order terms. The QR's backward error (Thm 19.4) and the
-    values-only SVD's, each a modest multiple of eps sigma_max, could not
-    bring R~ down to the cut-off, so no rank check runs there either. Only
-    where that factorization also fails does a values-only SVD of R~
-    decide: ValueError("rank deficient y") when its smallest singular value
-    is at most 1e-12 times its largest, or when y is 0.
+    itself returns a finite but wrong triangle, and 2^e R~ stays right. A
+    values-only SVD of R~ then decides the rank: RankDeficient("rank
+    deficient y") when its smallest singular value is at most _RANK_TOL
+    times its largest, or when y is 0. This verdict comes before x is
+    checked, so a y without full column rank raises RankDeficient even
+    where x is not finite.
 
     Both paths end alike. The triangle 2^e L or 2^e R~^T is scaled back,
     which is exact: solve(2^e L, x.T) = 2^-e solve(L, x.T) bit for bit, so
@@ -210,33 +213,30 @@ def sv_x_pinv(x, y) -> np.ndarray:
     subnormal too, and both paths then round as a Householder QR of y
     itself does; no caller in this package passes such a y.
     """
-    x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if y.shape[0] < y.shape[1]:
         raise ValueError("y must have at least as many rows as columns")
-    if x.shape[1] != y.shape[1]:
-        raise ValueError("x and y column counts differ")
     n, l = y.shape
     top = float(np.abs(y).max())
     if top == 0.0:
-        raise ValueError("rank deficient y")
+        raise RankDeficient("rank deficient y")
     e = math.frexp(top)[1]
     yt = np.ldexp(y, -e)
     g = yt.T @ yt
-    trace = float(np.trace(g))
+    tau = (n + l + 4) * math.sqrt(_EPS) / 2 * float(np.trace(g))
     try:
-        np.linalg.cholesky(g - (n + l + 4) * math.sqrt(_EPS) / 2 * trace * np.eye(l))
+        np.linalg.cholesky(g - tau * np.eye(l))
     except np.linalg.LinAlgError:
         r = np.linalg.qr(yt, mode="r")
-        try:
-            np.linalg.cholesky(g - 4.0 * (n + l + 1) * _EPS * trace * np.eye(l))
-        except np.linalg.LinAlgError:
-            s = np.linalg.svd(r, compute_uv=False)
-            if s[-1] <= 1e-12 * s[0]:
-                raise ValueError("rank deficient y") from None
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[-1] <= _RANK_TOL * s[0]:
+            raise RankDeficient("rank deficient y") from None
         lower = r.T
     else:
         lower = np.linalg.cholesky(g)
+    x = as_matrix(x, "x")
+    if x.shape[1] != l:
+        raise ValueError("x and y column counts differ")
     with np.errstate(over="ignore"):
         np.ldexp(lower, e, out=lower)
     if not np.isfinite(lower).all():

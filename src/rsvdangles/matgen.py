@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Spectrum, SvdFactors, as_matrix, normal_row_blocks, ortho,
-                     seeded_rng, svd_full)
+from .linalg import (_RANK_TOL, RankDeficient, Spectrum, SvdFactors, as_matrix,
+                     normal_row_blocks, ortho, seeded_rng, svd_full)
 from .rsvd import gaussian_sketch
 
 
@@ -84,7 +84,7 @@ def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
     The left block and the whole of G are drawn, a few rows at a time, so
     that the stream and v stay the same; only G's first k columns are kept,
     and omega is drawn into the last l columns, so no r-by-r or separate
-    n-by-l array is held. Raises ValueError("rank deficient sketch") where
+    n-by-l array is held. Raises RankDeficient("rank deficient sketch") where
     ortho would for G's first k columns.
     """
     r = spectrum.declared_rank
@@ -98,8 +98,8 @@ def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
             stacked[i:i + len(rows), :k] = rows[:, :k]
     norm = np.linalg.norm(stacked[:, :k])
     factor = np.linalg.qr(stacked, mode="r")
-    if np.abs(np.diag(factor[:, :k])).min() <= 1e-12 * norm:
-        raise ValueError("rank deficient sketch")
+    if np.abs(np.diag(factor[:, :k])).min() <= _RANK_TOL * norm:
+        raise RankDeficient("rank deficient sketch")
     return factor[:, k:]
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Spectrum, as_matrix
+from .linalg import _RANK_TOL, RankDeficient, Spectrum, as_matrix
 
 _SIDES = ("left", "right")
 
@@ -170,7 +170,8 @@ def sketch_ratio(omega1, omega2) -> float:
     """Projected-sketch norm ratio ||omega2 @ pinv(omega1)||_2.
 
     ``omega1`` and ``omega2`` are the sketch projected onto the top-k and
-    tail right singular subspaces (shapes k-by-l and (r-k)-by-l).
+    tail right singular subspaces (shapes k-by-l and (r-k)-by-l). Raises
+    RankDeficient where omega1 lacks full row rank.
     """
     omega1 = as_matrix(omega1, "omega1")
     omega2 = as_matrix(omega2, "omega2")
@@ -178,8 +179,8 @@ def sketch_ratio(omega1, omega2) -> float:
         raise ValueError("projected sketch blocks must have the same column count")
     # pinv through the SVD of omega1; right orthonormal factor drops from the norm
     _, sv1, vh1 = np.linalg.svd(omega1, full_matrices=False)
-    if sv1[-1] <= 1e-12 * sv1[0]:
-        raise ValueError("projected sketch omega1 is rank deficient")
+    if sv1[-1] <= _RANK_TOL * sv1[0]:
+        raise RankDeficient("projected sketch omega1 is rank deficient")
     return float(np.linalg.norm((omega2 @ vh1.T) / sv1, 2))
 
 

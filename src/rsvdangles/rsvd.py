@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (SvdFactors, as_matrix, normal_row_blocks, ortho, seeded_rng,
-                     svd_full)
+from .linalg import (RankDeficient, SvdFactors, as_matrix, normal_row_blocks, ortho,
+                     seeded_rng, svd_full)
 from .prior_bounds import SketchCollapsed
 
 
@@ -71,9 +71,10 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
     """Rank-l randomized SVD of a with q stabilized power iterations.
 
     Returns factors (u, sigma, v) of width l with u = Q_X @ (small right
-    factor), where Q_X spans the power-iterated sketch. Raises
-    SketchCollapsed("rank deficient sketch"), a ValueError, when the sketch
-    collapses, e.g. for l > rank(a).
+    factor), where Q_X spans the power-iterated sketch. Where ``ortho``
+    finds a sketch basis rank deficient, e.g. for l > rank(a), raises
+    SketchCollapsed("rank deficient sketch"), a ValueError; an overflowing
+    product keeps ``ortho``'s own error.
     """
     a = as_matrix(a)
     m, n = a.shape
@@ -90,11 +91,8 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
 
 
 def _sketch_basis(x: np.ndarray) -> np.ndarray:
-    """ortho(x). For a finite x its only failure is the rank check, which
-    is raised as SketchCollapsed; an overflowing x keeps ortho's error."""
+    """ortho(x), with its rank verdict raised as SketchCollapsed."""
     try:
         return ortho(x)
-    except ValueError as exc:
-        if not np.isfinite(x).all():
-            raise
+    except RankDeficient as exc:
         raise SketchCollapsed(str(exc)) from None

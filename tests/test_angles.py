@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rsvdangles.angles import canonical_sines
-from rsvdangles.linalg import ortho, seeded_rng
+from rsvdangles.linalg import RankDeficient, ortho, seeded_rng
 
 
 def test_identical_subspaces_have_zero_angles():
@@ -77,9 +77,9 @@ def test_rank_deficient_input_raises():
     rng = seeded_rng(7)
     col = rng.standard_normal((10, 1))
     degenerate = np.hstack([col, col])
-    with pytest.raises(ValueError, match="rank deficient input"):
+    with pytest.raises(RankDeficient, match="^rank deficient input$"):
         canonical_sines(degenerate, col)
-    with pytest.raises(ValueError, match="rank deficient input"):
+    with pytest.raises(RankDeficient, match="^rank deficient input$"):
         canonical_sines(rng.standard_normal((10, 3)), np.hstack([col, col]))
 
 

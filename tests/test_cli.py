@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import assert_no_child_left
 from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.linalg import Spectrum
 from rsvdangles.mmio import read_matrix
@@ -247,6 +248,9 @@ BAD_CONFIGS = {
     "upper_c_too_large": ({**RUN_CONFIG, "upper_c": 1.3,
                            "grid": [{"k": 4, "l": 6, "q": 0}, {"k": 2, "l": 12, "q": 0}]},
                           ["--jobs", "2"], "(k=4, l=6, q=0) needs upper_c"),
+    # each (k, l, q) once: a repeat wrote every row of the point twice
+    "repeated_grid_point": ({**RUN_CONFIG, "grid": RUN_CONFIG["grid"] * 2}, ["--jobs", "2"],
+                            "(k=4, l=8, q=1) is listed more than once"),
     "empty_sides": ({**RUN_CONFIG, "sides": []}, [], "sides"),
     "repeated_side": ({**RUN_CONFIG, "sides": ["left", "left"]}, [], "sides"),
     # malformed matrix descriptors are rejected before any run
@@ -296,6 +300,9 @@ BAD_BALANCE_FLAGS = {
     "balance_huge_budget": (["--budget", "1e300", "--size-factor", "1e300"], "tail_factor"),
     # the first gap could run, but every gap is checked before any output
     "balance_nan_second_gap": (["--gap", "1.1", "nan"], "gap"),
+    # gaps name their output files by %g: a second study would overwrite the first
+    "balance_gaps_with_one_tag": (["--gap", "1.0000001", "1.0000002"], "gap"),
+    "balance_repeated_gap": (["--gap", "1.1", "1.2", "1.1"], "gap"),
 }
 
 
@@ -354,11 +361,6 @@ def fail_in_forked_workers(monkeypatch, module, task_fn: str, fail=raise_value_e
 
     monkeypatch.setattr(module, task_fn, fail_in_forked_worker)
     monkeypatch.delenv("RSVDANGLES_OUTDIR", raising=False)
-
-
-def assert_no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):

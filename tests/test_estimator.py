@@ -11,6 +11,7 @@ from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (TailTooShort, WeightsOverflow,
                                      space_agnostic_lower,
                                      space_agnostic_upper)
+from rsvdangles.rsvd import gaussian_sketch
 
 
 class TestGuards:
@@ -48,6 +49,17 @@ class TestGuards:
         spec = Spectrum.from_values([head] + [1.0] * 6)
         with pytest.raises(WeightsOverflow, match="with the Gaussian draw"):
             unbiased_estimate(spec, k=1, l=2, q=0, n_trials=20, side="left", seed=0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_rank_deficient_tail_outranks_an_overflowing_head(self):
+        # the tail weights below the first are subnormal, so every weighted
+        # tail has rank 1 < l; the head of trial 0 (stream 0 ^ 0) also
+        # overflows with its draw
+        spec = Spectrum.from_values([1.7e308, 1.0] + [1e-320] * 4)
+        with np.errstate(over="ignore"):
+            assert np.isinf(1.7e308 * gaussian_sketch(6, 2, 0)[0]).any()
+        with pytest.raises(TailTooShort, match="^tail too short for estimator$"):
+            unbiased_estimate(spec, k=1, l=2, q=0, n_trials=3, side="left", seed=0)
 
 
 class TestSinesFromNu:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from conftest import assert_no_child_left
 from rsvdangles import workers
 from rsvdangles.angles import canonical_sines
 from rsvdangles.estimator import unbiased_estimate
@@ -82,12 +83,6 @@ def forbid_fork(monkeypatch):
 def use_workers(monkeypatch, n: int) -> None:
     """Make ``_share`` see ``n`` usable CPUs, whatever this machine has."""
     monkeypatch.setattr(workers, "_usable_workers", lambda: n)
-
-
-def assert_no_child_left() -> None:
-    """This process has no child, running or unreaped."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def worker_pid(task) -> int:
@@ -249,14 +244,14 @@ class TestRunExperiment:
         # each head value squared overflows; the sketch itself would not
         step = {"generator": "gaussian_decay", "m": 30, "n": 30,
                 "spectrum": {"kind": "step", "k": 2, "beta": 14, "gap": 1e200}}
-        assert build_matrix(step)[3].values[0] == 1e200
+        assert build_matrix(step).spectrum.values[0] == 1e200
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
                 run_experiment(ExperimentConfig(matrix=step, grid=[(2, 6, 1)], jobs=2))
 
     def test_roundoff_values_do_not_count_toward_rank(self, rank3_file):
-        spec = build_matrix(rank3_file)[3]
+        spec = build_matrix(rank3_file).spectrum
         assert spec.declared_rank == 3
         assert (spec.values[3:] == 0.0).all()
         cfg = ExperimentConfig(matrix=rank3_file, grid=[(2, 5, 0)])
@@ -281,8 +276,9 @@ class TestRunExperiment:
         use_workers(monkeypatch, 2)
         cfg = ExperimentConfig(matrix={"path": str(path)}, grid=[(2, 4, 1), (2, 9, 0)],
                                estimator_trials=3, n_seeds=2, jobs=jobs)
-        _, a, _, true_spec, pad_rank, _ = build_matrix(cfg.matrix)
-        assert (true_spec.declared_rank, pad_rank) == (10, 14)
+        target = build_matrix(cfg.matrix)
+        a, true_spec = target.a, target.spectrum
+        assert (true_spec.declared_rank, target.pad_rank) == (10, 14)
         got = {}
         for r in run_experiment(cfg):
             if r.kind == "estimate":
@@ -291,7 +287,7 @@ class TestRunExperiment:
         want = {}
         for (k, l, q), seed in itertools.product(cfg.grid, range(cfg.n_seeds)):
             sigma = rsvd(a, SketchConfig(k, l, q, seed)).sigma
-            padded = pad_spectrum(Spectrum.from_values(sigma), pad_rank)
+            padded = pad_spectrum(Spectrum.from_values(sigma), target.pad_rank)
             for (source, spec), side in itertools.product(
                     (("true", true_spec), ("padded", padded)), cfg.sides):
                 try:
@@ -380,12 +376,14 @@ def small_configs(draw):
         r = draw(st.integers(2, min(m, n)))
         desc = {"generator": "gaussian_decay", "m": m, "n": n, "seed": seed,
                 "spectrum": {"kind": kind, "r": r, "r1": draw(st.integers(1, r))}}
-    rank = build_matrix(desc)[3].declared_rank
+    rank = build_matrix(desc).spectrum.declared_rank
     assume(rank >= 2)
     grid = []
     for _ in range(draw(st.integers(1, 2))):
         l = draw(st.integers(2, rank))
-        grid.append((draw(st.integers(1, l - 1)), l, draw(st.integers(0, 40))))
+        entry = (draw(st.integers(1, l - 1)), l, draw(st.integers(0, 40)))
+        if entry not in grid:  # a config lists each grid point once
+            grid.append(entry)
     return {"matrix": desc, "grid": grid,
             "sides": draw(st.sampled_from([("left",), ("right",), ("left", "right")])),
             "estimator_trials": draw(st.integers(1, 2)), "n_seeds": draw(st.integers(1, 2)),

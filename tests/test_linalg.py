@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rsvdangles import linalg
-from rsvdangles.linalg import (Spectrum, SvdFactors, as_matrix, normal_row_blocks,
-                               ortho, seeded_rng, sv_x_pinv, svd_full)
+from rsvdangles.linalg import (RankDeficient, Spectrum, SvdFactors, as_matrix,
+                               normal_row_blocks, ortho, seeded_rng, sv_x_pinv, svd_full)
 
 
 def test_as_matrix_rejects_nonfinite_and_empty():
@@ -59,7 +59,7 @@ class TestOrtho:
         rng = seeded_rng(1)
         base = rng.standard_normal((20, 3))
         m = np.hstack([base, base[:, :1]])
-        with pytest.raises(ValueError, match="rank deficient sketch"):
+        with pytest.raises(RankDeficient, match="^rank deficient sketch$"):
             ortho(m)
 
     def test_norm_past_the_overflow_threshold_is_not_a_collapse(self):
@@ -113,8 +113,8 @@ class TestSvdFull:
 class TestSvXPinv:
     @staticmethod
     def dense_reference(x, y):
-        """The rank check by a values-only SVD of R alone, as it stood
-        before the Gram-Cholesky certificate."""
+        """The rank check by a values-only SVD of R alone: sv_x_pinv's
+        fallback path, run on y itself."""
         r = np.linalg.qr(y, mode="r")
         s = np.linalg.svd(r, compute_uv=False)
         if s[-1] <= 1e-12 * s[0]:
@@ -146,10 +146,13 @@ class TestSvXPinv:
         rng = seeded_rng(3)
         base = rng.standard_normal((20, 4))
         y = np.hstack([base, base[:, :1] + base[:, 1:2]])
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(RankDeficient, match="^rank deficient y$"):
             sv_x_pinv(rng.standard_normal((3, 5)), y)
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(RankDeficient, match="^rank deficient y$"):
             sv_x_pinv(np.ones((3, 5)), np.zeros((20, 5)))
+        # the rank verdict comes before x is checked
+        with pytest.raises(RankDeficient, match="^rank deficient y$"):
+            sv_x_pinv(np.full((3, 5), np.inf), y)
 
     @settings(max_examples=300, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30),
@@ -169,7 +172,7 @@ class TestSvXPinv:
         try:
             expect = self.dense_reference(x, y)
         except ValueError:
-            with pytest.raises(ValueError, match="rank deficient y"):
+            with pytest.raises(RankDeficient, match="^rank deficient y$"):
                 sv_x_pinv(x, y)
         else:
             with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
@@ -203,7 +206,9 @@ class TestSvXPinv:
         expect = self.dense_reference(x, y)
         assert np.all(np.abs(got - expect) <= 7.5e-9 * expect)
 
-    @pytest.mark.parametrize("cond, svd_calls", [(1e3, 1), (1e10, 2)])
+    # a fast-path y runs the closing values-only SVD alone; every fallback
+    # adds the rank test's SVD of its triangle
+    @pytest.mark.parametrize("cond, svd_calls", [(1.0, 1), (1e3, 2), (1e10, 2)])
     def test_dense_check_runs_only_as_fallback(self, monkeypatch, cond, svd_calls):
         calls = []
         svd = np.linalg.svd
@@ -237,19 +242,6 @@ class TestSvXPinv:
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
         sv_x_pinv(x, y)
         assert len(calls) == qr_calls
-
-    def test_one_gram_serves_both_shifts(self):
-        # the cond-1e3 y of test_dense_check_runs_only_as_fallback: the fast
-        # shift declines, the rank shift completes
-        rng, y = self.conditioned_y(11, 60, 20, 1e3, 1.0)
-        x = rng.standard_normal((5, 20))
-        with mock.patch.object(np.linalg, "cholesky", wraps=np.linalg.cholesky) as chol, \
-                mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
-            sv_x_pinv(x, y)
-        assert chol.call_count == 2 and qr.call_count == 1
-        first, second = (call.args[0] for call in chol.call_args_list)
-        off = ~np.eye(20, dtype=bool)
-        assert np.array_equal(first[off], second[off])
 
     def test_householder_r_is_right_near_overflow(self):
         # the fast shift declines cond 1e8; at 1e308, a QR of y itself

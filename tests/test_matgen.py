@@ -6,7 +6,7 @@ import pytest
 
 from rsvdangles.angles import canonical_sines
 from rsvdangles import linalg, matgen
-from rsvdangles.linalg import Spectrum, seeded_rng, sv_x_pinv, svd_full
+from rsvdangles.linalg import RankDeficient, Spectrum, seeded_rng, sv_x_pinv, svd_full
 from rsvdangles.matgen import (_planted_draws, gaussian_decay_right_sketch,
                                gen_gaussian_decay, gen_snn, gen_step_spectrum,
                                load_mnist, spectrum_faster, spectrum_slower)
@@ -110,7 +110,7 @@ class TestGaussianDecay:
         monkeypatch.setattr(matgen, "_planted_row_blocks", lambda m, n, r, seed:
                             iter([(0, 0, np.zeros((m, r))), (1, 0, block)]))
         gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 1, 2, 1)
-        with pytest.raises(ValueError, match="rank deficient sketch"):
+        with pytest.raises(RankDeficient, match="^rank deficient sketch$"):
             gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 2, 2, 1)
 
 

@@ -60,7 +60,7 @@ class TestCertifiedValues:
 
     @pytest.fixture(scope="class", params=[d["name"] for d in PRESETS])
     def preset(self, request):
-        return build_matrix(next(d for d in PRESETS if d["name"] == request.param))[1]
+        return build_matrix(next(d for d in PRESETS if d["name"] == request.param)).a
 
     def test_at_or_above_dense_svd_on_presets(self, preset):
         a, k = preset, 50

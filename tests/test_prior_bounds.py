@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rsvdangles.linalg import Spectrum, seeded_rng
+from rsvdangles.linalg import RankDeficient, Spectrum, seeded_rng
 from rsvdangles.matgen import gen_step_spectrum
 from rsvdangles.prior_bounds import (BoundFailure, GapViolated, SketchCollapsed,
                                      TailTooShort, WeightsOverflow, make_report,
@@ -185,7 +185,7 @@ class TestSubspaceAwareUpper:
     def test_rank_deficient_projection_rejected(self):
         omega1 = np.ones((2, 4))
         omega2 = seeded_rng(1).standard_normal((6, 4))
-        with pytest.raises(ValueError, match="rank deficient"):
+        with pytest.raises(RankDeficient, match="^projected sketch omega1 is rank deficient$"):
             sketch_ratio(omega1, omega2)
 
     def test_exact_ratio_against_dense_pinv(self):
