@@ -34,7 +34,7 @@ from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
 from .mmio import read_matrix
 from .posterior_bounds import (gap_bounds, residual_blocks,
                                residual_ratio_bounds, residual_spectrum)
-from .prior_bounds import (BoundFailure, SketchCollapsed, make_report,
+from .prior_bounds import (BoundFailure, BoundReport, SketchCollapsed, make_report,
                            sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, rsvd
@@ -150,6 +150,10 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_finite(v) -> bool:
+    return _is_number(v) and math.isfinite(v)
+
+
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
@@ -234,8 +238,8 @@ def build_matrix(desc: dict) -> Target:
         return Target(pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True)
     if gen == "snn":
         pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
-                     _desc_value(desc, "r1"), _desc_value(desc, "a", _is_number),
-                     _desc_value(desc, "density", _is_number, 0.05),
+                     _desc_value(desc, "r1"), _desc_value(desc, "a", _is_finite),
+                     _desc_value(desc, "density", _is_finite, 0.05),
                      _desc_value(desc, "seed", _is_int, 0),
                      name=_desc_value(desc, "name", _is_name, "snn"))
         spec = _computed_spectrum(pm.a, pm.factors.sigma)
@@ -279,8 +283,8 @@ def _spectrum_from_desc(sd: dict) -> Spectrum:
     if kind == "faster":
         return spectrum_faster(_desc_value(sd, "r"), _desc_value(sd, "r1"))
     if kind == "step":
-        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", _is_number),
-                                 _desc_value(sd, "gap", _is_number))
+        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", _is_finite),
+                                 _desc_value(sd, "gap", _is_finite))
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
@@ -292,11 +296,16 @@ def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def _rows(ctx: tuple, kind: str, values, status: str = STATUS_OK,
-          trivial=None) -> list[Row]:
-    """One row per angle index of ``values``; the indices flagged in
-    ``trivial`` (a bound report's mask) get the trivial-bound status."""
+def _rows(ctx: tuple, kind: str, outcome) -> list[Row]:
+    """One row per angle index of a kind's outcome in a run: an array of
+    true sines, a BoundReport (the indices its mask flags get the
+    trivial-bound status), or a BoundFailure (k NaN rows of its status)."""
     matrix, side, k, l, q, seed, source = ctx
+    values, trivial, status = outcome, None, STATUS_OK
+    if isinstance(outcome, BoundFailure):
+        values, status = np.full(k, np.nan), outcome.status
+    elif isinstance(outcome, BoundReport):
+        values, trivial = outcome.values, outcome.trivial
     return [Row(matrix, side, k, l, q, seed, i, kind, source, v,
                 STATUS_TRIVIAL if trivial is not None and trivial[i - 1] else status)
             for i, v in enumerate(values.tolist(), start=1)]
@@ -304,6 +313,23 @@ def _rows(ctx: tuple, kind: str, values, status: str = STATUS_OK,
 
 GAP_KINDS = ("gap_norm_rank_l", "gap_norm_rank_k",
              "gap_anglewise_rank_l", "gap_anglewise_rank_k")
+
+_BOTH = ("true", "padded")
+# every kind a run writes: its colour in the panels and the spectrum sources
+# it is written for; subspace_aware_upper only where the factors are known
+_KINDS = {
+    "true_angle": ("#000000", ("true",)),
+    "true_angle_rank_k": ("#6e6e6e", ("true",)),
+    "space_agnostic_upper": ("#d62728", _BOTH),
+    "space_agnostic_lower": ("#1f77b4", _BOTH),
+    "estimate": ("#17becf", _BOTH),
+    "subspace_aware_upper": ("#c51b8a", _BOTH),
+    "residual_ratio": ("#ff7f0e", _BOTH),
+    "gap_norm_rank_l": ("#2ca02c", _BOTH),
+    "gap_norm_rank_k": ("#1f6f1f", _BOTH),
+    "gap_anglewise_rank_l": ("#74c476", _BOTH),
+    "gap_anglewise_rank_k": ("#0b4d0b", _BOTH),
+}
 
 
 def _attempt(compute):
@@ -315,68 +341,61 @@ def _attempt(compute):
 
 
 def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
-    """All rows of one (k, l, q, seed) run on a ``build_matrix`` target."""
+    """All rows of one (k, l, q, seed) run on a ``build_matrix`` target: every
+    stage runs first, then one loop writes each kind's outcome by ``_KINDS``."""
     name, a, factors, true_spec = target.name, target.a, target.factors, target.spectrum
     k, l, q, seed = task
-    nan = np.full(k, np.nan)
+    keys = [(source, side) for source in _BOTH for side in cfg.sides]
     try:
         out = rsvd(a, SketchConfig(k, l, q, seed))
     except SketchCollapsed as exc:
-        # no basis to measure or bound: NaN rows of every kind the run writes,
-        # the true_angle kinds for the true spectrum only
-        kinds = [kind for kind in _KIND_COLORS
-                 if target.known or kind != "subspace_aware_upper"]
-        return [row for source in ("true", "padded") for side in cfg.sides
-                for kind in kinds if source == "true" or not kind.startswith("true_angle")
-                for row in _rows((name, side, k, l, q, seed, source), kind, nan, exc.status)]
-    padded = pad_spectrum(Spectrum.from_values(out.sigma), target.pad_rank)
-    # The projected residuals do not depend on the spectrum source. The right
-    # one is always taken: its top value is the out-of-basis norm that
-    # residual_blocks needs.
-    resids = {"right": residual_spectrum(a, out.v, "right", k)}
-    if "left" in cfg.sides:
-        resids["left"] = residual_spectrum(a, out.u, "left", k)
-    stats = residual_blocks(a, out, k, resids["right"])
-    if target.known:
-        # the sketch ratio depends on neither the spectrum source nor the side
-        r = true_spec.declared_rank
-        ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
-                             factors.v[:, k:r].T @ out.sketch)
-    rows: list[Row] = []
-    sources = (("true", true_spec), ("padded", padded))
-    # one Gaussian draw per estimator trial, weighted for every source and side
-    estimates = iter(estimate_weightings(
-        [(spec, side) for _, spec in sources for side in cfg.sides],
-        k, l, q, cfg.estimator_trials, seed))
-
-    for source, spec in sources:
-        gaps = _attempt(lambda: gap_bounds(stats, spec, k))
+        # no basis to measure or bound: the collapse is every kind's outcome
+        found = {key: dict.fromkeys(_KINDS, exc) for key in keys}
+    else:
+        found = {key: {} for key in keys}
         for side in cfg.sides:
-            ctx = (name, side, k, l, q, seed, source)
-            if source == "true":
-                basis = out.u if side == "left" else out.v
-                truth = (factors.u if side == "left" else factors.v)[:, :k]
-                rows += _rows(ctx, "true_angle", canonical_sines(basis, truth))
-                rows += _rows(ctx, "true_angle_rank_k", canonical_sines(basis[:, :k], truth))
-            reports = [space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
-                       residual_ratio_bounds(resids[side], spec, k, side)]
+            basis = out.u if side == "left" else out.v
+            truth = (factors.u if side == "left" else factors.v)[:, :k]
+            found["true", side].update(true_angle=canonical_sines(basis, truth),
+                                       true_angle_rank_k=canonical_sines(basis[:, :k], truth))
+        # the residuals depend on no spectrum source
+        stats = residual_blocks(a, out, k)
+        resids = {"right": stats.right_residual}
+        if "left" in cfg.sides:
+            resids["left"] = residual_spectrum(a, out.u, "left", k)
+        specs = {"true": true_spec,
+                 "padded": pad_spectrum(Spectrum.from_values(out.sigma), target.pad_rank)}
+        # one Gaussian draw per estimator trial, weighted for every source and side
+        estimates = estimate_weightings([(specs[source], side) for source, side in keys],
+                                        k, l, q, cfg.estimator_trials, seed)
+        if target.known:
+            # the sketch ratio depends on neither the spectrum source nor the side
+            r = true_spec.declared_rank
+            ratio = sketch_ratio(factors.v[:, :k].T @ out.sketch,
+                                 factors.v[:, k:r].T @ out.sketch)
+        gaps = {source: _attempt(lambda: gap_bounds(stats, spec, k))
+                for source, spec in specs.items()}
+        for (source, side), est in zip(keys, estimates):
+            spec, outcomes = specs[source], found[source, side]
+            outcomes.update(
+                estimate=est if isinstance(est, BoundFailure)
+                else make_report(est.mean, "estimate", side),
+                space_agnostic_upper=space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
+                space_agnostic_lower=_attempt(
+                    lambda: space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)),
+                residual_ratio=residual_ratio_bounds(resids[side], spec, k, side))
             if target.known:
-                reports.append(subspace_aware_upper(spec, ratio, k, q, side))
-            lower = _attempt(
-                lambda: [space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)])
-            est = next(estimates)
-            if not isinstance(est, BoundFailure):
-                est = [make_report(est.mean, "estimate", side)]
+                outcomes["subspace_aware_upper"] = subspace_aware_upper(spec, ratio, k, q, side)
             # a family whose assumptions the spectrum fails gets NaN rows of its kinds
-            for kinds, outcome in ((("space_agnostic_lower",), lower), (("estimate",), est),
-                                   (GAP_KINDS, gaps)):
-                if isinstance(outcome, BoundFailure):
-                    for kind in kinds:
-                        rows += _rows(ctx, kind, nan, outcome.status)
-                else:
-                    reports += [rep for rep in outcome if rep.side == side]
-            for rep in reports:
-                rows += _rows(ctx, rep.kind, rep.values, trivial=rep.trivial)
+            g = gaps[source]
+            outcomes.update(dict.fromkeys(GAP_KINDS, g) if isinstance(g, BoundFailure)
+                            else {rep.kind: rep for rep in g if rep.side == side})
+    rows: list[Row] = []
+    for source, side in keys:
+        ctx = (name, side, k, l, q, seed, source)
+        for kind, (_, sources) in _KINDS.items():
+            if source in sources and (target.known or kind != "subspace_aware_upper"):
+                rows += _rows(ctx, kind, found[source, side][kind])
     return rows
 
 
@@ -590,22 +609,6 @@ class Panel:
     series: list[Series] = field(default_factory=list)
 
 
-# every kind a run writes, with its colour in the panels
-_KIND_COLORS = {
-    "true_angle": "#000000",
-    "true_angle_rank_k": "#6e6e6e",
-    "space_agnostic_upper": "#d62728",
-    "space_agnostic_lower": "#1f77b4",
-    "estimate": "#17becf",
-    "subspace_aware_upper": "#c51b8a",
-    "residual_ratio": "#ff7f0e",
-    "gap_norm_rank_l": "#2ca02c",
-    "gap_norm_rank_k": "#1f6f1f",
-    "gap_anglewise_rank_l": "#74c476",
-    "gap_anglewise_rank_k": "#0b4d0b",
-}
-
-
 def experiment_panels(rows: list[Row]):
     """Group experiment rows into one panel per (matrix, k, l, side, q). A
     panel with no finite value names its rows' statuses in its title."""
@@ -628,7 +631,7 @@ def experiment_panels(rows: list[Row]):
             xs = sorted(pts)
             ys = _means([pts[x] for x in xs])
             label = kind if source == "true" else f"{kind} (padded)"
-            series.append(Series(label, _KIND_COLORS.get(kind, "#555555"),
+            series.append(Series(label, _KINDS.get(kind, ("#555555",))[0],
                                  source == "padded", [float(x) for x in xs], ys))
         title = f"{matrix}: k={k}, l={l}, q={q}, {side} subspace"
         if not series:

@@ -44,12 +44,17 @@ from .prior_bounds import BoundReport, GapViolated, make_report
 
 @dataclass(frozen=True)
 class ResidualStats:
-    """Residual-block norms of a rank-l approximation and sigma_hat_{k+1}."""
+    """Residual-block norms of a rank-l approximation, the top k values of its
+    right residual a - a v v^T, and sigma_hat_{k+1}."""
 
     resid_in_basis_2: float
     resid_beyond_k_2: float
-    resid_out_of_basis_2: float
+    right_residual: Spectrum
     sigma_hat_next: float
+
+    @property
+    def resid_out_of_basis_2(self) -> float:
+        return float(self.right_residual.values[0])
 
 
 # The Gram route is taken only while its margin delta stays below
@@ -92,12 +97,15 @@ def _certified_top(gram: np.ndarray, size: int, k: int, dense) -> np.ndarray:
     return dense()[:k]
 
 
-def _project_out(a: np.ndarray, basis: np.ndarray, side: str) -> np.ndarray:
-    if side == "left":
-        return a - basis @ (basis.T @ a)
-    if side == "right":
-        return a - (a @ basis) @ basis.T
-    raise ValueError("side must be 'left' or 'right'")
+def _residual_top(a: np.ndarray, resid, k: int) -> Spectrum:
+    """The top k certified singular values of the residual R that ``resid()``
+    forms, from the smaller Gram matrix of R. R is dropped before the
+    eigensolver runs, and formed again only for the dense fallback."""
+    r = resid()
+    gram = r @ r.T if a.shape[0] <= a.shape[1] else r.T @ r
+    del r
+    return Spectrum.from_values(_certified_top(gram, sum(a.shape), k,
+                                               lambda: _svdvals(resid())))
 
 
 def residual_spectrum(a, basis, side: str, k: int) -> Spectrum:
@@ -105,19 +113,16 @@ def residual_spectrum(a, basis, side: str, k: int) -> Spectrum:
     from above (see ``_certified_top``).
 
     side "left" gives sigma((I - Q Q^T) a), side "right" sigma(a (I - Q Q^T)).
-    The values come from the smaller Gram matrix of the residual R; R itself
-    is dropped before the eigensolver runs, and formed again only for the
-    dense fallback.
     """
     a = as_matrix(a)
     basis = as_matrix(basis, "basis")
     if not 1 <= k <= min(a.shape):
         raise ValueError("k out of range for the residual spectrum")
-    resid = _project_out(a, basis, side)
-    gram = resid @ resid.T if a.shape[0] <= a.shape[1] else resid.T @ resid
-    del resid
-    return Spectrum.from_values(_certified_top(
-        gram, sum(a.shape), k, lambda: _svdvals(_project_out(a, basis, side))))
+    if side == "left":
+        return _residual_top(a, lambda: a - basis @ (basis.T @ a), k)
+    if side == "right":
+        return _residual_top(a, lambda: a - (a @ basis) @ basis.T, k)
+    raise ValueError("side must be 'left' or 'right'")
 
 
 def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
@@ -140,22 +145,24 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     return make_report(np.minimum(by_gap, by_index), "residual_ratio", side)
 
 
-def residual_blocks(a, f: SvdFactors, k: int, right_residual: Spectrum) -> ResidualStats:
-    """Residual-block norms for a delivered rank-l approximation.
+def residual_blocks(a, f: SvdFactors, k: int) -> ResidualStats:
+    """Residual-block norms and right residual of a delivered rank-l approximation.
 
     The three spectral norms are certified from above, so the gap bounds
     built from them are valid certificates. The in-basis and beyond-k norms
     are the top values of the l-by-l Gram matrix of the m-by-l in-basis
     residual and of its trailing block, with the margin of
-    ``_certified_top``. ``right_residual`` is
-    ``residual_spectrum(a, f.v, "right", k)``; its top value is the
+    ``_certified_top``. One product a v serves that residual and the right
+    residual a - a v v^T, whose top k values are, bit for bit,
+    ``residual_spectrum(a, f.v, "right", k)``; the top one is the
     out-of-basis norm.
     """
     a = as_matrix(a)
     if not 1 <= k < f.sigma.size:
         raise ValueError("need 1 <= k < l")
+    a_v = a @ f.v
     # (a - u sigma v^T) v = a v - u sigma, as v has orthonormal columns
-    err_v = a @ f.v - f.u * f.sigma
+    err_v = a_v - f.u * f.sigma
     gram = err_v.T @ err_v
     m, l = err_v.shape
     in_basis_2 = _certified_top(gram, m + l, 1, lambda: _svdvals(err_v))[0]
@@ -163,7 +170,7 @@ def residual_blocks(a, f: SvdFactors, k: int, right_residual: Spectrum) -> Resid
     beyond_k_2 = _certified_top(gram[k:, k:], m + l - k, 1,
                                 lambda: _svdvals(err_v[:, k:]))[0]
     return ResidualStats(float(in_basis_2), float(beyond_k_2),
-                         float(right_residual.values[0]), float(f.sigma[k]))
+                         _residual_top(a, lambda: a - a_v @ f.v.T, k), float(f.sigma[k]))
 
 
 def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundReport]:

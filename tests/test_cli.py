@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -281,6 +282,15 @@ BAD_CONFIGS = {
     "slash_name": ({**with_matrix(name="sub/dir"), "grid": RANK6_GRID}, [], "name"),
     "dot_dot_name": ({**with_matrix(name=".."), "grid": RANK6_GRID}, [], "name"),
     "empty_name": ({**with_matrix(name=""), "grid": RANK6_GRID}, [], "name"),
+    # descriptor numbers must be finite: an infinite beta ended in an
+    # OverflowError traceback, a NaN one in a message naming no key, and an
+    # infinite a in two RuntimeWarnings before the error line
+    "step_infinite_beta": (with_matrix(spectrum={"kind": "step", "k": 2, "beta": float("inf"),
+                                                 "gap": 1.5}), [], "beta"),
+    "step_nan_beta": (with_matrix(spectrum={"kind": "step", "k": 2, "beta": float("nan"),
+                                            "gap": 1.5}), [], "beta"),
+    "snn_nan_a": (with_matrix(matrix=RUN_CONFIG["matrix"], a=float("nan")), [], "a"),
+    "snn_infinite_a": (with_matrix(matrix=RUN_CONFIG["matrix"], a=float("inf")), [], "a"),
 }
 
 
@@ -322,11 +332,11 @@ def test_error_reporting_is_clean(tmp_path, case):
         cfg_path.write_text(json.dumps(cfg))
         res = run_cli("run", str(cfg_path), "--outdir", str(tmp_path / "out"), *flags)
     assert res.returncode == 1
-    assert "Traceback" not in res.stderr
-    errors = [ln for ln in res.stderr.splitlines() if ln.startswith("error:")]
-    assert len(errors) == 1
-    # the message ends with the offending file or key names
-    assert needle in errors[0].rsplit(": ", 1)[-1]
+    # one error line and nothing else: no traceback, no warning
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    # the text after the last ": " names the offending file or key as a whole word
+    assert re.search(rf"(?<!\w){re.escape(needle)}(?!\w)", lines[0].rsplit(": ", 1)[-1])
 
 
 def test_balance_out_of_memory_is_one_error_line(tmp_path):

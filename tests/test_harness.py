@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import assert_no_child_left
-from rsvdangles import workers
+from rsvdangles import harness, workers
 from rsvdangles.angles import canonical_sines
 from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
@@ -301,6 +301,19 @@ class TestRunExperiment:
         assert {key[4] for key, rows in got.items() if rows[0][1] == "tail_short"} == {"true"}
         assert {rows[0][1] for key, rows in got.items() if key[1] == 4} == {"ok"}
 
+    @pytest.mark.parametrize("sides, per_run", [(("left", "right"), ["blocks", "left"]),
+                                                (("right",), ["blocks"])])
+    def test_a_run_forms_each_residual_once(self, monkeypatch, sides, per_run):
+        # residual_blocks gives the right residual; residual_spectrum forms the left one
+        calls = []
+        spectrum, blocks = harness.residual_spectrum, harness.residual_blocks
+        monkeypatch.setattr(harness, "residual_spectrum", lambda a, basis, side, k:
+                            calls.append(side) or spectrum(a, basis, side, k))
+        monkeypatch.setattr(harness, "residual_blocks",
+                            lambda a, f, k: calls.append("blocks") or blocks(a, f, k))
+        run_experiment(tiny_config(sides=sides))
+        assert calls == per_run * 4  # 2 grid points x 2 seeds
+
     def test_errors_recorded_not_raised(self, rows):
         # 40x40 at l = rank/5 keeps gaps healthy, so force a tail_short case:
         # estimator needs tail >= l
@@ -444,16 +457,21 @@ class TestStatusContract:
         with mock.patch.object(workers, "_usable_workers", lambda: 2):
             assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
 
-    def test_collapsed_sketch_spoils_only_its_run(self):
-        # at gap 1e12 the sketch passes ortho's rank test at q=0, not at q=1
-        rows = run_experiment(ExperimentConfig(**contract_example(
-            step_40(1e12), [(2, 4, 0), (2, 4, 1)])))
-        by_q = {q: [r for r in rows if r.q == q] for q in (0, 1)}
-        assert all(r.status == "ok" for r in by_q[0])
-        assert all(r.status == "sketch_collapsed" and math.isnan(r.value) for r in by_q[1])
-        # the collapsed run writes the rows an intact run writes
-        assert ([r._replace(q=0, value=0.0, status="") for r in by_q[1]]
-                == [r._replace(value=0.0, status="") for r in by_q[0]])
+    def test_collapsed_sketch_spoils_only_its_run(self, tmp_path):
+        # at gap 1e12 the sketch passes ortho's rank test at q=0, not at q=1;
+        # read from a file, the same matrix has factors the comparator may not read
+        path = tmp_path / "step.mtx"
+        write_matrix(build_matrix(step_40(1e12)).a, path)
+        for matrix, known in ((step_40(1e12), True), ({"path": str(path)}, False)):
+            rows = run_experiment(ExperimentConfig(**contract_example(
+                matrix, [(2, 4, 0), (2, 4, 1)])))
+            by_q = {q: [r for r in rows if r.q == q] for q in (0, 1)}
+            assert all(r.status == "ok" for r in by_q[0])
+            assert all(r.status == "sketch_collapsed" and math.isnan(r.value) for r in by_q[1])
+            # the collapsed run writes the rows an intact run writes
+            assert ([r._replace(q=0, value=0.0, status="") for r in by_q[1]]
+                    == [r._replace(value=0.0, status="") for r in by_q[0]])
+            assert any(r.kind == "subspace_aware_upper" for r in rows) == known
 
     @pytest.mark.parametrize("gap, trials, failed", [
         # sigma_1/sigma_3 = 1e10 to the power 31 and 32: the weights overflow

@@ -20,10 +20,6 @@ def exact_rank_l_output(a, l):
     return SvdFactors(f.u[:, :l], f.sigma[:l], f.v[:, :l])
 
 
-def residual_stats(a, out, k):
-    return residual_blocks(a, out, k, residual_spectrum(a, out.v, "right", k))
-
-
 class TestResidualSpectrum:
     def test_full_span_basis_kills_residual(self):
         rng = seeded_rng(0)
@@ -77,7 +73,8 @@ class TestCertifiedValues:
                         assert (got >= dense).all(), (l, q, seed, side)
                         assert got == pytest.approx(dense, rel=1e-9)
                     err_v = a @ out.v - out.u * out.sigma
-                    stats = residual_stats(a, out, k)
+                    stats = residual_blocks(a, out, k)
+                    assert np.array_equal(stats.right_residual.values, got)
                     for got, block in ((stats.resid_in_basis_2, err_v),
                                        (stats.resid_beyond_k_2, err_v[:, k:])):
                         dense = np.linalg.svd(block, compute_uv=False)[0]
@@ -120,6 +117,21 @@ class TestCertifiedValues:
         resid = pm.a - basis @ (basis.T @ pm.a)
         assert calls == [(30, 25)]
         assert np.array_equal(got, np.linalg.svd(resid, compute_uv=False)[:6])
+
+    @pytest.mark.parametrize("values, fallback", [(np.geomspace(1.0, 0.1, 20), False),
+                                                  (np.geomspace(1.0, 1e-12, 10), True)])
+    def test_right_residual_of_blocks_is_residual_spectrum(self, monkeypatch, values,
+                                                           fallback):
+        # past sigma_8, rank 20 and a slow decay leave six values that the
+        # Gram route certifies; rank 10 and a fast decay leave two tiny
+        # values and round-off, which take the dense fallback
+        pm = gen_gaussian_decay(30, 25, Spectrum.from_values(values), seed=17)
+        out = rsvd(pm.a, SketchConfig(6, 8, 0, seed=0))
+        expect = residual_spectrum(pm.a, out.v, "right", 6).values
+        calls = self.dense_calls(monkeypatch)
+        got = residual_blocks(pm.a, out, 6).right_residual.values
+        assert ((30, 25) in calls) == fallback
+        assert np.array_equal(got, expect)
 
     def test_slow_decaying_residual_takes_gram_route(self, monkeypatch):
         spec = Spectrum.from_values(np.geomspace(1.0, 0.1, 20))
@@ -177,7 +189,7 @@ class TestResidualBlocks:
         spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
         pm = gen_gaussian_decay(50, 40, spec, seed=8)
         out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=3))
-        stats = residual_stats(pm.a, out, k=5)
+        stats = residual_blocks(pm.a, out, k=5)
         err = pm.a - (out.u * out.sigma) @ out.v.T
         assert stats.resid_in_basis_2 == pytest.approx(
             np.linalg.norm(err @ out.v, 2), rel=1e-12)
@@ -186,7 +198,7 @@ class TestResidualBlocks:
 
     def test_diagonal_hand_values(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
+        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
         assert stats.resid_in_basis_2 == pytest.approx(0.0, abs=1e-12)
         assert stats.resid_beyond_k_2 == pytest.approx(0.0, abs=1e-12)
         assert stats.resid_out_of_basis_2 == pytest.approx(1.0, abs=1e-12)
@@ -194,7 +206,7 @@ class TestResidualBlocks:
         # unit residual norms, sigma_hat_2 = 2 and sigma_1 = 4: gaps
         # (16 - 4)/4 = 3 and (16 - 4)/2 = 6 from sigma_hat, (16 - 1)/4 and
         # (16 - 1)/1 = 15 from the out-of-basis norm
-        hand = ResidualStats(1.0, 1.0, 1.0, 2.0)
+        hand = ResidualStats(1.0, 1.0, Spectrum.from_values([1.0]), 2.0)
         reports = {(r.kind, r.side): r.values
                    for r in gap_bounds(hand, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)}
         assert reports[("gap_norm_rank_l", "left")][0] == pytest.approx(4.0 / 15.0)
@@ -207,7 +219,7 @@ class TestResidualBlocks:
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.4])
         pm = gen_gaussian_decay(14, 12, spec, seed=6)
         out = rsvd(pm.a, SketchConfig(2, 4, 1, seed=1))
-        stats = residual_stats(pm.a, out, k=2)
+        stats = residual_blocks(pm.a, out, k=2)
         assert stats.resid_in_basis_2 <= 1e-10
         assert stats.resid_out_of_basis_2 <= 1e-10
         assert len(gap_bounds(stats, spec, 2)) == 8
@@ -223,7 +235,7 @@ class TestResidualBlocks:
 
     def test_gaps_absent_when_assumptions_fail(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
+        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
         spec = Spectrum.from_values([0.9, 0.5, 0.25, 0.1])  # sigma_k below both norms
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
@@ -233,7 +245,7 @@ class TestGapBounds:
     def test_zero_residuals_give_zero_rank_l_bounds(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         out = exact_rank_l_output(a, 3)
-        stats = residual_stats(a, out, k=2)
+        stats = residual_blocks(a, out, k=2)
         spec = Spectrum.from_values([4.0, 2.0, 1.0, 0.5])
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 2)}
         for side in ("left", "right"):
@@ -244,7 +256,7 @@ class TestGapBounds:
         spec = Spectrum.from_values([2.0, 2.0, 2.0, 1.0, 0.5])
         pm = gen_gaussian_decay(20, 18, spec, seed=9)
         out = rsvd(pm.a, SketchConfig(3, 4, 1, seed=4))
-        stats = residual_stats(pm.a, out, k=3)
+        stats = residual_blocks(pm.a, out, k=3)
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 3)}
         for side in ("left", "right"):
             norm = reports[("gap_norm_rank_l", side)].values
@@ -255,7 +267,7 @@ class TestGapBounds:
         spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
         pm = gen_gaussian_decay(60, 50, spec, seed=10)
         out = rsvd(pm.a, SketchConfig(6, 15, 0, seed=5))
-        stats = residual_stats(pm.a, out, k=6)
+        stats = residual_blocks(pm.a, out, k=6)
         reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 6)}
         left = reports[("gap_norm_rank_l", "left")].values
         right = reports[("gap_norm_rank_l", "right")].values
@@ -273,7 +285,7 @@ class TestGapBounds:
 
     def test_gap_violation_raises(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
-        stats = residual_stats(a, exact_rank_l_output(a, 2), k=1)
+        stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
         spec = Spectrum.from_values([1.5, 1.0, 0.5, 0.25])  # sigma_k below sigma_hat_next
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
@@ -283,9 +295,9 @@ class TestGapBounds:
         pm = gen_gaussian_decay(60, 50, spec, seed=11)
         out = rsvd(pm.a, SketchConfig(6, 15, 1, seed=6))
         for c in (1e-4, 1e4):
-            base = residual_stats(pm.a, out, k=6)
+            base = residual_blocks(pm.a, out, k=6)
             out_c = rsvd(c * pm.a, SketchConfig(6, 15, 1, seed=6))
-            scaled = residual_stats(c * pm.a, out_c, k=6)
+            scaled = residual_blocks(c * pm.a, out_c, k=6)
             a_reports = gap_bounds(base, spec, 6)
             b_reports = gap_bounds(scaled, Spectrum(spec.values * c, spec.declared_rank), 6)
             for ra, rb in zip(a_reports, b_reports):
@@ -298,7 +310,7 @@ class TestGapBounds:
         for seed in range(3):
             for q in (0, 1):
                 out = rsvd(pm.a, SketchConfig(k, l, q, seed))
-                stats = residual_stats(pm.a, out, k)
+                stats = residual_blocks(pm.a, out, k)
                 reports = gap_bounds(stats, spec, k)
                 truth = {
                     ("left", "rank_l"): canonical_sines(out.u, pm.factors.u[:, :k]),
