@@ -36,8 +36,8 @@ def main() -> int:
     grid = [(50, 80, 0), (50, 80, 1), (50, 200, 0), (50, 200, 1)]
     for desc in matrices:
         cfg = ExperimentConfig(matrix=desc, grid=grid, estimator_trials=args.trials,
-                               n_seeds=args.seeds, outdir=args.outdir, jobs=args.jobs)
-        rows = run_experiment(cfg)
+                               n_seeds=args.seeds)
+        rows = run_experiment(cfg, args.outdir, args.jobs)
         print(f"{desc['name']}: {len(rows)} rows -> {args.outdir}")
     return 0
 

@@ -6,14 +6,14 @@ Subcommands:
   balance   fixed-budget oversampling-versus-power-iterations sweep, per gap
   estimate  standalone Monte-Carlo angle estimate from a spectrum file
 
-The RSVDANGLES_OUTDIR environment variable overrides any configured or
-flagged output directory.
+The config file is the experiment: it holds every value the rows depend on.
+Where the output goes (--outdir) and how many workers compute it (--jobs)
+belong to the machine, so they are flags of ``run``, not config keys.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -22,15 +22,11 @@ import warnings
 import numpy as np
 
 from .estimator import estimate_cost_model, unbiased_estimate
-from .harness import (OUTDIR_ENV, BalanceConfig, ExperimentConfig,
-                      balance_panel, balance_sweep, build_matrix,
-                      emit_balance_csv, emit_svg, run_experiment)
+from .harness import (BalanceConfig, ExperimentConfig, balance_panel,
+                      balance_sweep, build_matrix, emit_balance_csv, emit_svg,
+                      run_experiment)
 from .linalg import Spectrum
 from .mmio import write_matrix
-
-
-def _resolve_outdir(flag_value, cfg_value=None, default="."):
-    return os.environ.get(OUTDIR_ENV) or flag_value or cfg_value or default
 
 
 def _cmd_gen(args) -> int:
@@ -51,11 +47,10 @@ def _cmd_gen(args) -> int:
     desc["name"] = args.name or args.kind.replace("-", "_")
     target = build_matrix(desc)
     name, a = target.name, target.a
-    outdir = _resolve_outdir(args.outdir)
-    os.makedirs(outdir, exist_ok=True)
-    mtx_path = os.path.join(outdir, f"{name}.mtx")
+    os.makedirs(args.outdir, exist_ok=True)
+    mtx_path = os.path.join(args.outdir, f"{name}.mtx")
     write_matrix(a, mtx_path)
-    with open(os.path.join(outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
+    with open(os.path.join(args.outdir, f"{name}.json"), "w", encoding="utf-8") as fh:
         json.dump({"schema_version": 1, "matrix": desc, "file": mtx_path}, fh, indent=2)
         fh.write("\n")
     print(f"wrote {mtx_path} ({a.shape[0]}x{a.shape[1]})")
@@ -63,17 +58,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
-    updates = {"outdir": _resolve_outdir(args.outdir, cfg.outdir, default="results")}
-    if args.seed is not None:
-        updates["base_seed"] = args.seed
-    if args.trials is not None:
-        updates["estimator_trials"] = args.trials
-    if args.jobs is not None:
-        updates["jobs"] = args.jobs
-    cfg = dataclasses.replace(cfg, **updates)
-    rows = run_experiment(cfg)
-    print(f"wrote {len(rows)} rows to {cfg.outdir}")
+    rows = run_experiment(ExperimentConfig.from_json(args.config), args.outdir, args.jobs)
+    print(f"wrote {len(rows)} rows to {args.outdir}")
     return 0
 
 
@@ -90,15 +76,14 @@ def _cmd_balance(args) -> int:
             raise ValueError(f"gaps {tags[tag]!r} and {cfg.gap!r} would both write"
                              f" {tag}.csv and .svg: gap")
         tags[tag] = cfg.gap
-    outdir = _resolve_outdir(args.outdir)
     for tag, cfg in zip(tags, cfgs):
         rows = balance_sweep(cfg)
-        os.makedirs(outdir, exist_ok=True)  # once there are rows to write
-        emit_balance_csv(rows, os.path.join(outdir, f"{tag}.csv"))
-        emit_svg(balance_panel(rows), os.path.join(outdir, f"{tag}.svg"))
+        os.makedirs(args.outdir, exist_ok=True)  # once there are rows to write
+        emit_balance_csv(rows, os.path.join(args.outdir, f"{tag}.csv"))
+        emit_svg(balance_panel(rows), os.path.join(args.outdir, f"{tag}.svg"))
         q, phi = min({r["q"]: r["phi"] for r in rows}.items(), key=lambda kv: kv[1])
         print(f"gap {cfg.gap:g}: best power count q={q} (budget curve {phi:.6g})")
-    print(f"results under {outdir}")
+    print(f"results under {args.outdir}")
     return 0
 
 
@@ -138,15 +123,13 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, default=1.1, help="step gap")
     p.add_argument("--name", default=None)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("config")
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--seed", type=int, default=None, help="override base seed")
-    p.add_argument("--trials", type=int, default=None, help="estimator trials")
-    p.add_argument("--jobs", type=int, default=None, help="worker limit, capped at usable CPUs")
+    p.add_argument("--outdir", default="results")
+    p.add_argument("--jobs", type=int, default=1, help="worker limit, capped at usable CPUs")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("balance", help="fixed-budget balance sweep")
@@ -157,7 +140,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--gap", type=float, nargs="+", default=[1.1], help="one or more gaps")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--outdir", default=None)
+    p.add_argument("--outdir", default=".")
     p.set_defaults(func=_cmd_balance)
 
     p = sub.add_parser("estimate", help="Monte-Carlo angle estimate from a spectrum file")

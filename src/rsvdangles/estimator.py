@@ -9,10 +9,13 @@ weighted_top @ pinv(weighted_tail):
 
 Large nu means a well-captured direction and a small angle, so the numpy
 descending nu order already yields ascending-angle theta vectors. Trial j
-uses the stream keyed by ``seed ^ j``, so the trials are independent: they
+uses the stream keyed by ``seed ^ j``, distinct within one call: the trials
 run in fixed blocks that forked workers may share (``jobs``) without
-changing a bit of the report. One draw per trial serves several (spectrum,
-side) weightings at once (``estimate_weightings``), as a sweep run needs.
+changing a bit of the report. Across calls the streams repeat: trial j of
+seed s is trial 0 of seed s ^ j, so seeds 0 and 1 at 3 trials share 2 of 3
+per-trial sine vectors bit for bit, and seeds 0-9 draw 12 streams, not 30.
+One draw per trial serves several (spectrum, side) weightings at once
+(``estimate_weightings``), as a sweep run needs.
 """
 
 from __future__ import annotations

@@ -41,7 +41,6 @@ from .rsvd import SketchConfig, rsvd
 from .workers import _share
 
 SCHEMA_VERSION = 1
-OUTDIR_ENV = "RSVDANGLES_OUTDIR"
 
 STATUS_OK = "ok"
 STATUS_TRIVIAL = "trivial_bound"
@@ -71,7 +70,8 @@ _CSV_LINE = ",".join("%.17g" if f == "value" else "%s" for f in Row._fields) + "
 
 @dataclass
 class ExperimentConfig:
-    """One target matrix, a (k, l, q) grid, and the evaluation options."""
+    """One target matrix, a (k, l, q) grid, and every option the rows depend
+    on; the output directory and the worker limit are run_experiment's."""
 
     matrix: dict
     grid: list[tuple[int, int, int]]
@@ -81,8 +81,6 @@ class ExperimentConfig:
     base_seed: int = 0
     upper_c: float = 1.0
     lower_c: float = 2.0
-    outdir: str | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.grid:
@@ -100,7 +98,7 @@ class ExperimentConfig:
         if (not self.sides or len(set(self.sides)) < len(self.sides)
                 or not set(self.sides) <= {"left", "right"}):
             raise ValueError("config value must name left, right or both, once each: sides")
-        for key in ("estimator_trials", "n_seeds", "jobs"):
+        for key in ("estimator_trials", "n_seeds"):
             if getattr(self, key) < 1:
                 raise ValueError(f"config value must be >= 1: {key}")
         for key in ("upper_c", "lower_c"):
@@ -158,6 +156,15 @@ def _is_str(v) -> bool:
     return isinstance(v, str)
 
 
+def _is_length(v) -> bool:
+    return _is_int(v) and v <= np.iinfo(np.intp).max  # the largest array length
+
+
+def _step_fits(k: int, factor: float) -> bool:
+    """Whether k + round(factor * k), a step spectrum's length, is an array length."""
+    return math.isfinite(factor * k) and _is_length(k + round(factor * k))
+
+
 def _is_name(v) -> bool:
     """A string that names a file inside the output directory: not empty,
     not "." or "..", and without a path separator."""
@@ -182,10 +189,8 @@ _VALUE_TYPES = {
     "estimator_trials": (_is_int, "an integer"),
     "n_seeds": (_is_int, "an integer"),
     "base_seed": (_is_int, "an integer"),
-    "jobs": (_is_int, "an integer"),
     "upper_c": (_is_number, "a number"),
     "lower_c": (_is_number, "a number"),
-    "outdir": (lambda v: v is None or isinstance(v, str), "a string or null"),
 }
 
 
@@ -232,12 +237,13 @@ def build_matrix(desc: dict) -> Target:
     gen = desc.get("generator")
     if gen == "gaussian_decay":
         spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
-        pm = gen_gaussian_decay(_desc_value(desc, "m"), _desc_value(desc, "n"), spec,
+        pm = gen_gaussian_decay(_desc_value(desc, "m", _is_length),
+                                _desc_value(desc, "n", _is_length), spec,
                                 _desc_value(desc, "seed", _is_int, 0),
                                 name=_desc_value(desc, "name", _is_name, "gaussian_decay"))
         return Target(pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True)
     if gen == "snn":
-        pm = gen_snn(_desc_value(desc, "m"), _desc_value(desc, "n"),
+        pm = gen_snn(_desc_value(desc, "m", _is_length), _desc_value(desc, "n", _is_length),
                      _desc_value(desc, "r1"), _desc_value(desc, "a", _is_finite),
                      _desc_value(desc, "density", _is_finite, 0.05),
                      _desc_value(desc, "seed", _is_int, 0),
@@ -279,12 +285,13 @@ def _desc_value(desc: dict, key: str, ok=_is_int, default=None):
 def _spectrum_from_desc(sd: dict) -> Spectrum:
     kind = _desc_value(sd, "kind", _is_str)
     if kind == "slower":
-        return spectrum_slower(_desc_value(sd, "r"), _desc_value(sd, "r1"))
+        return spectrum_slower(_desc_value(sd, "r", _is_length), _desc_value(sd, "r1"))
     if kind == "faster":
-        return spectrum_faster(_desc_value(sd, "r"), _desc_value(sd, "r1"))
+        return spectrum_faster(_desc_value(sd, "r", _is_length), _desc_value(sd, "r1"))
     if kind == "step":
-        return gen_step_spectrum(_desc_value(sd, "k"), _desc_value(sd, "beta", _is_finite),
-                                 _desc_value(sd, "gap", _is_finite))
+        k = _desc_value(sd, "k", _is_length)
+        beta = _desc_value(sd, "beta", lambda v: _is_finite(v) and _step_fits(k, v))
+        return gen_step_spectrum(k, beta, _desc_value(sd, "gap", _is_finite))
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
@@ -399,13 +406,14 @@ def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
     return rows
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[Row]:
-    """Execute the full sweep and (when an outdir is set) write CSV and SVGs.
+def run_experiment(cfg: ExperimentConfig, outdir=None, jobs: int = 1) -> list[Row]:
+    """Execute the full sweep and (when ``outdir`` is given) write CSV and SVGs.
 
-    With ``cfg.jobs > 1`` the runs are shared by at most ``cfg.jobs``
-    workers (see ``workers._share``); the rows do not depend on the worker
-    count.
+    With ``jobs > 1`` the runs are shared by at most ``jobs`` workers (see
+    ``workers._share``); the rows do not depend on the worker count.
     """
+    if jobs < 1:
+        raise ValueError("worker limit must be >= 1: jobs")
     target = build_matrix(cfg.matrix)
     name, a = target.name, target.a
     # A sketch wider than the rank collapses, and the space-agnostic upper
@@ -424,14 +432,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[Row]:
             raise ValueError(f"matrix {name} too large: its squared Frobenius norm overflows")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
-    chunks = _share(_run_single, (target, cfg), tasks, cfg.jobs)
+    chunks = _share(_run_single, (target, cfg), tasks, jobs)
     rows = sorted(r for chunk in chunks for r in chunk)
 
-    if cfg.outdir:
-        os.makedirs(cfg.outdir, exist_ok=True)
-        emit_csv(rows, os.path.join(cfg.outdir, f"{name}_bounds.csv"))
+    if outdir is not None:
+        os.makedirs(outdir, exist_ok=True)
+        emit_csv(rows, os.path.join(outdir, f"{name}_bounds.csv"))
         for panel, fname in experiment_panels(rows):
-            emit_svg(panel, os.path.join(cfg.outdir, fname))
+            emit_svg(panel, os.path.join(outdir, fname))
     return rows
 
 
@@ -468,21 +476,25 @@ class BalanceConfig:
         if self.budget_factor > self.tail_factor:
             # so l <= r - k: a trial's tail block y_2 is at least as tall as wide
             raise ValueError("config value must be <= tail_factor: budget_factor")
+        if not _step_fits(self.k, self.tail_factor):  # the list of power counts is shorter
+            raise ValueError("config value makes (1 + tail_factor) * k exceed"
+                             " the largest array length: tail_factor")
         tail = self.tail_factor * self.k
         if abs(tail - round(tail)) > 1e-9:
             raise ValueError("(1 + tail_factor) * k must be integral")
-        if self.size > np.iinfo(np.intp).max:  # the list of power counts is shorter
-            raise ValueError("config value makes (1 + tail_factor) * k exceed"
-                             " the largest array length: tail_factor")
 
     @property
     def size(self) -> int:
         return self.k + int(round(self.tail_factor * self.k))
 
 
+def _max_power(cfg: BalanceConfig) -> int:
+    """The largest q whose 2q+1 passes of l >= g^2 k columns fit the budget."""
+    return int((cfg.budget_factor / cfg.oversample_factor**2 - 1.0) / 2.0 + 1e-12)
+
+
 def feasible_powers(cfg: BalanceConfig) -> list[int]:
-    ratio = cfg.budget_factor / cfg.oversample_factor**2
-    return list(range(int((ratio - 1.0) / 2.0 + 1e-12) + 1))
+    return list(range(_max_power(cfg) + 1))
 
 
 def fixed_budget_bound(q: int, cfg: BalanceConfig) -> float:
@@ -491,11 +503,12 @@ def fixed_budget_bound(q: int, cfg: BalanceConfig) -> float:
     The space-agnostic upper bound on the step spectrum at the real-valued
     sample size l = budget/(2q+1), with the oversampling factor as the
     distortion multiplier; 1 where that head distortion g*sqrt(k/l) reaches 1.
+    q must be one of ``feasible_powers(cfg)``.
     """
+    if not 0 <= q <= _max_power(cfg):
+        raise ValueError(f"power count must lie in 0..{_max_power(cfg)} for this budget: q")
     a, g = cfg.budget_factor, cfg.oversample_factor
     passes = 2 * q + 1
-    if passes > a / g**2 + 1e-12:
-        raise ValueError("budget exceeded")
     l = a * cfg.k / passes
     if g * math.sqrt(cfg.k / l) >= 1.0:
         return 1.0

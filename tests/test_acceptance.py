@@ -92,8 +92,8 @@ def sweep():
         # the pool caps the workers at the usable CPUs, and the rows do not
         # depend on their count
         rows += run_experiment(ExperimentConfig(
-            matrix=desc, grid=grid, n_seeds=N_SEEDS, estimator_trials=1,
-            jobs=os.cpu_count() or 1))
+            matrix=desc, grid=grid, n_seeds=N_SEEDS, estimator_trials=1),
+            jobs=os.cpu_count() or 1)
     return Sweep(rows, time.perf_counter() - t0)
 
 

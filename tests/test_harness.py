@@ -201,7 +201,7 @@ class TestRunExperiment:
 
     def test_parallel_execution_gives_identical_rows(self, rows, tmp_path, monkeypatch):
         use_workers(monkeypatch, 3)
-        rows_jobs = run_experiment(tiny_config(jobs=3))
+        rows_jobs = run_experiment(tiny_config(), jobs=3)
         p1, p2 = tmp_path / "serial.csv", tmp_path / "jobs.csv"
         emit_csv(rows, p1)
         emit_csv(rows_jobs, p2)
@@ -209,27 +209,27 @@ class TestRunExperiment:
 
     def test_pool_leaves_no_worker_processes(self, monkeypatch):
         use_workers(monkeypatch, 2)
-        run_experiment(tiny_config(jobs=2))
+        run_experiment(tiny_config(), jobs=2)
         assert_no_child_left()
 
     @pytest.mark.usefixtures("forbid_fork")
     @pytest.mark.parametrize("jobs, n_seeds", [(1, 2), (3, 1)])
     def test_single_worker_starts_no_process(self, monkeypatch, jobs, n_seeds):
         use_workers(monkeypatch, 8)
-        run_experiment(tiny_config(grid=[(5, 8, 0)], jobs=jobs, n_seeds=n_seeds))
+        run_experiment(tiny_config(grid=[(5, 8, 0)], n_seeds=n_seeds), jobs=jobs)
 
     def test_one_process_without_fork_start_method(self, monkeypatch, rows):
         monkeypatch.delattr(os, "fork")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-        assert len(run_experiment(tiny_config(jobs=2))) == len(rows)
+        assert len(run_experiment(tiny_config(), jobs=2)) == len(rows)
 
     @pytest.mark.usefixtures("forbid_fork")
     def test_grid_checked_against_matrix_before_any_run(self):
         snn = {"generator": "snn", "m": 35, "n": 30, "r1": 4, "a": 5.0,
                "density": 0.3, "seed": 9, "name": "snn_tiny"}
-        cfg = tiny_config(matrix=snn, grid=[(4, 8, 1), (4, 40, 1)], jobs=2)
+        cfg = tiny_config(matrix=snn, grid=[(4, 8, 1), (4, 40, 1)])
         with pytest.raises(ValueError, match=r"\(k=4, l=40, q=1\).*min\(m, n\)=30"):
-            run_experiment(cfg)
+            run_experiment(cfg, jobs=2)
 
     @pytest.fixture
     def rank3_file(self, tmp_path):
@@ -248,7 +248,7 @@ class TestRunExperiment:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
-                run_experiment(ExperimentConfig(matrix=step, grid=[(2, 6, 1)], jobs=2))
+                run_experiment(ExperimentConfig(matrix=step, grid=[(2, 6, 1)]), jobs=2)
 
     def test_roundoff_values_do_not_count_toward_rank(self, rank3_file):
         spec = build_matrix(rank3_file).spectrum
@@ -260,8 +260,7 @@ class TestRunExperiment:
 
     def test_entry_within_numerical_rank_runs(self, rank3_file, tmp_path):
         out = tmp_path / "out"
-        run_experiment(ExperimentConfig(matrix=rank3_file, grid=[(1, 3, 0)],
-                                        outdir=str(out)))
+        run_experiment(ExperimentConfig(matrix=rank3_file, grid=[(1, 3, 0)]), str(out))
         assert (out / "rank3_bounds.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -275,12 +274,12 @@ class TestRunExperiment:
         write_matrix(rng.standard_normal((16, 10)) @ rng.standard_normal((10, 14)), path)
         use_workers(monkeypatch, 2)
         cfg = ExperimentConfig(matrix={"path": str(path)}, grid=[(2, 4, 1), (2, 9, 0)],
-                               estimator_trials=3, n_seeds=2, jobs=jobs)
+                               estimator_trials=3, n_seeds=2)
         target = build_matrix(cfg.matrix)
         a, true_spec = target.a, target.spectrum
         assert (true_spec.declared_rank, target.pad_rank) == (10, 14)
         got = {}
-        for r in run_experiment(cfg):
+        for r in run_experiment(cfg, jobs=jobs):
             if r.kind == "estimate":
                 got.setdefault((r.k, r.l, r.q, r.seed, r.spectrum_source, r.side),
                                []).append((r.value.hex(), r.status))
@@ -344,8 +343,7 @@ class TestRunExperiment:
         assert max(ratio) <= 1e-8
 
     def test_outputs_written(self, tmp_path):
-        cfg = tiny_config(grid=[(5, 8, 0)], n_seeds=1, outdir=str(tmp_path / "out"))
-        run_experiment(cfg)
+        run_experiment(tiny_config(grid=[(5, 8, 0)], n_seeds=1), str(tmp_path / "out"))
         csv = tmp_path / "out" / "tiny_bounds.csv"
         assert csv.exists()
         svgs = list((tmp_path / "out").glob("*.svg"))
@@ -455,7 +453,7 @@ class TestStatusContract:
         first = csv_bytes(rows)
         assert csv_bytes(run_experiment(ExperimentConfig(**kwargs))) == first
         with mock.patch.object(workers, "_usable_workers", lambda: 2):
-            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
+            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs), jobs=2)) == first
 
     def test_collapsed_sketch_spoils_only_its_run(self, tmp_path):
         # at gap 1e12 the sketch passes ortho's rank test at q=0, not at q=1;
@@ -489,7 +487,7 @@ class TestStatusContract:
         assert all(r.kind == "estimate" for r in rows if r.status == "weights_overflow")
         first = csv_bytes(rows)
         with mock.patch.object(workers, "_usable_workers", lambda: 2):
-            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs, jobs=2))) == first
+            assert csv_bytes(run_experiment(ExperimentConfig(**kwargs), jobs=2)) == first
 
 
 class TestExperimentConfig:
@@ -512,9 +510,9 @@ class TestExperimentConfig:
         assert cfg.base_seed == 7
 
     @pytest.mark.parametrize("key, value, needle", [
-        ("n_seeds", "2", "n_seeds"), ("jobs", True, "jobs"),
+        ("n_seeds", "2", "n_seeds"), ("estimator_trials", True, "estimator_trials"),
         ("base_seed", 1.5, "base_seed"), ("upper_c", "1", "upper_c"),
-        ("sides", "left", "sides"), ("outdir", 3, "outdir"),
+        ("sides", "left", "sides"), ("lower_c", "2", "lower_c"),
         ("matrix", [], "matrix"), ("grid", [{"k": 5, "l": "8", "q": 0}], "l")])
     def test_value_types_checked(self, tmp_path, key, value, needle):
         payload = {"schema_version": 1, "matrix": TINY_MATRIX,
@@ -559,8 +557,17 @@ class TestBudgetCurve:
 
     def test_budget_exceeded_raises(self):
         cfg = BalanceConfig(gap=1.1, **self.CFG)
-        with pytest.raises(ValueError, match="budget exceeded"):
-            fixed_budget_bound(max(feasible_powers(cfg)) + 1, cfg)
+        for q in (max(feasible_powers(cfg)) + 1, -1):  # -1 ended in "math domain error"
+            with pytest.raises(ValueError, match=r"^power count must lie in 0\.\.6"
+                                                 r" for this budget: q$"):
+                fixed_budget_bound(q, cfg)
+
+    def test_every_listed_power_count_has_a_value(self):
+        # budget / oversample^2 = 2.9999999999988 lists q = 1 within the 1e-12 slack,
+        # where the bound raised "budget exceeded"; head distortion g >= 1 makes it 1
+        cfg = BalanceConfig(k=4, budget_factor=3.0, tail_factor=32.0,
+                            oversample_factor=1.0000000000002, gap=1.1, trials=0)
+        assert [(r["q"], r["phi"]) for r in balance_sweep(cfg)][1:] == [(1, 1.0)]
 
     def test_matches_spectrum_bound_on_step_spectrum(self):
         # same value through the generic bound evaluated at l = budget/(2q+1)
