@@ -8,13 +8,13 @@ Subcommands:
 
 The config file is the experiment: it holds every value the rows depend on.
 Where the output goes (--outdir) and how many workers compute it (--jobs)
-belong to the machine, so they are flags of ``run``, not config keys.
+belong to the machine, so they are flags of ``run``, not config keys. Each
+command imports the modules only it runs, so ``estimate`` loads no harness.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -22,14 +22,15 @@ import warnings
 import numpy as np
 
 from .estimator import estimate_cost_model, unbiased_estimate
-from .harness import (BalanceConfig, ExperimentConfig, balance_panel,
-                      balance_sweep, build_matrix, emit_balance_csv, emit_svg,
-                      run_experiment)
 from .linalg import Spectrum
-from .mmio import write_matrix
 
 
 def _cmd_gen(args) -> int:
+    import json
+
+    from .harness import build_matrix
+    from .mmio import write_matrix
+
     desc = {
         "snn": lambda: {"generator": "snn", "m": args.m, "n": args.n,
                         "r1": args.r1, "a": args.a, "density": args.density},
@@ -58,12 +59,17 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from .harness import ExperimentConfig, run_experiment
+
     rows = run_experiment(ExperimentConfig.from_json(args.config), args.outdir, args.jobs)
     print(f"wrote {len(rows)} rows to {args.outdir}")
     return 0
 
 
 def _cmd_balance(args) -> int:
+    from .harness import (BalanceConfig, balance_panel, balance_sweep,
+                          emit_balance_csv, emit_svg)
+
     cfgs = [BalanceConfig(k=args.k, budget_factor=args.budget,
                           tail_factor=args.size_factor,
                           oversample_factor=args.oversample, gap=gap,

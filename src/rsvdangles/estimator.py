@@ -14,6 +14,10 @@ run in fixed blocks that forked workers may share (``jobs``) without
 changing a bit of the report. Across calls the streams repeat: trial j of
 seed s is trial 0 of seed s ^ j, so seeds 0 and 1 at 3 trials share 2 of 3
 per-trial sine vectors bit for bit, and seeds 0-9 draw 12 streams, not 30.
+Nor is trial 0 independent of a sweep run's own sketch: ``rsvd`` there draws
+``gaussian_sketch(n, l, seed)``, the stream fills row-major, so trial 0's
+r-by-l draw is the first r rows of that sketch bit for bit. A new stream key
+would redraw every ``estimate`` row, so it waits for a new benchmark reference.
 One draw per trial serves several (spectrum, side) weightings at once
 (``estimate_weightings``), as a sweep run needs.
 """

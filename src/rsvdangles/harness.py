@@ -498,12 +498,20 @@ def feasible_powers(cfg: BalanceConfig) -> list[int]:
 
 
 def fixed_budget_bound(q: int, cfg: BalanceConfig) -> float:
-    """Upper-bound value reachable with the budget split at power count q.
+    """The budget curve phi at power count q.
 
     The space-agnostic upper bound on the step spectrum at the real-valued
     sample size l = budget/(2q+1), with the oversampling factor as the
     distortion multiplier; 1 where that head distortion g*sqrt(k/l) reaches 1.
     q must be one of ``feasible_powers(cfg)``.
+
+    It does not bound the trials' largest sine beyond q = 0. At k=20, budget
+    16, size factor 32, oversample 1.05, 20 trials, seed 0 and gaps 1.01 and
+    1.5, it held against the realized largest sine in 20 of 20 trials at q=0,
+    14 of 20 at q=1 and at most 1 of 20 at each q >= 2. The repository holds
+    only the paper's abstract, so whether the paper states the curve as a
+    bound on the largest sine, on a typical sine or as a guide to the split
+    is open.
     """
     if not 0 <= q <= _max_power(cfg):
         raise ValueError(f"power count must lie in 0..{_max_power(cfg)} for this budget: q")

@@ -432,12 +432,18 @@ def test_import_sets_one_blas_thread_unless_preset(preset):
            if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import rsvdangles, os; print(os.environ['OPENBLAS_NUM_THREADS'])"],
-        capture_output=True, text=True, env=env)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == (preset or "1")
+    seen = []  # (variable and thread counts, warnings) with each module first
+    for first in ("rsvdangles", "numpy"):
+        res = subprocess.run(
+            [sys.executable, "-W", "always", "-c",
+             f"import {first}, rsvdangles, numpy, os\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], rsvdangles._blas_threads())"],
+            capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        seen.append((res.stdout.strip(), res.stderr))
+    assert seen[0][0].split()[0] == (preset or "1") and seen[0][1] == ""
+    # numpy first reads the same count, a preset one included, or warns that it cannot
+    assert seen[1] == seen[0] or (preset is None and "no OpenBLAS thread setter" in seen[1][1])
 
 
 def test_commands_leave_multiprocessing_out(tmp_path):
@@ -471,13 +477,18 @@ def test_sweep_script_help_without_affinity_call():
     assert "--jobs" in res.stdout
 
 
-def test_cli_import_leaves_scipy_out():
+def test_cli_import_leaves_scipy_out(tmp_path):
+    # nor does the package load numpy or ctypes, or estimate a module it never calls
+    argv = ["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE]
+    unused = {f"rsvdangles.{m}" for m in ("harness", "matgen", "mmio", "posterior_bounds", "angles")}
     res = subprocess.run(
         [sys.executable, "-c",
-         "import rsvdangles.cli, sys; print('scipy' in sys.modules)"],
+         "import sys, rsvdangles; loaded = [sorted({'numpy', 'ctypes'} & sys.modules.keys())]\n"
+         "from rsvdangles import cli; loaded.append('scipy' in sys.modules)\n"
+         f"assert cli.main({argv!r}) == 0; print(*loaded, sorted({unused!r} & sys.modules.keys()))"],
         capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.strip() == "False"
+    assert res.stdout.splitlines()[-1] == "[] False []"
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):
