@@ -20,6 +20,14 @@ r-by-l draw is the first r rows of that sketch bit for bit. A new stream key
 would redraw every ``estimate`` row, so it waits for a new benchmark reference.
 One draw per trial serves several (spectrum, side) weightings at once
 (``estimate_weightings``), as a sweep run needs.
+
+The trials allocate nothing of size r-by-l: the draw, the weighted tail and
+``sv_x_pinv``'s scaled copy of it go into three buffers that each worker
+holds for the whole call. Arrays of that size lie above glibc's mmap
+threshold, so allocated per trial they were mapped and faulted in again
+every trial: the benchmark's seed-0 ``estimate`` command (r = 525, l = 100,
+400 trials) took 68.2k minor page faults that way, and takes 11.6k with the
+buffers.
 """
 
 from __future__ import annotations
@@ -106,7 +114,11 @@ def estimate_weightings(weightings: list, k: int, l: int, q: int, n_trials: int,
         return weights
     blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
               for start in range(0, n_trials, TRIAL_BLOCK)]
-    results = _share(_estimate_block, (max(ranks), k, l, seed, weights), blocks, jobs)
+    r = max(ranks)
+    # the draw, the weighted tail and sv_x_pinv's workspace, reused by every
+    # trial of a worker's share; a forked worker writes its own copy
+    buffers = (np.empty((r, l)), np.empty((r - k, l)), np.empty((r - k, l)))
+    results = _share(_estimate_block, (r, k, l, seed, weights, buffers), blocks, jobs)
     outcomes = []
     for parts in zip(*results):  # the blocks of one pair, in trial order
         failures = [part for part in parts if isinstance(part, BoundFailure)]
@@ -146,27 +158,30 @@ def _weights(spectrum: Spectrum, k: int, l: int, q: int, side: str) -> tuple:
 
 
 def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
-                    trials: range) -> list:
+                    buffers: tuple, trials: range) -> list:
     """Per (rank, top weights, tail weights) triple of ``weights``, the
     sines of trials ``trials``, one row per trial, or the BoundFailure of
     its first failing trial among them; a BoundFailure in ``weights`` is
-    passed through. Each trial draws one r-by-l Gaussian, and a triple of
-    rank r' weights its first r' rows. A trial fails as TailTooShort where
-    its weighted tail is rank deficient, even if its head overflows too, and
-    as WeightsOverflow where the finite head weights overflow with the draw."""
+    passed through. Each trial draws one r-by-l Gaussian into the first of
+    ``buffers`` (r-by-l, then two (r - k)-by-l arrays), and a triple of rank
+    r' weights its first r' rows into the leading r' - k rows of the others.
+    A trial fails as TailTooShort where its weighted tail is rank deficient,
+    even if its head overflows too, and as WeightsOverflow where the finite
+    head weights overflow with the draw."""
+    omega, tail, work = buffers
     out = [w if isinstance(w, BoundFailure) else np.empty((len(trials), k))
            for w in weights]
     for row, j in enumerate(trials):
-        omega = gaussian_sketch(r, l, seed ^ j)
+        gaussian_sketch(r, l, seed ^ j, out=omega)
         for w, weight in enumerate(weights):
             if isinstance(out[w], BoundFailure):
                 continue
             rank, top_w, tail_w = weight
             with np.errstate(over="ignore"):
                 w1 = top_w[:, None] * omega[:k]
-            w2 = tail_w[:, None] * omega[k:rank]
+            w2 = np.multiply(tail_w[:, None], omega[k:rank], out=tail[:rank - k])
             try:
-                nu = sv_x_pinv(w1, w2)
+                nu = sv_x_pinv(w1, w2, work=work[:rank - k])
             except RankDeficient:
                 out[w] = TailTooShort("tail too short for estimator")
                 continue

@@ -17,7 +17,6 @@ Re-running with an identical config reproduces identical CSV bytes.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass, field, fields
@@ -25,20 +24,19 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .angles import canonical_sines
 from .estimator import estimate_weightings, sines_from_nu
 from .linalg import _EPS, Spectrum, SvdFactors, sv_x_pinv, svd_full
 from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
                      gen_step_spectrum, load_mnist, spectrum_faster,
                      spectrum_slower)
-from .mmio import read_matrix
-from .posterior_bounds import (gap_bounds, residual_blocks,
-                               residual_ratio_bounds, residual_spectrum)
 from .prior_bounds import (BoundFailure, BoundReport, SketchCollapsed, make_report,
                            sketch_ratio, space_agnostic_lower,
                            space_agnostic_upper, subspace_aware_upper)
 from .rsvd import SketchConfig, rsvd
 from .workers import _share
+
+# angles, mmio, posterior_bounds and json are imported where run and gen
+# use them, so that balance loads none of them
 
 SCHEMA_VERSION = 1
 
@@ -109,6 +107,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
+        import json
+
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -255,6 +255,8 @@ def build_matrix(desc: dict) -> Target:
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
         name = _desc_value(desc, "name", _is_name, "mnist")
     elif "path" in desc:
+        from .mmio import read_matrix
+
         path = _desc_value(desc, "path", _is_path)
         a = read_matrix(path)
         name = _desc_value(desc, "name", _is_name,
@@ -350,6 +352,10 @@ def _attempt(compute):
 def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
     """All rows of one (k, l, q, seed) run on a ``build_matrix`` target: every
     stage runs first, then one loop writes each kind's outcome by ``_KINDS``."""
+    from .angles import canonical_sines
+    from .posterior_bounds import (gap_bounds, residual_blocks,
+                                   residual_ratio_bounds, residual_spectrum)
+
     name, a, factors, true_spec = target.name, target.a, target.factors, target.spectrum
     k, l, q, seed = task
     keys = [(source, side) for source in _BOTH for side in cfg.sides]

@@ -1,8 +1,10 @@
 """Dense real double-precision linear-algebra kernels.
 
 Everything in this package moves plain float64 numpy arrays around with
-(row, col) access semantics. All functions here are pure: they never mutate
-their inputs and are safe to call concurrently.
+(row, col) access semantics. The functions here never mutate their inputs
+and are safe to call concurrently. The one exception is a workspace that a
+caller lends (``sv_x_pinv``'s ``work``): it is overwritten, and it must not
+be shared between concurrent calls.
 
 Randomness is always drawn from a counter-based Philox generator keyed by a
 64-bit seed (see :func:`seeded_rng`), so a (seed, draw index) pair fully
@@ -62,6 +64,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _max_abs(m: np.ndarray) -> float:
+    """max|m| of a finite m, without an |m| temporary."""
+    return float(max(m.max(), -m.min()))
 
 
 @dataclass(frozen=True)
@@ -138,7 +145,7 @@ def ortho(m) -> np.ndarray:
     if cols > rows:
         raise ValueError("ortho requires cols <= rows")
     q, r = np.linalg.qr(m)
-    e = math.frexp(float(np.abs(m).max()))[1]
+    e = math.frexp(_max_abs(m))[1]
     if np.ldexp(np.abs(np.diag(r)).min(), -e) <= _RANK_TOL * np.linalg.norm(np.ldexp(m, -e)):
         raise RankDeficient("rank deficient sketch")
     return q
@@ -154,7 +161,7 @@ def svd_full(m) -> SvdFactors:
     return SvdFactors(u, s, vh.T)
 
 
-def sv_x_pinv(x, y) -> np.ndarray:
+def sv_x_pinv(x, y, *, work: np.ndarray | None = None) -> np.ndarray:
     """Singular values of x @ pinv(y) for a tall y of full column rank.
 
     With the reduced QR y = Q R, pinv(y) = inv(R) Q.T, and Q.T has
@@ -212,20 +219,26 @@ def sv_x_pinv(x, y) -> np.ndarray:
     solve overflows. Where max|y| is subnormal, the scaled-back triangle is
     subnormal too, and both paths then round as a Householder QR of y
     itself does; no caller in this package passes such a y.
+
+    y~ is written into ``work``, an n-by-l float64 array the caller lends
+    and this call overwrites, or into a new array where it is None; the
+    values do not depend on which. x and y are never written to.
     """
     y = as_matrix(y, "y")
     if y.shape[0] < y.shape[1]:
         raise ValueError("y must have at least as many rows as columns")
     n, l = y.shape
-    top = float(np.abs(y).max())
+    top = _max_abs(y)
     if top == 0.0:
         raise RankDeficient("rank deficient y")
     e = math.frexp(top)[1]
-    yt = np.ldexp(y, -e)
+    yt = np.ldexp(y, -e, out=work)
     g = yt.T @ yt
     tau = (n + l + 4) * math.sqrt(_EPS) / 2 * float(np.trace(g))
+    shifted = g.copy()  # bit for bit g - tau * I, which subtracts 0.0 off the diagonal
+    shifted.flat[::l + 1] -= tau
     try:
-        np.linalg.cholesky(g - tau * np.eye(l))
+        np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
         r = np.linalg.qr(yt, mode="r")
         s = np.linalg.svd(r, compute_uv=False)

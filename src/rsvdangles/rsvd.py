@@ -53,16 +53,26 @@ class RsvdOutput(SvdFactors):
 
 def gaussian_sketch(n: int, l: int, seed: int, out: np.ndarray | None = None) -> np.ndarray:
     """Deterministic n-by-l Gaussian sketch with i.i.d. N(0, 1/l) entries,
-    written into out (an n-by-l array, of any strides) if it is given.
+    written into out (an n-by-l float64 array, of any strides) if it is given.
 
     The stream is keyed by the seed alone and filled row-major, so a fixed
-    (n, l, seed) triple reproduces the same matrix bit for bit.
+    (n, l, seed) triple reproduces the same matrix bit for bit. A
+    C-contiguous out takes the whole draw at once and is scaled in place;
+    a strided one is filled through ``normal_row_blocks``' buffer, which
+    consumes the same words in the same order.
     """
     if not 1 <= l <= n:
         raise ValueError("need 1 <= l <= n")
     if out is None:
         out = np.empty((n, l))
-    for i, rows in normal_row_blocks(seeded_rng(seed), n, l):
+    elif out.shape != (n, l):
+        raise ValueError(f"out must have shape {(n, l)}, got {out.shape}")
+    rng = seeded_rng(seed)
+    if out.flags.c_contiguous:
+        rng.standard_normal(out=out)
+        np.divide(out, math.sqrt(l), out=out)
+        return out
+    for i, rows in normal_row_blocks(rng, n, l):
         np.divide(rows, math.sqrt(l), out=out[i:i + len(rows)])
     return out
 

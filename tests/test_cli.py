@@ -478,17 +478,24 @@ def test_sweep_script_help_without_affinity_call():
 
 
 def test_cli_import_leaves_scipy_out(tmp_path):
-    # nor does the package load numpy or ctypes, or estimate a module it never calls
-    argv = ["estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE]
-    unused = {f"rsvdangles.{m}" for m in ("harness", "matgen", "mmio", "posterior_bounds", "angles")}
-    res = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, rsvdangles; loaded = [sorted({'numpy', 'ctypes'} & sys.modules.keys())]\n"
-         "from rsvdangles import cli; loaded.append('scipy' in sys.modules)\n"
-         f"assert cli.main({argv!r}) == 0; print(*loaded, sorted({unused!r} & sys.modules.keys()))"],
-        capture_output=True, text=True)
-    assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[] False []"
+    # nor does the package load numpy or ctypes, or a command a module it never calls
+    unused_by = {
+        ("estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE):
+            ("harness", "matgen", "mmio", "posterior_bounds", "angles"),
+        (*TINY_BALANCE, "--trials", "1", "--outdir", str(tmp_path)):
+            ("mmio", "posterior_bounds", "angles"),
+    }
+    for argv, modules in unused_by.items():
+        unused = {"json", *(f"rsvdangles.{m}" for m in modules)}
+        res = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, rsvdangles; loaded = [sorted({'numpy', 'ctypes'} & sys.modules.keys())]\n"
+             "from rsvdangles import cli; loaded.append('scipy' in sys.modules)\n"
+             f"assert cli.main({list(argv)!r}) == 0\n"
+             f"print(*loaded, sorted({unused!r} & sys.modules.keys()))"],
+            capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[] False []", argv[0]
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rsvdangles import workers
+from rsvdangles import estimator, workers
 from rsvdangles.estimator import (TRIAL_BLOCK, estimate_cost_model,
                                   estimate_weightings, sines_from_nu,
                                   unbiased_estimate)
@@ -135,6 +135,31 @@ class TestWeightings:
             one = unbiased_estimate(spec, 1, 3, 0, 60, side, 5)
             assert rep.per_trial.tobytes() == one.per_trial.tobytes()
             assert rep.mean.tobytes() == one.mean.tobytes()
+
+    def test_a_share_draws_into_one_buffer(self, monkeypatch):
+        # every trial and weighting of one worker's share reuses one draw
+        # buffer and one workspace; the weighting of lower rank reads their
+        # leading rows, and each trial's sines are those of fresh arrays
+        drawn_into, lent = [], []
+        draw, pinv = estimator.gaussian_sketch, estimator.sv_x_pinv
+        monkeypatch.setattr(estimator, "gaussian_sketch", lambda n, l, seed, out=None:
+                            drawn_into.append(out) or draw(n, l, seed, out=out))
+        monkeypatch.setattr(estimator, "sv_x_pinv", lambda x, y, work=None:
+                            lent.append(work) or pinv(x, y, work=work))
+        k, l, q, n_trials, seed = 2, 4, 1, 2 * TRIAL_BLOCK + 1, 7
+        weightings = [(Spectrum.from_values(np.geomspace(4.0, 0.2, 30)), "left"),
+                      (Spectrum.from_values(np.geomspace(3.0, 0.1, 12)), "right")]
+        outcomes = estimate_weightings(weightings, k, l, q, n_trials, seed)
+        assert len(drawn_into) == n_trials and drawn_into[0] is not None
+        assert all(out is drawn_into[0] for out in drawn_into)
+        assert len(lent) == 2 * n_trials and lent[0].base is not None
+        assert all(work.base is lent[0].base for work in lent)
+        for (spec, side), rep in zip(weightings, outcomes):
+            r, top_w, tail_w = estimator._weights(spec, k, l, q, side)
+            for j in range(n_trials):
+                omega = draw(r, l, seed ^ j)
+                nu = pinv(top_w[:, None] * omega[:k], tail_w[:, None] * omega[k:])
+                assert sines_from_nu(nu).tobytes() == rep.per_trial[j].tobytes()
 
 
 class TestSpaceAgnosticism:

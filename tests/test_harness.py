@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import assert_no_child_left
-from rsvdangles import harness, workers
+from rsvdangles import harness, posterior_bounds, workers
 from rsvdangles.angles import canonical_sines
 from rsvdangles.estimator import unbiased_estimate
 from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
@@ -305,10 +305,10 @@ class TestRunExperiment:
     def test_a_run_forms_each_residual_once(self, monkeypatch, sides, per_run):
         # residual_blocks gives the right residual; residual_spectrum forms the left one
         calls = []
-        spectrum, blocks = harness.residual_spectrum, harness.residual_blocks
-        monkeypatch.setattr(harness, "residual_spectrum", lambda a, basis, side, k:
+        spectrum, blocks = posterior_bounds.residual_spectrum, posterior_bounds.residual_blocks
+        monkeypatch.setattr(posterior_bounds, "residual_spectrum", lambda a, basis, side, k:
                             calls.append(side) or spectrum(a, basis, side, k))
-        monkeypatch.setattr(harness, "residual_blocks",
+        monkeypatch.setattr(posterior_bounds, "residual_blocks",
                             lambda a, f, k: calls.append("blocks") or blocks(a, f, k))
         run_experiment(tiny_config(sides=sides))
         assert calls == per_run * 4  # 2 grid points x 2 seeds

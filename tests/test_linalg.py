@@ -243,6 +243,23 @@ class TestSvXPinv:
         sv_x_pinv(x, y)
         assert len(calls) == qr_calls
 
+    @pytest.mark.parametrize("cond, qr_calls", [(1.0, 0), (1e10, 1)])
+    def test_lent_workspace_gives_the_same_bytes(self, cond, qr_calls):
+        # the Cholesky path and the Householder fallback; the workspace is
+        # the leading rows of a larger stale buffer, as the estimator lends it
+        rng, y = self.conditioned_y(12, 60, 20, cond, 1e3)
+        x = rng.standard_normal((5, 20))
+        x0, y0 = x.copy(), y.copy()
+        want = sv_x_pinv(x, y)
+        work = np.full((70, 20), np.nan)
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            got = sv_x_pinv(x, y, work=work[:60])
+        assert qr.call_count == qr_calls
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
+        # it took the scaled y and nothing past it
+        assert not np.isnan(work[:60]).any() and np.isnan(work[60:]).all()
+
     def test_householder_r_is_right_near_overflow(self):
         # the fast shift declines cond 1e8; at 1e308, a QR of y itself
         # returns a finite but wrong triangle for some of these draws

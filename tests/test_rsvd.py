@@ -21,13 +21,17 @@ class TestGaussianSketch:
         assert not np.array_equal(a, c)
 
     def test_one_whole_draw_over_sqrt_l_in_any_array(self, monkeypatch):
-        # drawn two rows at a time, also into a column block of a wider array
+        # a column block of a wider array is drawn two rows at a time; a new
+        # or lent C-contiguous array takes the whole draw at once
         monkeypatch.setattr(linalg, "_DRAW_BUFFER", 14)
         want = seeded_rng(42).standard_normal((100, 7)) / math.sqrt(7)
-        assert np.array_equal(gaussian_sketch(100, 7, seed=42), want)
+        assert gaussian_sketch(100, 7, seed=42).tobytes() == want.tobytes()
         wide = np.zeros((100, 10))
         gaussian_sketch(100, 7, 42, out=wide[:, 3:])
-        assert np.array_equal(wide[:, 3:], want) and not wide[:, :3].any()
+        assert wide[:, 3:].tobytes() == want.tobytes() and not wide[:, :3].any()
+        lent = np.full((100, 7), np.nan)
+        assert gaussian_sketch(100, 7, 42, out=lent) is lent
+        assert lent.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("r, n, l", [(1, 2, 1), (9, 30, 7), (40, 41, 40)])
     def test_leading_rows_are_the_smaller_draw(self, r, n, l):
@@ -45,6 +49,8 @@ class TestGaussianSketch:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             gaussian_sketch(5, 6, seed=0)
+        with pytest.raises(ValueError, match=r"^out must have shape \(5, 2\), got \(6, 2\)$"):
+            gaussian_sketch(5, 2, seed=0, out=np.empty((6, 2)))
 
 
 class TestSketchConfig:
