@@ -9,7 +9,7 @@ Subcommands:
 The config file is the experiment: it holds every value the rows depend on.
 Where the output goes (--outdir) and how many workers compute it (--jobs)
 belong to the machine, so they are flags of ``run``, not config keys. Each
-command imports the modules only it runs, so ``estimate`` loads no harness.
+command imports only the modules it runs: ``balance`` loads no harness.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_balance(args) -> int:
-    from .harness import (BalanceConfig, balance_panel, balance_sweep,
-                          emit_balance_csv, emit_svg)
+    from .balance import BalanceConfig, balance_panel, balance_sweep
+    from .report import emit_balance_csv, emit_svg
 
     cfgs = [BalanceConfig(k=args.k, budget_factor=args.budget,
                           tail_factor=args.size_factor,

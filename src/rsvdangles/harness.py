@@ -1,4 +1,4 @@
-"""Experiment orchestration: bound comparisons, balance study, CSV/SVG output.
+"""The bound-comparison run: its config, its target matrices and the sweep.
 
 ``run_experiment`` executes a grid of (k, l, q) sketch configurations over a
 set of algorithm seeds on one target matrix. For every run it records the
@@ -17,53 +17,33 @@ Re-running with an identical config reproduces identical CSV bytes.
 
 from __future__ import annotations
 
+import json
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
-from .estimator import estimate_weightings, sines_from_nu
-from .linalg import _EPS, Spectrum, SvdFactors, sv_x_pinv, svd_full
-from .matgen import (gaussian_decay_right_sketch, gen_gaussian_decay, gen_snn,
-                     gen_step_spectrum, load_mnist, spectrum_faster,
-                     spectrum_slower)
-from .prior_bounds import (BoundFailure, BoundReport, SketchCollapsed, make_report,
-                           sketch_ratio, space_agnostic_lower,
-                           space_agnostic_upper, subspace_aware_upper)
+from .angles import canonical_sines
+from .estimator import estimate_weightings
+from .linalg import _EPS, Spectrum, SvdFactors, svd_full
+from .matgen import (_is_int, _is_length, _step_fits, gen_gaussian_decay, gen_snn,
+                     gen_step_spectrum, load_mnist, spectrum_faster, spectrum_slower)
+from .posterior_bounds import (gap_bounds, residual_blocks, residual_ratio_bounds,
+                               residual_spectrum)
+from .prior_bounds import (BoundFailure, SketchCollapsed, make_report, sketch_ratio,
+                           space_agnostic_lower, space_agnostic_upper, subspace_aware_upper)
+from .report import (_BOTH, _KINDS, GAP_KINDS, Row, _rows, emit_csv, emit_svg,
+                     experiment_panels)
 from .rsvd import SketchConfig, rsvd
 from .workers import _share
 
-# angles, mmio, posterior_bounds and json are imported where run and gen
-# use them, so that balance loads none of them
+# perfbench reads these from harness until ROADMAP item 1 points it at balance and report
+from .balance import BalanceConfig, balance_sweep, fixed_budget_bound  # noqa: F401
+from .report import emit_balance_csv  # noqa: F401
 
 SCHEMA_VERSION = 1
-
-STATUS_OK = "ok"
-STATUS_TRIVIAL = "trivial_bound"
-
-
-class Row(NamedTuple):
-    """One CSV row. Its field order is the column order and the sort order;
-    the fields before ``value`` are unique within a table."""
-
-    matrix: str
-    side: str
-    k: int
-    l: int
-    q: int
-    seed: int
-    i: int
-    kind: str
-    spectrum_source: str
-    value: float
-    status: str
-
-
-CSV_HEADER = ",".join(Row._fields)
-# one line per Row; %.17g writes a float as f"{value:.17g}" does
-_CSV_LINE = ",".join("%.17g" if f == "value" else "%s" for f in Row._fields) + "\n"
 
 
 @dataclass
@@ -107,8 +87,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
-        import json
-
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
         if not isinstance(raw, dict):
@@ -140,10 +118,6 @@ class ExperimentConfig:
         return cls(matrix=raw.pop("matrix"), grid=grid, sides=sides, **raw)
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
@@ -155,14 +129,6 @@ def _is_finite(v) -> bool:
 def _is_str(v) -> bool:
     return isinstance(v, str)
 
-
-def _is_length(v) -> bool:
-    return _is_int(v) and v <= np.iinfo(np.intp).max  # the largest array length
-
-
-def _step_fits(k: int, factor: float) -> bool:
-    """Whether k + round(factor * k), a step spectrum's length, is an array length."""
-    return math.isfinite(factor * k) and _is_length(k + round(factor * k))
 
 
 def _is_name(v) -> bool:
@@ -255,7 +221,7 @@ def build_matrix(desc: dict) -> Target:
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
         name = _desc_value(desc, "name", _is_name, "mnist")
     elif "path" in desc:
-        from .mmio import read_matrix
+        from .mmio import read_matrix  # only file-backed matrices read mmio
 
         path = _desc_value(desc, "path", _is_path)
         a = read_matrix(path)
@@ -305,42 +271,6 @@ def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
     return Spectrum.from_values(values)
 
 
-def _rows(ctx: tuple, kind: str, outcome) -> list[Row]:
-    """One row per angle index of a kind's outcome in a run: an array of
-    true sines, a BoundReport (the indices its mask flags get the
-    trivial-bound status), or a BoundFailure (k NaN rows of its status)."""
-    matrix, side, k, l, q, seed, source = ctx
-    values, trivial, status = outcome, None, STATUS_OK
-    if isinstance(outcome, BoundFailure):
-        values, status = np.full(k, np.nan), outcome.status
-    elif isinstance(outcome, BoundReport):
-        values, trivial = outcome.values, outcome.trivial
-    return [Row(matrix, side, k, l, q, seed, i, kind, source, v,
-                STATUS_TRIVIAL if trivial is not None and trivial[i - 1] else status)
-            for i, v in enumerate(values.tolist(), start=1)]
-
-
-GAP_KINDS = ("gap_norm_rank_l", "gap_norm_rank_k",
-             "gap_anglewise_rank_l", "gap_anglewise_rank_k")
-
-_BOTH = ("true", "padded")
-# every kind a run writes: its colour in the panels and the spectrum sources
-# it is written for; subspace_aware_upper only where the factors are known
-_KINDS = {
-    "true_angle": ("#000000", ("true",)),
-    "true_angle_rank_k": ("#6e6e6e", ("true",)),
-    "space_agnostic_upper": ("#d62728", _BOTH),
-    "space_agnostic_lower": ("#1f77b4", _BOTH),
-    "estimate": ("#17becf", _BOTH),
-    "subspace_aware_upper": ("#c51b8a", _BOTH),
-    "residual_ratio": ("#ff7f0e", _BOTH),
-    "gap_norm_rank_l": ("#2ca02c", _BOTH),
-    "gap_norm_rank_k": ("#1f6f1f", _BOTH),
-    "gap_anglewise_rank_l": ("#74c476", _BOTH),
-    "gap_anglewise_rank_k": ("#0b4d0b", _BOTH),
-}
-
-
 def _attempt(compute):
     """``compute()``, or the BoundFailure it raised."""
     try:
@@ -352,10 +282,6 @@ def _attempt(compute):
 def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
     """All rows of one (k, l, q, seed) run on a ``build_matrix`` target: every
     stage runs first, then one loop writes each kind's outcome by ``_KINDS``."""
-    from .angles import canonical_sines
-    from .posterior_bounds import (gap_bounds, residual_blocks,
-                                   residual_ratio_bounds, residual_spectrum)
-
     name, a, factors, true_spec = target.name, target.a, target.factors, target.spectrum
     k, l, q, seed = task
     keys = [(source, side) for source in _BOTH for side in cfg.sides]
@@ -447,315 +373,3 @@ def run_experiment(cfg: ExperimentConfig, outdir=None, jobs: int = 1) -> list[Ro
         for panel, fname in experiment_panels(rows):
             emit_svg(panel, os.path.join(outdir, fname))
     return rows
-
-
-# --- balance study ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BalanceConfig:
-    """Fixed-budget study: budget_factor*k matvecs split between the sample
-    size l = floor(budget_factor*k / (2q+1)) and the power count q."""
-
-    k: int
-    budget_factor: float
-    tail_factor: float
-    oversample_factor: float
-    gap: float
-    trials: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        for key in ("budget_factor", "tail_factor", "oversample_factor", "gap"):
-            if not math.isfinite(getattr(self, key)):
-                raise ValueError(f"config value must be finite: {key}")
-        if self.k < 1:
-            raise ValueError("config value must be >= 1: k")
-        if self.trials < 0:
-            raise ValueError("config value must be >= 0: trials")
-        if self.oversample_factor <= 1.0:
-            raise ValueError("oversample_factor must exceed 1")
-        if self.budget_factor / self.oversample_factor**2 < 1.0:
-            raise ValueError("budget admits no feasible q")
-        if self.gap < 1.0:
-            raise ValueError("gap must be >= 1")
-        if self.budget_factor > self.tail_factor:
-            # so l <= r - k: a trial's tail block y_2 is at least as tall as wide
-            raise ValueError("config value must be <= tail_factor: budget_factor")
-        if not _step_fits(self.k, self.tail_factor):  # the list of power counts is shorter
-            raise ValueError("config value makes (1 + tail_factor) * k exceed"
-                             " the largest array length: tail_factor")
-        tail = self.tail_factor * self.k
-        if abs(tail - round(tail)) > 1e-9:
-            raise ValueError("(1 + tail_factor) * k must be integral")
-
-    @property
-    def size(self) -> int:
-        return self.k + int(round(self.tail_factor * self.k))
-
-
-def _max_power(cfg: BalanceConfig) -> int:
-    """The largest q whose 2q+1 passes of l >= g^2 k columns fit the budget."""
-    return int((cfg.budget_factor / cfg.oversample_factor**2 - 1.0) / 2.0 + 1e-12)
-
-
-def feasible_powers(cfg: BalanceConfig) -> list[int]:
-    return list(range(_max_power(cfg) + 1))
-
-
-def fixed_budget_bound(q: int, cfg: BalanceConfig) -> float:
-    """The budget curve phi at power count q.
-
-    The space-agnostic upper bound on the step spectrum at the real-valued
-    sample size l = budget/(2q+1), with the oversampling factor as the
-    distortion multiplier; 1 where that head distortion g*sqrt(k/l) reaches 1.
-    q must be one of ``feasible_powers(cfg)``.
-
-    It does not bound the trials' largest sine beyond q = 0. At k=20, budget
-    16, size factor 32, oversample 1.05, 20 trials, seed 0 and gaps 1.01 and
-    1.5, it held against the realized largest sine in 20 of 20 trials at q=0,
-    14 of 20 at q=1 and at most 1 of 20 at each q >= 2. The repository holds
-    only the paper's abstract, so whether the paper states the curve as a
-    bound on the largest sine, on a typical sine or as a guide to the split
-    is open.
-    """
-    if not 0 <= q <= _max_power(cfg):
-        raise ValueError(f"power count must lie in 0..{_max_power(cfg)} for this budget: q")
-    a, g = cfg.budget_factor, cfg.oversample_factor
-    passes = 2 * q + 1
-    l = a * cfg.k / passes
-    if g * math.sqrt(cfg.k / l) >= 1.0:
-        return 1.0
-    step = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
-    return float(space_agnostic_upper(step, cfg.k, l, q, "left", c=g).values[0])
-
-
-def balance_sweep(cfg: BalanceConfig) -> list[dict]:
-    """Evaluate the budget curve and, per trial, the realized largest sine.
-
-    One row per (q, trial): {gap, k, q, l, phi, trial, largest_sine}; with
-    trials=0 a single phi-only row per q (trial = -1, sine nan). The trials
-    are shared by as many workers as ``_share`` allows; the rows do not
-    depend on the worker count.
-    """
-    curve = [{"gap": cfg.gap, "k": cfg.k, "q": q,
-              "l": int(cfg.budget_factor * cfg.k / (2 * q + 1)),
-              "phi": fixed_budget_bound(q, cfg)}
-             for q in feasible_powers(cfg)]
-    if cfg.trials == 0:
-        return [{**base, "trial": -1, "largest_sine": float("nan")} for base in curve]
-    pairs = [(base, trial) for base in curve for trial in range(cfg.trials)]
-    spec = gen_step_spectrum(cfg.k, cfg.tail_factor, cfg.gap)
-    tasks = [(base["q"], base["l"], trial) for base, trial in pairs]
-    sines = _share(_balance_trial, (cfg, spec), tasks, len(tasks))
-    return [{**base, "trial": trial, "largest_sine": sine}
-            for (base, trial), sine in zip(pairs, sines)]
-
-
-def _balance_trial(cfg: BalanceConfig, spec: Spectrum, task) -> float:
-    """The largest sine of one (q, l, trial) of the balance study: that of
-    rsvd of the planted a = U Sigma V^T with the sketch omega, against U_k.
-
-    Canonical angles do not change under the orthogonal U and V, so with
-    y = V^T omega the stabilized iteration spans range(Sigma^(2q+1) y), and
-    its sines against e_1..e_k are the estimator's formula. Sigma is
-    diag(gap I_k, I), so nu = gap^(2q+1) sv(y_1 pinv(y_2)), which needs y_2
-    only up to a left orthogonal factor. y_1 over the triangular factor of
-    y_2 comes from one QR of [first k columns of the right block | omega]
-    (``gaussian_decay_right_sketch``), so neither V nor a is formed, no
-    r-by-r QR runs and no r-by-r array is held. The power scales the
-    scalar, not y_1: an overflowing power gives the sine 0, where it would
-    fail ``sv_x_pinv``'s finite-input check.
-    """
-    q, l, trial = task
-    k, r = cfg.k, cfg.size
-    y = gaussian_decay_right_sketch(r, r, spec, cfg.seed + 100_000 * (q + 1) + trial,
-                                    k, l, cfg.seed + 200_000 * (q + 1) + trial)
-    s = sv_x_pinv(y[:k], y[k:])
-    with np.errstate(over="ignore"):
-        nu = np.float64(cfg.gap) ** (2 * q + 1) * s[-1]
-    return float(sines_from_nu(nu))
-
-
-def emit_balance_csv(rows: list[dict], path) -> None:
-    # one %-format per row, as in emit_csv; %.17g writes a float as f"{v:.17g}" does
-    line = "%(gap).17g,%(k)s,%(q)s,%(l)s,%(phi).17g,%(trial)s,%(largest_sine).17g\n"
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write("gap,k,q,l,phi,trial,largest_sine\n")
-        for row in rows:
-            fh.write(line % row)
-
-
-def balance_panel(rows: list[dict]) -> "Panel":
-    by_q: dict[int, list[float]] = {}
-    phi_by_q: dict[int, float] = {}
-    for row in rows:
-        phi_by_q[row["q"]] = row["phi"]
-        if row["trial"] >= 0 and np.isfinite(row["largest_sine"]):
-            by_q.setdefault(row["q"], []).append(row["largest_sine"])
-    qs = sorted(phi_by_q)
-    series = [Series("budget curve", "#d62728", False,
-                     [float(q) for q in qs], [phi_by_q[q] for q in qs])]
-    if by_q:
-        for label, agg in (("largest sine (mean)", np.mean),
-                           ("largest sine (min)", np.min),
-                           ("largest sine (max)", np.max)):
-            series.append(Series(label, "#000000", label != "largest sine (mean)",
-                                 [float(q) for q in sorted(by_q)],
-                                 [float(agg(by_q[q])) for q in sorted(by_q)]))
-    gap = rows[0]["gap"] if rows else float("nan")
-    return Panel(f"budget split, gap {gap:g}", "power iterations q", "sine", series)
-
-
-# --- CSV / SVG emission ----------------------------------------------------
-
-
-def emit_csv(rows: list[Row], path) -> None:
-    """Write rows in the canonical sort order; bytes are a pure function of
-    the table."""
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in sorted(rows):
-            fh.write(_CSV_LINE % r)
-
-
-@dataclass(frozen=True)
-class Series:
-    label: str
-    color: str
-    dashed: bool
-    xs: list[float]
-    ys: list[float]
-
-
-@dataclass
-class Panel:
-    title: str
-    xlabel: str
-    ylabel: str
-    series: list[Series] = field(default_factory=list)
-
-
-def experiment_panels(rows: list[Row]):
-    """Group experiment rows into one panel per (matrix, k, l, side, q). A
-    panel with no finite value names its rows' statuses in its title."""
-    # panel key -> (kind, source) -> angle index -> finite values in row order
-    groups: dict[tuple, dict[tuple, dict[int, list[float]]]] = {}
-    statuses: dict[tuple, set[str]] = {}
-    for r in rows:
-        key = (r.matrix, r.k, r.l, r.side, r.q)
-        pts = groups.setdefault(key, {}).setdefault((r.kind, r.spectrum_source), {})
-        if math.isfinite(r.value):
-            pts.setdefault(r.i, []).append(r.value)
-        else:
-            statuses.setdefault(key, set()).add(r.status)
-    for key, combos in sorted(groups.items()):
-        matrix, k, l, side, q = key
-        series = []
-        for (kind, source), pts in sorted(combos.items()):
-            if not pts:
-                continue
-            xs = sorted(pts)
-            ys = _means([pts[x] for x in xs])
-            label = kind if source == "true" else f"{kind} (padded)"
-            series.append(Series(label, _KINDS.get(kind, ("#555555",))[0],
-                                 source == "padded", [float(x) for x in xs], ys))
-        title = f"{matrix}: k={k}, l={l}, q={q}, {side} subspace"
-        if not series:
-            title += f" (no finite values: {', '.join(sorted(statuses[key]))})"
-        panel = Panel(title, "angle index", "sine", series)
-        yield panel, f"{matrix}_k{k}_l{l}_{side}_q{q}.svg"
-
-
-def _means(lists: list[list[float]]) -> list[float]:
-    """``[float(np.mean(v)) for v in lists]``, bit for bit, with one numpy
-    call per distinct list length: a mean over the last axis of a 2-d array
-    sums each row as ``np.mean`` sums it alone (pairwise from 8 values on)."""
-    by_len: dict[int, list[int]] = {}
-    for pos, v in enumerate(lists):
-        by_len.setdefault(len(v), []).append(pos)
-    means = [0.0] * len(lists)
-    for positions in by_len.values():
-        for pos, mu in zip(positions,
-                           np.mean([lists[p] for p in positions], axis=1).tolist()):
-            means[pos] = mu
-    return means
-
-
-_SVG_W, _SVG_H = 860, 520
-_MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 240, 40, 50
-_FLOOR = 1e-16
-
-
-def emit_svg(panel: Panel, path) -> None:
-    """Standalone SVG: one polyline per series on a log-scale y axis."""
-    plot_w = _SVG_W - _MARGIN_L - _MARGIN_R
-    plot_h = _SVG_H - _MARGIN_T - _MARGIN_B
-    xs_all = [x for s in panel.series for x in s.xs]
-    ys_all = [max(y, _FLOOR) for s in panel.series for y in s.ys if np.isfinite(y)]
-    x_lo, x_hi = (min(xs_all), max(xs_all)) if xs_all else (0.0, 1.0)
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    y_lo = math.floor(math.log10(min(ys_all))) if ys_all else -2
-    y_hi = math.ceil(math.log10(max(ys_all))) if ys_all else 0
-    if y_hi == y_lo:
-        y_hi += 1
-
-    def px(x):
-        return _MARGIN_L + plot_w * (x - x_lo) / (x_hi - x_lo)
-
-    def py(y):
-        ly = math.log10(max(y, _FLOOR))
-        return _MARGIN_T + plot_h * (y_hi - ly) / (y_hi - y_lo)
-
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_W}" height="{_SVG_H}" '
-        f'viewBox="0 0 {_SVG_W} {_SVG_H}">',
-        f'<rect width="{_SVG_W}" height="{_SVG_H}" fill="white"/>',
-        f'<text x="{_MARGIN_L}" y="24" font-family="sans-serif" font-size="15">'
-        f'{_xml_escape(panel.title)}</text>',
-    ]
-    axis = (f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" '
-            f'height="{plot_h}" fill="none" stroke="#333333"/>')
-    parts.append(axis)
-    for dec in range(y_lo, y_hi + 1):
-        y = py(10.0 ** dec)
-        parts.append(f'<line x1="{_MARGIN_L}" y1="{y:.2f}" x2="{_MARGIN_L + plot_w}" '
-                     f'y2="{y:.2f}" stroke="#dddddd"/>')
-        parts.append(f'<text x="{_MARGIN_L - 8}" y="{y + 4:.2f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">1e{dec}</text>')
-    n_ticks = min(8, max(2, int(x_hi - x_lo)))
-    for t in range(n_ticks + 1):
-        x = x_lo + (x_hi - x_lo) * t / n_ticks
-        parts.append(f'<text x="{px(x):.2f}" y="{_MARGIN_T + plot_h + 18}" '
-                     f'text-anchor="middle" font-family="sans-serif" font-size="11">'
-                     f'{x:g}</text>')
-    parts.append(f'<text x="{_MARGIN_L + plot_w / 2:.2f}" y="{_SVG_H - 12}" '
-                 f'text-anchor="middle" font-family="sans-serif" font-size="12">'
-                 f'{_xml_escape(panel.xlabel)}</text>')
-    parts.append(f'<text x="18" y="{_MARGIN_T + plot_h / 2:.2f}" text-anchor="middle" '
-                 f'font-family="sans-serif" font-size="12" '
-                 f'transform="rotate(-90 18 {_MARGIN_T + plot_h / 2:.2f})">'
-                 f'{_xml_escape(panel.ylabel)}</text>')
-    legend_y = _MARGIN_T + 10
-    for s in panel.series:
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(s.xs, s.ys)
-                       if np.isfinite(y))
-        dash = ' stroke-dasharray="6 4"' if s.dashed else ""
-        if pts:
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{s.color}" '
-                         f'stroke-width="1.6"{dash}/>')
-        lx = _MARGIN_L + plot_w + 14
-        parts.append(f'<line x1="{lx}" y1="{legend_y}" x2="{lx + 26}" y2="{legend_y}" '
-                     f'stroke="{s.color}" stroke-width="2"{dash}/>')
-        parts.append(f'<text x="{lx + 32}" y="{legend_y + 4}" font-family="sans-serif" '
-                     f'font-size="11">{_xml_escape(s.label)}</text>')
-        legend_y += 18
-    parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(parts) + "\n")
-
-
-def _xml_escape(text: str) -> str:
-    return (text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;"))

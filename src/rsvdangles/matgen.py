@@ -9,6 +9,7 @@ files such as MNIST.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,6 +134,19 @@ def gen_step_spectrum(k: int, beta: float, gap: float) -> Spectrum:
     tail = int(round(tail))
     vals = np.concatenate([np.full(k, float(gap)), np.ones(tail)])
     return Spectrum(vals, k + tail)
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_length(v) -> bool:
+    return _is_int(v) and v <= np.iinfo(np.intp).max  # the largest array length
+
+
+def _step_fits(k: int, factor: float) -> bool:
+    """Whether k + round(factor * k), a step spectrum's length, is an array length."""
+    return math.isfinite(factor * k) and _is_length(k + round(factor * k))
 
 
 def gen_snn(m: int, n: int, r1: int, a_param: float, density: float = 0.05,

@@ -20,13 +20,14 @@ import numpy as np
 import pytest
 
 from rsvdangles.angles import canonical_sines
+from rsvdangles.balance import BalanceConfig, balance_sweep
 from rsvdangles.estimator import unbiased_estimate
-from rsvdangles.harness import (GAP_KINDS, PRESETS, BalanceConfig, ExperimentConfig,
-                                balance_sweep, run_experiment)
+from rsvdangles.harness import PRESETS, ExperimentConfig, run_experiment
 from rsvdangles.linalg import Spectrum, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
 from rsvdangles.prior_bounds import (GapViolated, space_agnostic_lower,
                                      space_agnostic_upper)
+from rsvdangles.report import GAP_KINDS
 from rsvdangles.rsvd import SketchConfig, rsvd
 
 K = 50

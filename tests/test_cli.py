@@ -292,6 +292,8 @@ BAD_BALANCE_FLAGS = {
     # gaps name their output files by %g: a second study would overwrite the first
     "balance_gaps_with_one_tag": (["--gap", "1.0000001", "1.0000002"], "gap"),
     "balance_repeated_gap": (["--gap", "1.1", "1.2", "1.1"], "gap"),
+    # budget / oversample**2 overflows in float's pow: an OverflowError traceback
+    "balance_overflowing_oversample": (["--oversample", "1e200"], "oversample_factor"),
 }
 
 
@@ -363,9 +365,9 @@ def test_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
 
 
 def test_balance_worker_error_reaches_cli_as_one_line(tmp_path, monkeypatch, capsys):
-    from rsvdangles import cli, harness
+    from rsvdangles import balance, cli
 
-    fail_in_forked_workers(monkeypatch, harness, "_balance_trial")
+    fail_in_forked_workers(monkeypatch, balance, "_balance_trial")
     rc = cli.main([*TINY_BALANCE, "--trials", "2", "--outdir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.splitlines() == ["error: raised in a worker process"]
@@ -481,9 +483,9 @@ def test_cli_import_leaves_scipy_out(tmp_path):
     # nor does the package load numpy or ctypes, or a command a module it never calls
     unused_by = {
         ("estimate", str(write_spectrum(tmp_path)), *TINY_ESTIMATE):
-            ("harness", "matgen", "mmio", "posterior_bounds", "angles"),
+            ("harness", "balance", "report", "matgen", "mmio", "posterior_bounds", "angles"),
         (*TINY_BALANCE, "--trials", "1", "--outdir", str(tmp_path)):
-            ("mmio", "posterior_bounds", "angles"),
+            ("harness", "mmio", "posterior_bounds", "angles"),
     }
     for argv, modules in unused_by.items():
         unused = {"json", *(f"rsvdangles.{m}" for m in modules)}
@@ -499,14 +501,20 @@ def test_cli_import_leaves_scipy_out(tmp_path):
 
 
 def test_every_benchmark_hook_resolves(monkeypatch):
-    # perfbench/tracer.py wraps these package functions by name: a rename
-    # would end every traced benchmark run in an AttributeError
+    # perfbench/tracer.py wraps these package functions by name, and the
+    # benchmark's sweep set-up child and its tests import names from harness:
+    # a rename would end every traced run in an AttributeError, and a set-up
+    # child that fails to import counts as a failed operation
     path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "tracer.py")
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look it up
     spec.loader.exec_module(tracer)
     pairs = [*tracer.TRACED, ("estimator", "estimate_cost_model"),
-             ("estimator", "unbiased_estimate")]  # the last two also for its hook
+             ("estimator", "unbiased_estimate"),  # these two also for its hook
+             # perfbench/run.py's sweep set-up child
+             ("harness", "ExperimentConfig"), ("harness", "build_matrix"),
+             # perfbench/tests/test_checks.py
+             ("harness", "BalanceConfig"), ("harness", "fixed_budget_bound")]
     assert [f"{module}.{func}" for module, func in pairs if not callable(
         getattr(importlib.import_module(f"rsvdangles.{module}"), func, None))] == []

@@ -13,21 +13,19 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import assert_no_child_left
-from rsvdangles import harness, posterior_bounds, workers
+from rsvdangles import harness, workers
 from rsvdangles.angles import canonical_sines
+from rsvdangles.balance import (BalanceConfig, balance_panel, balance_sweep,
+                                feasible_powers, fixed_budget_bound)
 from rsvdangles.estimator import unbiased_estimate
-from rsvdangles.harness import (CSV_HEADER, GAP_KINDS, BalanceConfig,
-                                ExperimentConfig, Panel, Row, Series,
-                                balance_panel, balance_sweep, build_matrix,
-                                emit_balance_csv, emit_csv, emit_svg,
-                                experiment_panels, feasible_powers,
-                                fixed_budget_bound, pad_spectrum,
-                                run_experiment)
+from rsvdangles.harness import ExperimentConfig, build_matrix, pad_spectrum, run_experiment
 from rsvdangles.linalg import Spectrum
 from rsvdangles.matgen import gen_gaussian_decay, gen_step_spectrum
 from rsvdangles.mmio import write_matrix
 from rsvdangles.prior_bounds import (GapViolated, TailTooShort, WeightsOverflow,
                                      space_agnostic_upper)
+from rsvdangles.report import (CSV_HEADER, GAP_KINDS, Panel, Row, Series,
+                               emit_balance_csv, emit_csv, emit_svg, experiment_panels)
 from rsvdangles.rsvd import SketchConfig, rsvd
 from rsvdangles.workers import _share, _usable_workers
 
@@ -305,10 +303,10 @@ class TestRunExperiment:
     def test_a_run_forms_each_residual_once(self, monkeypatch, sides, per_run):
         # residual_blocks gives the right residual; residual_spectrum forms the left one
         calls = []
-        spectrum, blocks = posterior_bounds.residual_spectrum, posterior_bounds.residual_blocks
-        monkeypatch.setattr(posterior_bounds, "residual_spectrum", lambda a, basis, side, k:
+        spectrum, blocks = harness.residual_spectrum, harness.residual_blocks
+        monkeypatch.setattr(harness, "residual_spectrum", lambda a, basis, side, k:
                             calls.append(side) or spectrum(a, basis, side, k))
-        monkeypatch.setattr(posterior_bounds, "residual_blocks",
+        monkeypatch.setattr(harness, "residual_blocks",
                             lambda a, f, k: calls.append("blocks") or blocks(a, f, k))
         run_experiment(tiny_config(sides=sides))
         assert calls == per_run * 4  # 2 grid points x 2 seeds
