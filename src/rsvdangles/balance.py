@@ -150,7 +150,7 @@ def balance_panel(rows: list[dict]) -> Panel:
         if row["trial"] >= 0 and np.isfinite(row["largest_sine"]):
             by_q.setdefault(row["q"], []).append(row["largest_sine"])
     qs = sorted(phi_by_q)
-    series = [Series("budget curve", "#d62728", False,
+    series = [Series("budget curve (model)", "#d62728", False,
                      [float(q) for q in qs], [phi_by_q[q] for q in qs])]
     if by_q:
         for label, agg in (("largest sine (mean)", np.mean),

@@ -301,7 +301,7 @@ def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
         stats = residual_blocks(a, out, k)
         resids = {"right": stats.right_residual}
         if "left" in cfg.sides:
-            resids["left"] = residual_spectrum(a, out.u, "left", k)
+            resids["left"] = residual_spectrum(a, out.u, k)
         specs = {"true": true_spec,
                  "padded": pad_spectrum(Spectrum.from_values(out.sigma), target.pad_rank)}
         # one Gaussian draw per estimator trial, weighted for every source and side

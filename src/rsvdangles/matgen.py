@@ -32,36 +32,21 @@ class PlantedMatrix:
         return Spectrum.from_values(self.factors.sigma)
 
 
-def _planted_row_blocks(m: int, n: int, r: int, seed: int):
-    """The Gaussian blocks behind a planted pair of bases, in stream order:
-    m-by-r for the left basis, then n-by-r for the right one, as (side, i,
-    rows) row blocks of normal_row_blocks, side 0 for the left block and 1
-    for the right."""
-    if r > min(m, n):
-        raise ValueError("declared rank exceeds min(m, n)")
-    rng = seeded_rng(seed)
-    return ((side, i, rows) for side, size in enumerate((m, n))
-            for i, rows in normal_row_blocks(rng, size, r))
-
-
-def _planted_draws(m: int, n: int, r: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """The two blocks of _planted_row_blocks, whole."""
-    blocks = np.empty((m, r)), np.empty((n, r))
-    for side, i, rows in _planted_row_blocks(m, n, r, seed):
-        blocks[side][i:i + len(rows)] = rows
-    return blocks
-
-
 def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
                        name: str = "gaussian_decay") -> PlantedMatrix:
     """Dense matrix with uniformly random singular subspaces and the given spectrum.
 
-    Bases come from orthonormalized Gaussian draws, so the planted factors
-    are exact: a = u * sigma @ v.T up to rounding.
+    Bases come from orthonormalized Gaussian draws of one stream,
+    seeded_rng(seed): the m-by-r block of u first, then the n-by-r block of
+    v, each orthonormalized as soon as it is drawn. The planted factors are
+    exact: a = u * sigma @ v.T up to rounding.
     """
     r = spectrum.declared_rank
-    left, right = _planted_draws(m, n, r, seed)
-    u, v = ortho(left), ortho(right)
+    if r > min(m, n):
+        raise ValueError("declared rank exceeds min(m, n)")
+    rng = seeded_rng(seed)
+    u = ortho(rng.standard_normal((m, r)))
+    v = ortho(rng.standard_normal((n, r)))
     sigma = spectrum.values[:r]
     a = (u * sigma) @ v.T
     return PlantedMatrix(a, SvdFactors(u, sigma, v), name)
@@ -89,14 +74,17 @@ def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
     ortho would for G's first k columns.
     """
     r = spectrum.declared_rank
+    if r > min(m, n):
+        raise ValueError("declared rank exceeds min(m, n)")
     if not 1 <= k <= r:
         raise ValueError("need 1 <= k <= declared rank")
-    blocks = _planted_row_blocks(m, n, r, seed)
+    rng = seeded_rng(seed)
+    for _ in normal_row_blocks(rng, m, r):
+        pass  # the left block: drawn only to reach G in the stream
     stacked = np.empty((n, k + l))
     gaussian_sketch(n, l, sketch_seed, out=stacked[:, k:])
-    for side, i, rows in blocks:
-        if side:
-            stacked[i:i + len(rows), :k] = rows[:, :k]
+    for i, rows in normal_row_blocks(rng, n, r):
+        stacked[i:i + len(rows), :k] = rows[:, :k]
     norm = np.linalg.norm(stacked[:, :k])
     factor = np.linalg.qr(stacked, mode="r")
     if np.abs(np.diag(factor[:, :k])).min() <= _RANK_TOL * norm:

@@ -108,29 +108,24 @@ def _residual_top(a: np.ndarray, resid, k: int) -> Spectrum:
                                                lambda: _svdvals(resid())))
 
 
-def residual_spectrum(a, basis, side: str, k: int) -> Spectrum:
-    """The top k singular values of the projected residual, each certified
-    from above (see ``_certified_top``).
-
-    side "left" gives sigma((I - Q Q^T) a), side "right" sigma(a (I - Q Q^T)).
-    """
+def residual_spectrum(a, basis, k: int) -> Spectrum:
+    """The top k singular values of the left projected residual
+    (I - Q Q^T) a, each certified from above (see ``_certified_top``). The
+    right residual a (I - Q Q^T) comes from ``residual_blocks``."""
     a = as_matrix(a)
     basis = as_matrix(basis, "basis")
     if not 1 <= k <= min(a.shape):
         raise ValueError("k out of range for the residual spectrum")
-    if side == "left":
-        return _residual_top(a, lambda: a - basis @ (basis.T @ a), k)
-    if side == "right":
-        return _residual_top(a, lambda: a - (a @ basis) @ basis.T, k)
-    raise ValueError("side must be 'left' or 'right'")
+    return _residual_top(a, lambda: a - basis @ (basis.T @ a), k)
 
 
 def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
                           side: str = "left") -> BoundReport:
     """Per-index bound min(residual_{k-i+1} / sigma_k, residual_1 / sigma_i).
 
-    ``residual`` holds the top k certified values of the projected residual
-    from :func:`residual_spectrum`; sigma values come from ``true_spectrum``
+    ``residual`` holds the top k certified values of the projected residual,
+    from :func:`residual_spectrum` on the left and :func:`residual_blocks` on
+    the right; sigma values come from ``true_spectrum``
     (which may equally be a padded approximation). Requires sigma_k > 0.
     """
     if k < 1 or k > residual.size:
@@ -153,9 +148,9 @@ def residual_blocks(a, f: SvdFactors, k: int) -> ResidualStats:
     are the top values of the l-by-l Gram matrix of the m-by-l in-basis
     residual and of its trailing block, with the margin of
     ``_certified_top``. One product a v serves that residual and the right
-    residual a - a v v^T, whose top k values are, bit for bit,
-    ``residual_spectrum(a, f.v, "right", k)``; the top one is the
-    out-of-basis norm.
+    residual a - a v v^T, whose top k values it certifies as
+    ``residual_spectrum`` does the left one; the top one is the out-of-basis
+    norm.
     """
     a = as_matrix(a)
     if not 1 <= k < f.sigma.size:

@@ -1,3 +1,4 @@
+import itertools
 import struct
 import tracemalloc
 
@@ -6,8 +7,8 @@ import pytest
 
 from rsvdangles.angles import canonical_sines
 from rsvdangles import linalg, matgen
-from rsvdangles.linalg import RankDeficient, Spectrum, seeded_rng, sv_x_pinv, svd_full
-from rsvdangles.matgen import (_planted_draws, gaussian_decay_right_sketch,
+from rsvdangles.linalg import RankDeficient, Spectrum, ortho, seeded_rng, sv_x_pinv, svd_full
+from rsvdangles.matgen import (gaussian_decay_right_sketch,
                                gen_gaussian_decay, gen_snn, gen_step_spectrum,
                                load_mnist, spectrum_faster, spectrum_slower)
 from rsvdangles.rsvd import gaussian_sketch
@@ -41,6 +42,14 @@ class TestGaussianDecay:
         assert np.array_equal(a.factors.sigma, b.factors.sigma)
         sines = canonical_sines(a.factors.u[:, :5], b.factors.u[:, :5])
         assert sines[-1] > 0.5
+
+    def test_blocks_come_straight_from_the_stream(self):
+        # u's block first, then v's, from one stream keyed by the seed
+        m, n, r, seed = 13, 11, 10, 7
+        pm = gen_gaussian_decay(m, n, spectrum_slower(r, 2), seed)
+        stream = seeded_rng(seed)
+        assert np.array_equal(pm.factors.u, ortho(stream.standard_normal((m, r))))
+        assert np.array_equal(pm.factors.v, ortho(stream.standard_normal((n, r))))
 
     def test_rank_cannot_exceed_dimensions(self):
         with pytest.raises(ValueError, match="declared rank"):
@@ -81,8 +90,7 @@ class TestGaussianDecay:
             # the right block follows the left one in a single stream
             stream = seeded_rng(seed)
             stream.standard_normal((m, r))
-            right = _planted_draws(m, n, r, seed)[1]
-            assert np.array_equal(right, stream.standard_normal((n, r)))
+            right = stream.standard_normal((n, r))
             stacked = np.hstack([right[:, :k], gaussian_sketch(n, l, sketch_seed)])
             want = np.linalg.qr(stacked, mode="r")[:, k:]
             got = gaussian_decay_right_sketch(m, n, spec, seed, k, l, sketch_seed)
@@ -107,8 +115,10 @@ class TestGaussianDecay:
         # apart; k=1 passes, as only the first k columns are checked
         block = np.ones((8, 3))
         block[:, 2] = np.arange(8.0)
-        monkeypatch.setattr(matgen, "_planted_row_blocks", lambda m, n, r, seed:
-                            iter([(0, 0, np.zeros((m, r))), (1, 0, block)]))
+        # each call draws the left block, then the right one
+        blocks = itertools.cycle([np.zeros((8, 3)), block])
+        monkeypatch.setattr(matgen, "normal_row_blocks",
+                            lambda rng, n, width: iter([(0, next(blocks))]))
         gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 1, 2, 1)
         with pytest.raises(RankDeficient, match="^rank deficient sketch$"):
             gaussian_decay_right_sketch(8, 8, spectrum_slower(3, 1), 0, 2, 2, 1)

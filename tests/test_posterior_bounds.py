@@ -1,16 +1,20 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rsvdangles import posterior_bounds
 from rsvdangles.angles import canonical_sines
-from rsvdangles.harness import PRESETS, build_matrix
-from rsvdangles.linalg import Spectrum, SvdFactors, ortho, seeded_rng, svd_full
+from rsvdangles.harness import PRESETS, ExperimentConfig, Target, _run_single, build_matrix
+from rsvdangles.linalg import _EPS, Spectrum, SvdFactors, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_faster
 from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
                                          residual_blocks,
                                          residual_ratio_bounds,
                                          residual_spectrum)
 from rsvdangles.prior_bounds import GapViolated
+from rsvdangles.report import GAP_KINDS, STATUS_OK, STATUS_TRIVIAL
 from rsvdangles.rsvd import SketchConfig, rsvd
 
 
@@ -25,13 +29,13 @@ class TestResidualSpectrum:
         rng = seeded_rng(0)
         a = rng.standard_normal((20, 6)) @ rng.standard_normal((6, 15))
         basis = ortho(a[:, :6] @ rng.standard_normal((6, 6)))
-        res = residual_spectrum(a, basis, "left", 3)
+        res = residual_spectrum(a, basis, 3)
         assert res.values[0] <= 1e-12 * np.linalg.norm(a)
 
     def test_exact_leading_basis_exposes_tail(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(30, 25, spec, seed=1)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left", 3)
+        res = residual_spectrum(pm.a, pm.factors.u[:, :3], 3)
         assert np.allclose(res.values[:2], [0.5, 0.25], atol=1e-10)
         assert res.values[2] <= 1e-10
 
@@ -40,14 +44,20 @@ class TestResidualSpectrum:
         pm = gen_gaussian_decay(12, 10, spec, seed=2)
         # a unit vector orthogonal to the column space of a
         v = np.linalg.qr(pm.factors.u, mode="complete")[0][:, 3:4]
-        res = residual_spectrum(pm.a, v, "left", 3)
+        res = residual_spectrum(pm.a, v, 3)
         assert np.allclose(res.values, spec.values, atol=1e-10)
 
     def test_right_side_uses_row_space(self):
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5])
+        # residual_blocks gives the right residual a - a v v^T
+        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(18, 16, spec, seed=3)
-        res = residual_spectrum(pm.a, pm.factors.v[:, :2], "right", 2)
-        assert np.allclose(res.values, [1.0, 0.5], atol=1e-10)
+        f = pm.factors
+        res = residual_blocks(pm.a, SvdFactors(f.u[:, :3], f.sigma[:3], f.v[:, :3]),
+                              2).right_residual
+        assert np.allclose(res.values, [0.5, 0.25], atol=1e-10)
+        basis = f.v[:, :3]
+        dense = np.linalg.svd(pm.a - (pm.a @ basis) @ basis.T, compute_uv=False)[:2]
+        assert res.values == pytest.approx(dense, rel=1e-9)
 
 
 class TestCertifiedValues:
@@ -64,17 +74,16 @@ class TestCertifiedValues:
             for q in (0, 1):
                 for seed in range(3):
                     out = rsvd(a, SketchConfig(k, l, q, seed))
-                    for side, basis in (("left", out.u), ("right", out.v)):
-                        resid = (a - basis @ (basis.T @ a) if side == "left"
-                                 else a - (a @ basis) @ basis.T)
+                    stats = residual_blocks(a, out, k)
+                    for side, got in (("left", residual_spectrum(a, out.u, k).values),
+                                      ("right", stats.right_residual.values)):
+                        resid = (a - out.u @ (out.u.T @ a) if side == "left"
+                                 else a - (a @ out.v) @ out.v.T)
                         dense = np.linalg.svd(resid, compute_uv=False)[:k]
-                        got = residual_spectrum(a, basis, side, k).values
                         assert got.size == k
                         assert (got >= dense).all(), (l, q, seed, side)
                         assert got == pytest.approx(dense, rel=1e-9)
                     err_v = a @ out.v - out.u * out.sigma
-                    stats = residual_blocks(a, out, k)
-                    assert np.array_equal(stats.right_residual.values, got)
                     for got, block in ((stats.resid_in_basis_2, err_v),
                                        (stats.resid_beyond_k_2, err_v[:, k:])):
                         dense = np.linalg.svd(block, compute_uv=False)[0]
@@ -91,12 +100,18 @@ class TestCertifiedValues:
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_round_off_values_take_dense_fallback(self, monkeypatch, side):
         # the basis spans the range but for two directions: residual values
-        # 3 and 4 are round-off, far below the Gram route's margin
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
+        # 3 and 4 are round-off, far below the Gram route's margin; on the
+        # right the basis is that of the rank-5 truncation, as residual_blocks
+        # needs l > k
+        spec = Spectrum.from_values([4.0, 3.5, 3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(30, 25, spec, seed=13)
-        basis = (pm.factors.u if side == "left" else pm.factors.v)[:, :3]
+        f = pm.factors
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(pm.a, basis, side, 4).values
+        if side == "left":
+            got = residual_spectrum(pm.a, f.u[:, :5], 4).values
+        else:
+            got = residual_blocks(pm.a, SvdFactors(f.u[:, :5], f.sigma[:5], f.v[:, :5]),
+                                  4).right_residual.values
         assert calls == [(30, 25)]
         assert np.allclose(got[:2], [0.5, 0.25], atol=1e-10)
         assert (got[2:] <= 1e-14).all()
@@ -104,7 +119,7 @@ class TestCertifiedValues:
     def test_zero_residual_takes_dense_fallback(self, monkeypatch):
         a = np.diag([4.0, 2.0, 1.0])
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(a, np.eye(3, 3), "left", 2).values
+        got = residual_spectrum(a, np.eye(3, 3), 2).values
         assert calls == [(3, 3)]
         assert np.array_equal(got, [0.0, 0.0])
 
@@ -113,31 +128,16 @@ class TestCertifiedValues:
         pm = gen_gaussian_decay(30, 25, spec, seed=14)
         basis = pm.factors.u[:, :2]
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(pm.a, basis, "left", 6).values
+        got = residual_spectrum(pm.a, basis, 6).values
         resid = pm.a - basis @ (basis.T @ pm.a)
         assert calls == [(30, 25)]
         assert np.array_equal(got, np.linalg.svd(resid, compute_uv=False)[:6])
-
-    @pytest.mark.parametrize("values, fallback", [(np.geomspace(1.0, 0.1, 20), False),
-                                                  (np.geomspace(1.0, 1e-12, 10), True)])
-    def test_right_residual_of_blocks_is_residual_spectrum(self, monkeypatch, values,
-                                                           fallback):
-        # past sigma_8, rank 20 and a slow decay leave six values that the
-        # Gram route certifies; rank 10 and a fast decay leave two tiny
-        # values and round-off, which take the dense fallback
-        pm = gen_gaussian_decay(30, 25, Spectrum.from_values(values), seed=17)
-        out = rsvd(pm.a, SketchConfig(6, 8, 0, seed=0))
-        expect = residual_spectrum(pm.a, out.v, "right", 6).values
-        calls = self.dense_calls(monkeypatch)
-        got = residual_blocks(pm.a, out, 6).right_residual.values
-        assert ((30, 25) in calls) == fallback
-        assert np.array_equal(got, expect)
 
     def test_slow_decaying_residual_takes_gram_route(self, monkeypatch):
         spec = Spectrum.from_values(np.geomspace(1.0, 0.1, 20))
         pm = gen_gaussian_decay(30, 25, spec, seed=16)
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(pm.a, pm.factors.u[:, :2], "left", 6).values
+        got = residual_spectrum(pm.a, pm.factors.u[:, :2], 6).values
         assert calls == []
         assert got == pytest.approx(spec.values[2:8], rel=1e-12)
 
@@ -145,14 +145,14 @@ class TestCertifiedValues:
     def test_k_out_of_range_rejected(self, k):
         pm = gen_gaussian_decay(30, 25, Spectrum.from_values([2.0, 1.0, 0.5]), seed=15)
         with pytest.raises(ValueError, match="k out of range"):
-            residual_spectrum(pm.a, pm.factors.u[:, :1], "left", k)
+            residual_spectrum(pm.a, pm.factors.u[:, :1], k)
 
 
 class TestRatioBounds:
     def test_hand_example_with_exact_basis(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
         pm = gen_gaussian_decay(30, 25, spec, seed=4)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], "left", 2)
+        res = residual_spectrum(pm.a, pm.factors.u[:, :3], 2)
         rep = residual_ratio_bounds(res, spec, k=2, side="left")
         # min(residual_2 / sigma_2, residual_1 / sigma_1) = min(0.25/2, 0.5/3)
         assert rep.values[0] == pytest.approx(0.125, abs=1e-9)
@@ -170,9 +170,9 @@ class TestRatioBounds:
         spec = Spectrum.from_values(np.geomspace(4.0, 0.1, 25))
         pm = gen_gaussian_decay(40, 40, spec, seed=5)
         out = rsvd(pm.a, SketchConfig(4, 10, 1, seed=0))
-        res = residual_spectrum(pm.a, out.u, "left", 4)
+        res = residual_spectrum(pm.a, out.u, 4)
         rep = residual_ratio_bounds(res, spec, 4)
-        res_c = residual_spectrum(1e4 * pm.a, out.u, "left", 4)
+        res_c = residual_spectrum(1e4 * pm.a, out.u, 4)
         scaled = Spectrum(spec.values * 1e4, spec.declared_rank)
         rep_c = residual_ratio_bounds(res_c, scaled, 4)
         assert np.allclose(rep.values, rep_c.values, rtol=1e-10)
@@ -322,3 +322,118 @@ class TestGapBounds:
                     width = "rank_k" if rep.kind.endswith("rank_k") else "rank_l"
                     assert (rep.values >= truth[(rep.side, width)]).all(), (
                         rep.kind, rep.side, seed, q)
+
+
+# The kinds a run writes as certificates: each must lie at or above its true
+# sine wherever its row reads ok or trivial_bound.
+CERTIFICATES = ("residual_ratio",) + GAP_KINDS
+
+
+def _sines_floor(d: int, w: int) -> float:
+    """How far canonical_sines may round a sine between a d-by-w and a d-by-k
+    basis (k <= w) away from the exact one.
+
+    Each of its two Householder Q factors lies within sqrt(w) g of an
+    orthonormal basis of its input perturbed column-wise by g, g = c d w u
+    with u = eps / 2 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 19.4); c is Higham's small constant, taken as 1.
+    The inputs here have orthonormal columns, so by Weyl's inequality that
+    drift of basis and of range moves a sine by at most 2 sqrt(w) g per
+    factor, 4 sqrt(w) g for the two; doubling that covers the products and
+    the SVD, whose rounding is of lower order, d u and w u."""
+    return 8.0 * np.sqrt(w) * d * w * (_EPS / 2)
+
+
+def _truth_floor(f: SvdFactors, k: int) -> float:
+    """How far a sine read against the planted u_k or v_k may lie from the one
+    against the leading k-subspace of the matrix gen_gaussian_decay returned;
+    inf where that subspace is not determined.
+
+    The matrix is fl(fl(u sigma) v^T), off u sigma v^T by at most
+    gamma_{r+1} |u| sigma |v|^T entrywise (Higham, sec. 3.5). The factors
+    are orthonormal to rho = ||x^T x - I||_F, so the Q factor U' of u, with
+    range(U'_k) = range(u_k), lies within rho_u of u to first order, and
+    likewise V'. So ||a - U' sigma V'^T||_2 <= e = gamma_{r+1} ||sigma||_2
+    sqrt(r) (1 + rho_u)(1 + rho_v) + sigma_1 (rho_u + rho_v + rho_u rho_v).
+    By Wedin's theorem (Stewart and Sun, Matrix Perturbation Theory, Thm
+    V.4.4) the leading k-subspaces of a lie within sin theta <= e /
+    (sigma_k - sigma_{k+1} - e) of range(u_k) and range(v_k), and a sine read
+    against either moves by at most sqrt(2) times that."""
+    sigma, r = f.sigma, f.sigma.size
+    rho_u, rho_v = (np.linalg.norm(x.T @ x - np.eye(r)) for x in (f.u, f.v))
+    gamma = (r + 1) * (_EPS / 2) / (1 - (r + 1) * (_EPS / 2))
+    e = (gamma * np.linalg.norm(sigma) * np.sqrt(r) * (1 + rho_u) * (1 + rho_v)
+         + sigma[0] * (rho_u + rho_v + rho_u * rho_v))
+    gap = sigma[k - 1] - (sigma[k] if k < r else 0.0) - e
+    return float(np.sqrt(2) * e / gap) if gap > 0 else np.inf
+
+
+@st.composite
+def planted_runs(draw):
+    """A planted matrix of 12-40 rows and columns and a (k, l, q, seed) run on
+    it. The rank r may lie below min(m, n); the spectrum is smooth, has a
+    near-gap below 1e-3 after sigma_k, decays geometrically to 1e-14, or
+    has a tied head of t values, t ending before, at or after k."""
+    m, n = draw(st.integers(12, 40)), draw(st.integers(12, 40))
+    r = draw(st.integers(3, min(m, n)))
+    k = draw(st.integers(1, r - 1))
+    l = draw(st.integers(k + 1, r))
+    shape = draw(st.sampled_from(["smooth", "near_gap", "geometric", "tied"]))
+    if shape == "smooth":
+        values = np.geomspace(1.0, draw(st.floats(0.01, 0.9)), r)
+    elif shape == "near_gap":
+        values = np.geomspace(1.0, 0.1, r)
+        # sigma_{k+1} = sigma_k (1 - delta), the tail's shape kept below it
+        values[k:] *= values[k - 1] * (1.0 - draw(st.floats(1e-12, 1e-3))) / values[k]
+    elif shape == "geometric":
+        values = np.geomspace(1.0, 1e-14, r)
+    else:
+        values = np.geomspace(1.0, 0.1, r)
+        values[:draw(st.integers(2, r))] = 1.0
+    pm = gen_gaussian_decay(m, n, Spectrum.from_values(values),
+                            draw(st.integers(0, 2**32 - 1)))
+    return pm, (k, l, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
+
+
+def test_certificates_hold_on_planted_matrices():
+    """Every ok or trivial_bound row of a certificate kind lies at or above its
+    true sine less the floor of _sines_floor and _truth_floor, on both sides
+    and both spectrum sources. Indices whose truth the matrix leaves
+    undetermined (a tie across sigma_k) are counted, not compared."""
+    compared, below, undetermined = Counter(), Counter(), Counter()
+
+    @settings(derandomize=True, max_examples=500, deadline=None, database=None)
+    @given(run=planted_runs())
+    def check(run):
+        pm, task = run
+        k, l = task[:2]
+        spec = pm.spectrum()
+        target = Target(pm.name, pm.a, pm.factors, spec, spec.declared_rank, True)
+        rows = _run_single(target, ExperimentConfig(matrix={}, grid=[task[:3]],
+                                                    estimator_trials=1), task)
+        truth = {(row.side, row.kind, row.i): row.value for row in rows
+                 if row.kind in ("true_angle", "true_angle_rank_k")}
+        truth_floor = _truth_floor(pm.factors, k)
+        for row in rows:
+            if row.kind not in CERTIFICATES or row.status not in (STATUS_OK, STATUS_TRIVIAL):
+                continue
+            key = row.kind, row.spectrum_source
+            if not np.isfinite(truth_floor):
+                undetermined[key] += 1
+                continue
+            rank_k = row.kind.endswith("rank_k")
+            sine = truth[row.side, "true_angle_rank_k" if rank_k else "true_angle", row.i]
+            d = pm.a.shape[0] if row.side == "left" else pm.a.shape[1]
+            floor = _sines_floor(d, k if rank_k else l) + truth_floor
+            assert row.value >= sine - floor, (row, sine, floor)
+            compared[key] += 1
+            below[key] += row.value < sine
+
+    check()
+    print("\nkind, source: held (of them only within the floor), undetermined")
+    for key in sorted(compared):
+        print(f"  {key[0]:22s} {key[1]:6s} {compared[key]:5d} ({below[key]:4d}),"
+              f" {undetermined[key]:4d}")
+    # every certificate kind held on both spectrum sources
+    assert set(compared) == {(kind, source) for kind in CERTIFICATES
+                             for source in ("true", "padded")}
