@@ -9,17 +9,21 @@ fresh child process:
 
 * ``run`` on ``configs/example_run.json`` and on the seed-0 benchmark sweep
   config, each at ``--jobs 1`` and ``--jobs 2``;
+* ``run`` on each of ``harness.PRESETS`` over the acceptance grid
+  (k = 50, l in {80, 200}, q in {0, 1}) at 2 seeds, at ``--jobs 2``;
 * ``estimate`` and ``balance`` on the seed-0 benchmark inputs.
 
 The benchmark inputs come from the ``*_inputs`` builders of
-``perfbench/run.py`` in this checkout. Every file a command writes and its
-standard output are compared; each difference is printed with its first
-differing line. The exit status is 1 if any output differs, else 0.
+``perfbench/run.py``, and the presets from ``src``, of this checkout. Every
+file a command writes and its standard output are compared; each difference
+is printed with its first differing line. The exit status is 1 if any
+output differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -27,8 +31,9 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "perfbench"))
+sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
+from rsvdangles.harness import PRESETS  # noqa: E402
 from run import DEFAULT_SEED, balance_inputs, estimate_inputs, sweep_inputs  # noqa: E402
 
 # thread counts are the program's own choice, as in the benchmark
@@ -46,6 +51,13 @@ def cases(work: Path) -> dict[str, tuple[list[str], Path]]:
             args = (["run", str(ROOT / "configs" / "example_run.json")] if make is None
                     else make(DEFAULT_SEED, cwd).args)
             found[cwd.name] = args + ["--jobs", str(jobs), "--outdir", "out"], cwd
+    for desc in PRESETS:
+        cwd = work / desc["name"]
+        cwd.mkdir(parents=True)
+        config = {"schema_version": 1, "matrix": desc, "n_seeds": 2,
+                  "grid": [{"k": 50, "l": l, "q": q} for l in (80, 200) for q in (0, 1)]}
+        (cwd / "config.json").write_text(json.dumps(config))
+        found[cwd.name] = ["run", "config.json", "--jobs", "2", "--outdir", "out"], cwd
     for name, make, outdir in (("estimate", estimate_inputs, []),
                                ("balance", balance_inputs, ["--outdir", "out"])):
         cwd = work / name

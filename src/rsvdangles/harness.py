@@ -36,7 +36,7 @@ from .prior_bounds import (BoundFailure, SketchCollapsed, make_report, sketch_ra
                            space_agnostic_lower, space_agnostic_upper, subspace_aware_upper)
 from .report import (_BOTH, _KINDS, GAP_KINDS, Row, _rows, emit_csv, emit_svg,
                      experiment_panels)
-from .rsvd import SketchConfig, rsvd
+from .rsvd import rsvd
 from .workers import _share
 
 # perfbench reads these from harness until ROADMAP item 1 points it at balance and report
@@ -193,49 +193,45 @@ class Target(NamedTuple):
 def build_matrix(desc: dict) -> Target:
     """Materialize a matrix descriptor as a ``Target``.
 
-    File-backed and image matrices get exact factors from a dense SVD for
-    ground-truth evaluation, but are treated as having unknown subspaces for
-    the comparator bound; their padding rank is min(m, n). A spectrum from a
-    dense SVD (file-backed, image and ``snn`` matrices) has numerical rank:
-    values at or below numpy's ``matrix_rank`` tolerance max(m, n) * eps *
-    sigma_1 are round-off and become exact zeros.
+    Only ``gaussian_decay`` plants its factors. The others (``snn``, image
+    and file-backed matrices) get exact factors from a dense SVD for
+    ground-truth evaluation, and a spectrum of numerical rank: values at or
+    below numpy's ``matrix_rank`` tolerance max(m, n) * eps * sigma_1 are
+    round-off and become exact zeros. Image and file-backed matrices are
+    treated as having unknown subspaces for the comparator bound, and their
+    padding rank is min(m, n).
     """
     gen = desc.get("generator")
     if gen == "gaussian_decay":
         spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
-        pm = gen_gaussian_decay(_desc_value(desc, "m", _is_length),
-                                _desc_value(desc, "n", _is_length), spec,
-                                _desc_value(desc, "seed", _is_int, 0),
-                                name=_desc_value(desc, "name", _is_name, "gaussian_decay"))
-        return Target(pm.name, pm.a, pm.factors, pm.spectrum(), spec.declared_rank, True)
+        a, f = gen_gaussian_decay(_desc_value(desc, "m", _is_length),
+                                  _desc_value(desc, "n", _is_length), spec,
+                                  _desc_value(desc, "seed", _is_int, 0))
+        return Target(_desc_value(desc, "name", _is_name, gen), a, f,
+                      Spectrum.from_values(f.sigma), spec.declared_rank, True)
+    name = gen
     if gen == "snn":
-        pm = gen_snn(_desc_value(desc, "m", _is_length), _desc_value(desc, "n", _is_length),
-                     _desc_value(desc, "r1"), _desc_value(desc, "a", _is_finite),
-                     _desc_value(desc, "density", _is_finite, 0.05),
-                     _desc_value(desc, "seed", _is_int, 0),
-                     name=_desc_value(desc, "name", _is_name, "snn"))
-        spec = _computed_spectrum(pm.a, pm.factors.sigma)
-        return Target(pm.name, pm.a, pm.factors, spec, spec.declared_rank, True)
-    if gen == "mnist":
+        a = gen_snn(_desc_value(desc, "m", _is_length), _desc_value(desc, "n", _is_length),
+                    _desc_value(desc, "r1"), _desc_value(desc, "a", _is_finite),
+                    _desc_value(desc, "density", _is_finite, 0.05),
+                    _desc_value(desc, "seed", _is_int, 0))
+    elif gen == "mnist":
         a = load_mnist(_desc_value(desc, "path", _is_path),
                        _desc_value(desc, "n_samples"), _desc_value(desc, "seed", _is_int, 0))
-        name = _desc_value(desc, "name", _is_name, "mnist")
     elif "path" in desc:
         from .mmio import read_matrix  # only file-backed matrices read mmio
 
         path = _desc_value(desc, "path", _is_path)
         a = read_matrix(path)
-        name = _desc_value(desc, "name", _is_name,
-                           os.path.splitext(os.path.basename(path))[0])
+        name = os.path.splitext(os.path.basename(path))[0]
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
+    name = _desc_value(desc, "name", _is_name, name)
     f = svd_full(a)
-    return Target(name, a, f, _computed_spectrum(a, f.sigma), min(a.shape), False)
-
-
-def _computed_spectrum(a: np.ndarray, sigma: np.ndarray) -> Spectrum:
-    tol = max(a.shape) * _EPS * sigma[0]
-    return Spectrum.from_values(np.where(sigma > tol, sigma, 0.0))
+    spec = Spectrum.from_values(np.where(f.sigma > max(a.shape) * _EPS * f.sigma[0],
+                                         f.sigma, 0.0))
+    known = gen == "snn"
+    return Target(name, a, f, spec, spec.declared_rank if known else min(a.shape), known)
 
 
 def _desc_value(desc: dict, key: str, ok=_is_int, default=None):
@@ -286,7 +282,7 @@ def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
     k, l, q, seed = task
     keys = [(source, side) for source in _BOTH for side in cfg.sides]
     try:
-        out = rsvd(a, SketchConfig(k, l, q, seed))
+        out = rsvd(a, l, q, seed)
     except SketchCollapsed as exc:
         # no basis to measure or bound: the collapse is every kind's outcome
         found = {key: dict.fromkeys(_KINDS, exc) for key in keys}
@@ -318,17 +314,17 @@ def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
             spec, outcomes = specs[source], found[source, side]
             outcomes.update(
                 estimate=est if isinstance(est, BoundFailure)
-                else make_report(est.mean, "estimate", side),
+                else make_report(est.mean),
                 space_agnostic_upper=space_agnostic_upper(spec, k, l, q, side, c=cfg.upper_c),
                 space_agnostic_lower=_attempt(
                     lambda: space_agnostic_lower(spec, k, l, q, side, c=cfg.lower_c)),
-                residual_ratio=residual_ratio_bounds(resids[side], spec, k, side))
+                residual_ratio=residual_ratio_bounds(resids[side], spec, k))
             if target.known:
                 outcomes["subspace_aware_upper"] = subspace_aware_upper(spec, ratio, k, q, side)
             # a family whose assumptions the spectrum fails gets NaN rows of its kinds
             g = gaps[source]
             outcomes.update(dict.fromkeys(GAP_KINDS, g) if isinstance(g, BoundFailure)
-                            else {rep.kind: rep for rep in g if rep.side == side})
+                            else {kind: g[kind, side] for kind in GAP_KINDS})
     rows: list[Row] = []
     for source, side in keys:
         ctx = (name, side, k, l, q, seed, source)

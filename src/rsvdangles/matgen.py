@@ -2,8 +2,8 @@
 
 Generators cover the test-matrix families used throughout the experiment
 harness: dense Gaussian matrices with a prescribed spectrum (planted exact
-factors), sparse non-negative sums of weighted rank-1 terms (factors
-computed, not planted), two-level step spectra, and ingestion of IDX3 image
+factors), sparse non-negative sums of weighted rank-1 terms (no factors
+planted), two-level step spectra, and ingestion of IDX3 image
 files such as MNIST.
 """
 
@@ -11,30 +11,18 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (_RANK_TOL, RankDeficient, Spectrum, SvdFactors, as_matrix,
-                     normal_row_blocks, ortho, seeded_rng, svd_full)
+                     normal_row_blocks, ortho, seeded_rng)
 from .rsvd import gaussian_sketch
 
 
-@dataclass(frozen=True)
-class PlantedMatrix:
-    """A generated matrix together with its factors and its name."""
-
-    a: np.ndarray
-    factors: SvdFactors
-    name: str
-
-    def spectrum(self) -> Spectrum:
-        return Spectrum.from_values(self.factors.sigma)
-
-
-def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
-                       name: str = "gaussian_decay") -> PlantedMatrix:
-    """Dense matrix with uniformly random singular subspaces and the given spectrum.
+def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum,
+                       seed: int) -> tuple[np.ndarray, SvdFactors]:
+    """Dense matrix a with uniformly random singular subspaces and the given
+    spectrum, and its planted factors.
 
     Bases come from orthonormalized Gaussian draws of one stream,
     seeded_rng(seed): the m-by-r block of u first, then the n-by-r block of
@@ -49,7 +37,7 @@ def gen_gaussian_decay(m: int, n: int, spectrum: Spectrum, seed: int,
     v = ortho(rng.standard_normal((n, r)))
     sigma = spectrum.values[:r]
     a = (u * sigma) @ v.T
-    return PlantedMatrix(a, SvdFactors(u, sigma, v), name)
+    return a, SvdFactors(u, sigma, v)
 
 
 def gaussian_decay_right_sketch(m: int, n: int, spectrum: Spectrum, seed: int,
@@ -138,12 +126,13 @@ def _step_fits(k: int, factor: float) -> bool:
 
 
 def gen_snn(m: int, n: int, r1: int, a_param: float, density: float = 0.05,
-            seed: int = 0, name: str = "snn") -> PlantedMatrix:
+            seed: int = 0) -> np.ndarray:
     """Sparse non-negative matrix: sum of (w_i) x_i y_i^T rank-1 terms.
 
     Weights are a_param/i for i <= r1 and 1/i beyond; x_i, y_i are sparse
     vectors whose entries are nonzero with probability ``density`` and
-    uniform on (0, 1]. Factors are the computed dense SVD of the result.
+    uniform on (0, 1]. Nothing is planted: the factors are computed by
+    ``harness.build_matrix``.
     """
     if a_param < 1.0:
         raise ValueError("a_param must be >= 1")
@@ -157,8 +146,7 @@ def gen_snn(m: int, n: int, r1: int, a_param: float, density: float = 0.05,
     weights = np.where(i <= r1, a_param / i, 1.0 / i)
     x = np.where(rng.random((m, r)) < density, 1.0 - rng.random((m, r)), 0.0)
     y = np.where(rng.random((n, r)) < density, 1.0 - rng.random((n, r)), 0.0)
-    a = (x * weights) @ y.T
-    return PlantedMatrix(a, svd_full(a), name)
+    return (x * weights) @ y.T
 
 
 _IDX3_MAGIC = 0x00000803

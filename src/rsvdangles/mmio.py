@@ -37,10 +37,13 @@ def read_matrix(path) -> np.ndarray:
         line = fh.readline()
         while line and (line.startswith("%") or not line.strip()):
             line = fh.readline()
+        malformed = f"{path}: malformed size line {line.strip()!r}"
         try:
             rows, cols = (int(tok) for tok in line.split())
         except Exception as exc:
-            raise ValueError(f"{path}: malformed size line {line.strip()!r}") from exc
+            raise ValueError(malformed) from exc
+        if rows < 0 or cols < 0:
+            raise ValueError(malformed)
         body = fh.read().split()
     if len(body) != rows * cols:
         raise ValueError(f"{path}: expected {rows * cols} entries, found {len(body)}")

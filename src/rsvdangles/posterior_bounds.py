@@ -45,12 +45,14 @@ from .prior_bounds import BoundReport, GapViolated, make_report
 @dataclass(frozen=True)
 class ResidualStats:
     """Residual-block norms of a rank-l approximation, the top k values of its
-    right residual a - a v v^T, and sigma_hat_{k+1}."""
+    right residual a - a v v^T, sigma_hat_{k+1} and a bound on the rounding
+    of sigma_hat_{k+1} (see ``residual_blocks``)."""
 
     resid_in_basis_2: float
     resid_beyond_k_2: float
     right_residual: Spectrum
     sigma_hat_next: float
+    sigma_hat_margin: float
 
     @property
     def resid_out_of_basis_2(self) -> float:
@@ -119,8 +121,7 @@ def residual_spectrum(a, basis, k: int) -> Spectrum:
     return _residual_top(a, lambda: a - basis @ (basis.T @ a), k)
 
 
-def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
-                          side: str = "left") -> BoundReport:
+def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int) -> BoundReport:
     """Per-index bound min(residual_{k-i+1} / sigma_k, residual_1 / sigma_i).
 
     ``residual`` holds the top k certified values of the projected residual,
@@ -137,7 +138,7 @@ def residual_ratio_bounds(residual: Spectrum, true_spectrum: Spectrum, k: int,
     # ascending-angle position i pairs with residual value sigma_{k-i+1}(res)
     by_gap = res[k - 1::-1] / sigma_k
     by_index = res[0] / true_spectrum.values[:k]
-    return make_report(np.minimum(by_gap, by_index), "residual_ratio", side)
+    return make_report(np.minimum(by_gap, by_index))
 
 
 def residual_blocks(a, f: SvdFactors, k: int) -> ResidualStats:
@@ -151,6 +152,20 @@ def residual_blocks(a, f: SvdFactors, k: int) -> ResidualStats:
     residual a - a v v^T, whose top k values it certifies as
     ``residual_spectrum`` does the left one; the top one is the out-of-basis
     norm.
+
+    The margin bounds the rounding of sigma_hat_{k+1} where rsvd computed f
+    as the SVD of fl(a^T x), x its m-by-l orthonormal basis. With
+    u = eps / 2, fl(a^T x) = a^T x + E with |E| <= gamma_m |a^T| |x|
+    entrywise, each entry a dot product of length m (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.5), so
+    ||E||_2 <= gamma_m ||a||_F ||x||_F = gamma_m sqrt(l) ||a||_F. The SVD
+    returns the exact singular values of fl(a^T x) + F with
+    ||F||_2 <= p eps ||fl(a^T x)||_2, p = n + l taken for LAPACK's modestly
+    growing function of the dimensions, as ``_certified_top`` does for the
+    eigensolver; ||fl(a^T x)||_2 is sigma_hat_1 to that accuracy. By Weyl's
+    inequality sigma_hat_{k+1} lies within ||E||_2 + ||F||_2 of
+    sigma_{k+1}(a^T x). margin = eps (m sqrt(l) ||a||_F + 2 (n + l)
+    sigma_hat_1) covers that sum twice over, as gamma_m = m u / (1 - m u).
     """
     a = as_matrix(a)
     if not 1 <= k < f.sigma.size:
@@ -164,12 +179,17 @@ def residual_blocks(a, f: SvdFactors, k: int) -> ResidualStats:
     # the trailing block of the Gram is the Gram of err_v[:, k:]
     beyond_k_2 = _certified_top(gram[k:, k:], m + l - k, 1,
                                 lambda: _svdvals(err_v[:, k:]))[0]
+    n = a.shape[1]
+    margin = _EPS * (m * np.sqrt(l) * np.linalg.norm(a) + 2.0 * (n + l) * f.sigma[0])
     return ResidualStats(float(in_basis_2), float(beyond_k_2),
-                         _residual_top(a, lambda: a - a_v @ f.v.T, k), float(f.sigma[k]))
+                         _residual_top(a, lambda: a - a_v @ f.v.T, k), float(f.sigma[k]),
+                         float(margin))
 
 
-def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundReport]:
-    """All eight gap-bound reports for one ResidualStats record.
+def gap_bounds(stats: ResidualStats, spectrum: Spectrum,
+               k: int) -> dict[tuple[str, str], BoundReport]:
+    """All eight gap-bound reports for one ResidualStats record, keyed by
+    (kind, side).
 
     Kinds: gap_norm_rank_l / gap_norm_rank_k (spectral-norm bounds, the
     scalar replicated across indices) and gap_anglewise_rank_l /
@@ -177,15 +197,22 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     (comparing against the rank-l or rank-k left basis) and "right". The
     gaps are computed here from the sigma_k of ``spectrum``, so each
     spectrum source gets its own. Failed gap assumptions raise GapViolated.
+
+    sigma_k must exceed sigma_hat_{k+1} by more than its rounding margin
+    (``ResidualStats.sigma_hat_margin``): on a tie sigma_k = sigma_{k+1}
+    that the sketch caught, sigma_hat_{k+1} may round below sigma_k. The
+    check takes sigma_k as given, exact for a planted spectrum; on the
+    padded source it is sigma_hat_k, whose own rounding the margin does not
+    cover. The margin enters the check only, not the bound values.
     """
     if k > spectrum.size or k < 1:
         raise ValueError("k out of range for the spectrum")
     sigma_k = float(spectrum.values[k - 1])
     shat = stats.sigma_hat_next
     out2 = stats.resid_out_of_basis_2
-    if sigma_k <= shat or sigma_k <= out2:
-        raise GapViolated(
-            "gap assumption violated (sigma_k <= sigma_hat_{k+1} or sigma_k <= residual norm)")
+    if sigma_k - shat <= stats.sigma_hat_margin or sigma_k <= out2:
+        raise GapViolated("gap assumption violated (sigma_k - sigma_hat_{k+1} <= its"
+                          " rounding margin or sigma_k <= residual norm)")
     d_sigma = sigma_k**2 - shat**2
     d_resid = sigma_k**2 - out2**2
     g1 = d_sigma / sigma_k
@@ -200,13 +227,13 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum, k: int) -> list[BoundRe
     k_right_amp = np.sqrt((factors * e32 / g1) ** 2 + (out2 / sigma_k) ** 2)
     norm_k_left = base * np.sqrt(1.0 + (e32 / g2) ** 2)
     norm_k_right = base * np.sqrt((e32 / g1) ** 2 + (out2 / sigma_k) ** 2)
-    return [
-        make_report(np.full(k, base), "gap_norm_rank_l", "left"),
-        make_report(np.full(k, in2 / r2), "gap_norm_rank_l", "right"),
-        make_report(np.full(k, norm_k_left), "gap_norm_rank_k", "left"),
-        make_report(np.full(k, norm_k_right), "gap_norm_rank_k", "right"),
-        make_report(factors * base, "gap_anglewise_rank_l", "left"),
-        make_report(factors * (in2 / r2), "gap_anglewise_rank_l", "right"),
-        make_report(base * k_left_amp, "gap_anglewise_rank_k", "left"),
-        make_report(base * k_right_amp, "gap_anglewise_rank_k", "right"),
-    ]
+    return {
+        ("gap_norm_rank_l", "left"): make_report(np.full(k, base)),
+        ("gap_norm_rank_l", "right"): make_report(np.full(k, in2 / r2)),
+        ("gap_norm_rank_k", "left"): make_report(np.full(k, norm_k_left)),
+        ("gap_norm_rank_k", "right"): make_report(np.full(k, norm_k_right)),
+        ("gap_anglewise_rank_l", "left"): make_report(factors * base),
+        ("gap_anglewise_rank_l", "right"): make_report(factors * (in2 / r2)),
+        ("gap_anglewise_rank_k", "left"): make_report(base * k_left_amp),
+        ("gap_anglewise_rank_k", "right"): make_report(base * k_right_amp),
+    }

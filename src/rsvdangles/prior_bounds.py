@@ -40,8 +40,6 @@ class BoundReport:
 
     values: np.ndarray
     trivial: np.ndarray
-    kind: str
-    side: str
 
 
 class BoundFailure(ValueError):
@@ -79,9 +77,9 @@ class SketchCollapsed(BoundFailure):
     status = "sketch_collapsed"
 
 
-def make_report(raw, kind: str, side: str) -> BoundReport:
+def make_report(raw) -> BoundReport:
     raw = np.asarray(raw, dtype=np.float64)
-    return BoundReport(np.clip(raw, 0.0, 1.0), raw > 1.0, kind, side)
+    return BoundReport(np.clip(raw, 0.0, 1.0), raw > 1.0)
 
 
 def power_exponent(q, side: str) -> float:
@@ -143,7 +141,7 @@ def space_agnostic_upper(spectrum: Spectrum, k: int, l: float, q: int, side: str
         raise ValueError("head distortion out of range (need c * sqrt(k/l) < 1)")
     p = power_exponent(q, side)
     mult = (1.0 - eps_head) / (1.0 + eps_tail)
-    return make_report(_bound_values(spectrum, k, l, p, mult), "space_agnostic_upper", side)
+    return make_report(_bound_values(spectrum, k, l, p, mult))
 
 
 def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, *,
@@ -163,7 +161,7 @@ def space_agnostic_lower(spectrum: Spectrum, k: int, l: int, q: int, side: str, 
         raise TailTooShort("insufficient tail")
     p = power_exponent(q, side)
     mult = (1.0 + eps_head) / denom
-    return make_report(_bound_values(spectrum, k, l, p, mult), "space_agnostic_lower", side)
+    return make_report(_bound_values(spectrum, k, l, p, mult))
 
 
 def sketch_ratio(omega1, omega2) -> float:
@@ -201,4 +199,4 @@ def subspace_aware_upper(spectrum: Spectrum, ratio: float, k: int, q: int,
     else:
         term = p * (logsig - log_next) - 2.0 * math.log(ratio)
         vals = np.exp(-0.5 * np.logaddexp(0.0, term))
-    return make_report(vals, "subspace_aware_upper", side)
+    return make_report(vals)

@@ -23,27 +23,6 @@ from .prior_bounds import SketchCollapsed
 
 
 @dataclass(frozen=True)
-class SketchConfig:
-    """Parameters of a randomized SVD run: target rank k, sample size l,
-    power iterations q, and the 64-bit sketch seed."""
-
-    k: int
-    l: int
-    q: int
-    seed: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.l:
-            raise ValueError("need 1 <= k <= l")
-        if self.q < 0:
-            raise ValueError("q must be >= 0")
-
-    def validate_for_shape(self, m: int, n: int) -> None:
-        if self.l > min(m, n):
-            raise ValueError(f"sample size l={self.l} exceeds min(m, n)={min(m, n)}")
-
-
-@dataclass(frozen=True)
 class RsvdOutput(SvdFactors):
     """Factors of a randomized SVD with the n-by-l Gaussian sketch that
     produced them."""
@@ -77,8 +56,9 @@ def gaussian_sketch(n: int, l: int, seed: int, out: np.ndarray | None = None) ->
     return out
 
 
-def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
-    """Rank-l randomized SVD of a with q stabilized power iterations.
+def rsvd(a, l: int, q: int, seed: int) -> RsvdOutput:
+    """Rank-l randomized SVD of a with q stabilized power iterations, from
+    the Gaussian sketch of the 64-bit ``seed``; needs 1 <= l <= min(m, n).
 
     Returns factors (u, sigma, v) of width l with u = Q_X @ (small right
     factor), where Q_X spans the power-iterated sketch. Where ``ortho``
@@ -88,12 +68,15 @@ def rsvd(a, cfg: SketchConfig) -> RsvdOutput:
     """
     a = as_matrix(a)
     m, n = a.shape
-    cfg.validate_for_shape(m, n)
+    if l < 1 or q < 0:
+        raise ValueError("need l >= 1 and q >= 0")
+    if l > min(m, n):
+        raise ValueError(f"sample size l={l} exceeds min(m, n)={min(m, n)}")
     if not a.any():
         raise ValueError("rsvd requires a nonzero matrix")
-    omega = gaussian_sketch(n, cfg.l, cfg.seed)
+    omega = gaussian_sketch(n, l, seed)
     x = _sketch_basis(a @ omega)
-    for _ in range(cfg.q):
+    for _ in range(q):
         x = _sketch_basis(a @ _sketch_basis(a.T @ x))
     f = svd_full(a.T @ x)
     # f.u is the n-by-l right factor of a; the l-by-l factor f.v rotates Q_X.

@@ -28,7 +28,7 @@ from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
 from rsvdangles.prior_bounds import (GapViolated, space_agnostic_lower,
                                      space_agnostic_upper)
 from rsvdangles.report import GAP_KINDS
-from rsvdangles.rsvd import SketchConfig, rsvd
+from rsvdangles.rsvd import rsvd
 
 K = 50
 SAMPLE_SIZES = (80, 200)
@@ -184,12 +184,12 @@ def test_criterion_5_unbiasedness_two_sample():
     t0 = time.perf_counter()
     spec = spectrum_slower(200, 20)
     k, l, q, n = 10, 25, 1, 500
-    pm = gen_gaussian_decay(200, 200, spec, seed=77)
+    a, planted = gen_gaussian_decay(200, 200, spec, seed=77)
     est = unbiased_estimate(spec, k, l, q, n, "left", seed=1234)
     samples = np.empty((n, k))
     for j in range(n):
-        out = rsvd(pm.a, SketchConfig(k, l, q, seed=2000 + j))
-        samples[j] = canonical_sines(out.u, pm.factors.u[:, :k])
+        out = rsvd(a, l, q, 2000 + j)
+        samples[j] = canonical_sines(out.u, planted.u[:, :k])
     se = np.sqrt(samples.var(axis=0, ddof=1) / n
                  + est.per_trial.var(axis=0, ddof=1) / n)
     z = np.abs(est.mean - samples.mean(axis=0)) / se
@@ -204,18 +204,19 @@ def test_criterion_5_unbiasedness_two_sample():
 
 def test_criterion_6_space_agnosticism_is_bitwise():
     spec_vals = spectrum_slower(120, 10).values
-    a = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals), seed=21)
-    b = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals.copy()), seed=22)
-    assert not np.array_equal(a.a, b.a)
+    a, fa = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals), seed=21)
+    b, fb = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals.copy()), seed=22)
+    assert not np.array_equal(a, b)
+    spec_a, spec_b = Spectrum.from_values(fa.sigma), Spectrum.from_values(fb.sigma)
     k, l, q = 8, 16, 1
-    est_a = unbiased_estimate(a.spectrum(), k, l, q, 5, "left", seed=9)
-    est_b = unbiased_estimate(b.spectrum(), k, l, q, 5, "left", seed=9)
+    est_a = unbiased_estimate(spec_a, k, l, q, 5, "left", seed=9)
+    est_b = unbiased_estimate(spec_b, k, l, q, 5, "left", seed=9)
     identical = (np.array_equal(est_a.per_trial, est_b.per_trial)
                  and np.array_equal(est_a.mean, est_b.mean))
     for fn, c in ((space_agnostic_upper, 1.0), (space_agnostic_lower, 2.0)):
         for side in SIDES:
-            ra = fn(a.spectrum(), k, l, q, side, c=c)
-            rb = fn(b.spectrum(), k, l, q, side, c=c)
+            ra = fn(spec_a, k, l, q, side, c=c)
+            rb = fn(spec_b, k, l, q, side, c=c)
             identical = identical and np.array_equal(ra.values, rb.values)
     assert criterion(
         6, identical,
@@ -258,10 +259,10 @@ def test_criterion_8_kernel_correctness():
         recon_ok &= (np.linalg.norm((f.u * f.sigma) @ f.v.T - a)
                      <= 1e-10 * max(1.0, np.linalg.norm(a)))
     spec = Spectrum.from_values(np.geomspace(3.0, 0.4, 12))
-    pm = gen_gaussian_decay(60, 50, spec, seed=31)
-    out = rsvd(pm.a, SketchConfig(6, 12, 0, seed=0))
-    rsvd_ok = (np.linalg.norm((out.u * out.sigma) @ out.v.T - pm.a)
-               <= 1e-10 * np.linalg.norm(pm.a))
+    a, _ = gen_gaussian_decay(60, 50, spec, seed=31)
+    out = rsvd(a, 12, 0, 0)
+    rsvd_ok = (np.linalg.norm((out.u * out.sigma) @ out.v.T - a)
+               <= 1e-10 * np.linalg.norm(a))
     pyth_ok = inter_ok = True
     for trial in range(20):
         big = rng.standard_normal((40, 8))

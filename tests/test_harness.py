@@ -28,7 +28,7 @@ from rsvdangles.prior_bounds import (BoundFailure, GapViolated, TailTooShort,
 from rsvdangles.report import (CSV_HEADER, GAP_KINDS, STATUS_OK, STATUS_TRIVIAL, Panel, Row,
                                Series, emit_balance_csv, emit_csv, emit_svg,
                                experiment_panels)
-from rsvdangles.rsvd import SketchConfig, rsvd
+from rsvdangles.rsvd import rsvd
 from rsvdangles.workers import _share, _usable_workers
 
 TINY_MATRIX = {"generator": "gaussian_decay", "m": 40, "n": 40,
@@ -300,7 +300,7 @@ class TestRunExperiment:
                                []).append((r.value.hex(), r.status))
         want = {}
         for (k, l, q), seed in itertools.product(cfg.grid, range(cfg.n_seeds)):
-            sigma = rsvd(a, SketchConfig(k, l, q, seed)).sigma
+            sigma = rsvd(a, l, q, seed).sigma
             padded = pad_spectrum(Spectrum.from_values(sigma), target.pad_rank)
             for (source, spec), side in itertools.product(
                     (("true", true_spec), ("padded", padded)), cfg.sides):
@@ -684,12 +684,11 @@ class TestBalanceSweep:
             assert feasible_powers(cfg) == [0, 1, 2, 3]
             for q in feasible_powers(cfg):
                 for trial in range(cfg.trials):
-                    pm = gen_gaussian_decay(cfg.size, cfg.size, spec,
-                                            cfg.seed + 100_000 * (q + 1) + trial)
+                    a, planted = gen_gaussian_decay(cfg.size, cfg.size, spec,
+                                                    cfg.seed + 100_000 * (q + 1) + trial)
                     row = rows[q, trial]
-                    out = rsvd(pm.a, SketchConfig(cfg.k, row["l"], q,
-                                                  cfg.seed + 200_000 * (q + 1) + trial))
-                    sine = canonical_sines(out.u, pm.factors.u[:, :cfg.k])[-1]
+                    out = rsvd(a, row["l"], q, cfg.seed + 200_000 * (q + 1) + trial)
+                    sine = canonical_sines(out.u, planted.u[:, :cfg.k])[-1]
                     assert row["largest_sine"] == pytest.approx(sine, rel=1e-12, abs=0)
 
     def test_huge_gap_gives_vanishing_sines_without_warnings(self):

@@ -105,8 +105,8 @@ class TestSvdFull:
     def test_planted_spectrum_recovered(self):
         from rsvdangles.matgen import gen_gaussian_decay
         spec = Spectrum.from_values(np.linspace(5.0, 0.1, 30))
-        pm = gen_gaussian_decay(60, 45, spec, seed=8)
-        f = svd_full(pm.a)
+        a, _ = gen_gaussian_decay(60, 45, spec, seed=8)
+        f = svd_full(a)
         assert np.allclose(f.sigma[:30], spec.values, rtol=1e-8)
 
 

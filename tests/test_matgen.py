@@ -7,6 +7,7 @@ import pytest
 
 from rsvdangles.angles import canonical_sines
 from rsvdangles import linalg, matgen
+from rsvdangles.harness import build_matrix
 from rsvdangles.linalg import RankDeficient, Spectrum, ortho, seeded_rng, sv_x_pinv, svd_full
 from rsvdangles.matgen import (gaussian_decay_right_sketch,
                                gen_gaussian_decay, gen_snn, gen_step_spectrum,
@@ -16,40 +17,39 @@ from rsvdangles.rsvd import gaussian_sketch
 
 class TestGaussianDecay:
     def test_rank_one(self):
-        pm = gen_gaussian_decay(15, 12, Spectrum.from_values([1.0]), seed=0)
-        assert np.allclose(svd_full(pm.a).sigma[0], 1.0, atol=1e-12)
-        assert svd_full(pm.a).sigma[1] <= 1e-12
+        a, _ = gen_gaussian_decay(15, 12, Spectrum.from_values([1.0]), seed=0)
+        assert np.allclose(svd_full(a).sigma[0], 1.0, atol=1e-12)
+        assert svd_full(a).sigma[1] <= 1e-12
 
     def test_planted_factors_are_exact(self):
         spec = spectrum_slower(60, 8)
-        pm = gen_gaussian_decay(80, 70, spec, seed=1)
-        f = pm.factors
-        assert np.linalg.norm((f.u * f.sigma) @ f.v.T - pm.a) <= 1e-10 * np.linalg.norm(pm.a)
+        a, f = gen_gaussian_decay(80, 70, spec, seed=1)
+        assert np.linalg.norm((f.u * f.sigma) @ f.v.T - a) <= 1e-10 * np.linalg.norm(a)
         assert np.linalg.norm(f.u.T @ f.u - np.eye(60), 2) <= 1e-10
         assert np.linalg.norm(f.v.T @ f.v - np.eye(60), 2) <= 1e-10
 
     def test_planted_subspace_matches_computed_svd(self):
         spec = Spectrum.from_values(np.geomspace(4.0, 0.5, 30))  # strictly decreasing
-        pm = gen_gaussian_decay(50, 40, spec, seed=2)
-        computed = svd_full(pm.a)
-        sines = canonical_sines(pm.factors.u[:, :6], computed.u[:, :6])
+        a, planted = gen_gaussian_decay(50, 40, spec, seed=2)
+        computed = svd_full(a)
+        sines = canonical_sines(planted.u[:, :6], computed.u[:, :6])
         assert np.all(sines <= 1e-8)
 
     def test_independent_seeds_give_distant_subspaces(self):
         spec = spectrum_slower(40, 5)
-        a = gen_gaussian_decay(100, 100, spec, seed=3)
-        b = gen_gaussian_decay(100, 100, spec, seed=4)
-        assert np.array_equal(a.factors.sigma, b.factors.sigma)
-        sines = canonical_sines(a.factors.u[:, :5], b.factors.u[:, :5])
+        _, fa = gen_gaussian_decay(100, 100, spec, seed=3)
+        _, fb = gen_gaussian_decay(100, 100, spec, seed=4)
+        assert np.array_equal(fa.sigma, fb.sigma)
+        sines = canonical_sines(fa.u[:, :5], fb.u[:, :5])
         assert sines[-1] > 0.5
 
     def test_blocks_come_straight_from_the_stream(self):
         # u's block first, then v's, from one stream keyed by the seed
         m, n, r, seed = 13, 11, 10, 7
-        pm = gen_gaussian_decay(m, n, spectrum_slower(r, 2), seed)
+        _, f = gen_gaussian_decay(m, n, spectrum_slower(r, 2), seed)
         stream = seeded_rng(seed)
-        assert np.array_equal(pm.factors.u, ortho(stream.standard_normal((m, r))))
-        assert np.array_equal(pm.factors.v, ortho(stream.standard_normal((n, r))))
+        assert np.array_equal(f.u, ortho(stream.standard_normal((m, r))))
+        assert np.array_equal(f.v, ortho(stream.standard_normal((n, r))))
 
     def test_rank_cannot_exceed_dimensions(self):
         with pytest.raises(ValueError, match="declared rank"):
@@ -58,9 +58,9 @@ class TestGaussianDecay:
     def test_right_sketch_is_v_transpose_omega(self):
         # rank n, so v[:, k:] spans the complement of span(v_k)
         spec = spectrum_slower(35, 4)
-        pm = gen_gaussian_decay(40, 35, spec, seed=5)
+        _, f = gen_gaussian_decay(40, 35, spec, seed=5)
         omega = gaussian_sketch(35, 6, 9)
-        v, k = pm.factors.v, 4
+        v, k = f.v, 4
         head = v[:, :k].T @ omega
         got = gaussian_decay_right_sketch(40, 35, spec, 5, k, 6, 9)
         assert got.shape == (k + 6, 6)
@@ -178,32 +178,32 @@ class TestSnn:
         # weight scales the whole matrix
         base = gen_snn(40, 1, r1=1, a_param=1.0, density=1.0, seed=5)
         tripled = gen_snn(40, 1, r1=1, a_param=3.0, density=1.0, seed=5)
-        assert np.allclose(tripled.a, 3.0 * base.a, rtol=1e-14)
-        assert svd_full(tripled.a).sigma[0] == pytest.approx(
-            3.0 * svd_full(base.a).sigma[0], rel=1e-12)
+        assert np.allclose(tripled, 3.0 * base, rtol=1e-14)
+        assert svd_full(tripled).sigma[0] == pytest.approx(
+            3.0 * svd_full(base).sigma[0], rel=1e-12)
 
     def test_nonnegative_entries(self):
-        pm = gen_snn(60, 50, r1=5, a_param=10.0, density=0.2, seed=6)
-        assert (pm.a >= 0.0).all()
+        assert (gen_snn(60, 50, r1=5, a_param=10.0, density=0.2, seed=6) >= 0.0).all()
 
     def test_preset_shapes_and_descriptor(self):
         for a_param in (1.0, 100.0):
-            pm = gen_snn(120, 120, r1=20, a_param=a_param, density=0.05, seed=7)
-            assert pm.a.shape == (120, 120)
-            assert pm.name == "snn"
-            f = pm.factors
-            assert np.linalg.norm((f.u * f.sigma) @ f.v.T - pm.a) <= \
-                1e-10 * np.linalg.norm(pm.a)
+            a = gen_snn(120, 120, r1=20, a_param=a_param, density=0.05, seed=7)
+            assert a.shape == (120, 120)
+            target = build_matrix({"generator": "snn", "m": 120, "n": 120, "r1": 20,
+                                   "a": a_param, "seed": 7})
+            assert target.name == "snn" and np.array_equal(target.a, a)
+            f = target.factors
+            assert np.linalg.norm((f.u * f.sigma) @ f.v.T - a) <= 1e-10 * np.linalg.norm(a)
 
     def test_determinism(self):
-        a = gen_snn(30, 30, 4, 2.0, 0.3, seed=8).a
-        b = gen_snn(30, 30, 4, 2.0, 0.3, seed=8).a
+        a = gen_snn(30, 30, 4, 2.0, 0.3, seed=8)
+        b = gen_snn(30, 30, 4, 2.0, 0.3, seed=8)
         assert np.array_equal(a, b)
 
     def test_head_weight_amplifies_leading_values(self):
         lo = gen_snn(80, 80, r1=10, a_param=1.0, density=0.2, seed=9)
         hi = gen_snn(80, 80, r1=10, a_param=50.0, density=0.2, seed=9)
-        ratio = svd_full(hi.a).sigma[0] / svd_full(lo.a).sigma[0]
+        ratio = svd_full(hi).sigma[0] / svd_full(lo).sigma[0]
         assert 10.0 < ratio < 60.0
 
 

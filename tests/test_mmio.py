@@ -44,3 +44,11 @@ def test_rejects_truncated_body(tmp_path):
     path.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n2.0\n3.0\n")
     with pytest.raises(ValueError, match="expected 4 entries"):
         read_matrix(path)
+
+
+def test_rejects_negative_size_line(tmp_path):
+    # -1 * -1 entries would match a one-entry body
+    path = tmp_path / "neg.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n-1 -1\n1.0\n")
+    with pytest.raises(ValueError, match=r"^.*neg\.mtx: malformed size line '-1 -1'$"):
+        read_matrix(path)

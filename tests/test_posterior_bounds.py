@@ -2,7 +2,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from rsvdangles import posterior_bounds
 from rsvdangles.angles import canonical_sines
@@ -15,7 +15,7 @@ from rsvdangles.posterior_bounds import (ResidualStats, gap_bounds,
                                          residual_spectrum)
 from rsvdangles.prior_bounds import GapViolated
 from rsvdangles.report import GAP_KINDS, STATUS_OK, STATUS_TRIVIAL
-from rsvdangles.rsvd import SketchConfig, rsvd
+from rsvdangles.rsvd import rsvd
 
 
 def exact_rank_l_output(a, l):
@@ -34,29 +34,28 @@ class TestResidualSpectrum:
 
     def test_exact_leading_basis_exposes_tail(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
-        pm = gen_gaussian_decay(30, 25, spec, seed=1)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], 3)
+        a, f = gen_gaussian_decay(30, 25, spec, seed=1)
+        res = residual_spectrum(a, f.u[:, :3], 3)
         assert np.allclose(res.values[:2], [0.5, 0.25], atol=1e-10)
         assert res.values[2] <= 1e-10
 
     def test_orthogonal_basis_leaves_spectrum_unchanged(self):
         spec = Spectrum.from_values([2.0, 1.5, 1.0])
-        pm = gen_gaussian_decay(12, 10, spec, seed=2)
+        a, f = gen_gaussian_decay(12, 10, spec, seed=2)
         # a unit vector orthogonal to the column space of a
-        v = np.linalg.qr(pm.factors.u, mode="complete")[0][:, 3:4]
-        res = residual_spectrum(pm.a, v, 3)
+        v = np.linalg.qr(f.u, mode="complete")[0][:, 3:4]
+        res = residual_spectrum(a, v, 3)
         assert np.allclose(res.values, spec.values, atol=1e-10)
 
     def test_right_side_uses_row_space(self):
         # residual_blocks gives the right residual a - a v v^T
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
-        pm = gen_gaussian_decay(18, 16, spec, seed=3)
-        f = pm.factors
-        res = residual_blocks(pm.a, SvdFactors(f.u[:, :3], f.sigma[:3], f.v[:, :3]),
+        a, f = gen_gaussian_decay(18, 16, spec, seed=3)
+        res = residual_blocks(a, SvdFactors(f.u[:, :3], f.sigma[:3], f.v[:, :3]),
                               2).right_residual
         assert np.allclose(res.values, [0.5, 0.25], atol=1e-10)
         basis = f.v[:, :3]
-        dense = np.linalg.svd(pm.a - (pm.a @ basis) @ basis.T, compute_uv=False)[:2]
+        dense = np.linalg.svd(a - (a @ basis) @ basis.T, compute_uv=False)[:2]
         assert res.values == pytest.approx(dense, rel=1e-9)
 
 
@@ -73,7 +72,7 @@ class TestCertifiedValues:
         for l in (80, 200):
             for q in (0, 1):
                 for seed in range(3):
-                    out = rsvd(a, SketchConfig(k, l, q, seed))
+                    out = rsvd(a, l, q, seed)
                     stats = residual_blocks(a, out, k)
                     for side, got in (("left", residual_spectrum(a, out.u, k).values),
                                       ("right", stats.right_residual.values)):
@@ -104,13 +103,12 @@ class TestCertifiedValues:
         # right the basis is that of the rank-5 truncation, as residual_blocks
         # needs l > k
         spec = Spectrum.from_values([4.0, 3.5, 3.0, 2.0, 1.0, 0.5, 0.25])
-        pm = gen_gaussian_decay(30, 25, spec, seed=13)
-        f = pm.factors
+        a, f = gen_gaussian_decay(30, 25, spec, seed=13)
         calls = self.dense_calls(monkeypatch)
         if side == "left":
-            got = residual_spectrum(pm.a, f.u[:, :5], 4).values
+            got = residual_spectrum(a, f.u[:, :5], 4).values
         else:
-            got = residual_blocks(pm.a, SvdFactors(f.u[:, :5], f.sigma[:5], f.v[:, :5]),
+            got = residual_blocks(a, SvdFactors(f.u[:, :5], f.sigma[:5], f.v[:, :5]),
                                   4).right_residual.values
         assert calls == [(30, 25)]
         assert np.allclose(got[:2], [0.5, 0.25], atol=1e-10)
@@ -125,39 +123,39 @@ class TestCertifiedValues:
 
     def test_fast_decaying_residual_takes_dense_fallback(self, monkeypatch):
         spec = Spectrum.from_values(np.geomspace(1.0, 1e-12, 10))
-        pm = gen_gaussian_decay(30, 25, spec, seed=14)
-        basis = pm.factors.u[:, :2]
+        a, f = gen_gaussian_decay(30, 25, spec, seed=14)
+        basis = f.u[:, :2]
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(pm.a, basis, 6).values
-        resid = pm.a - basis @ (basis.T @ pm.a)
+        got = residual_spectrum(a, basis, 6).values
+        resid = a - basis @ (basis.T @ a)
         assert calls == [(30, 25)]
         assert np.array_equal(got, np.linalg.svd(resid, compute_uv=False)[:6])
 
     def test_slow_decaying_residual_takes_gram_route(self, monkeypatch):
         spec = Spectrum.from_values(np.geomspace(1.0, 0.1, 20))
-        pm = gen_gaussian_decay(30, 25, spec, seed=16)
+        a, f = gen_gaussian_decay(30, 25, spec, seed=16)
         calls = self.dense_calls(monkeypatch)
-        got = residual_spectrum(pm.a, pm.factors.u[:, :2], 6).values
+        got = residual_spectrum(a, f.u[:, :2], 6).values
         assert calls == []
         assert got == pytest.approx(spec.values[2:8], rel=1e-12)
 
     @pytest.mark.parametrize("k", [0, 26])
     def test_k_out_of_range_rejected(self, k):
-        pm = gen_gaussian_decay(30, 25, Spectrum.from_values([2.0, 1.0, 0.5]), seed=15)
+        a, f = gen_gaussian_decay(30, 25, Spectrum.from_values([2.0, 1.0, 0.5]), seed=15)
         with pytest.raises(ValueError, match="k out of range"):
-            residual_spectrum(pm.a, pm.factors.u[:, :1], k)
+            residual_spectrum(a, f.u[:, :1], k)
 
 
 class TestRatioBounds:
     def test_hand_example_with_exact_basis(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
-        pm = gen_gaussian_decay(30, 25, spec, seed=4)
-        res = residual_spectrum(pm.a, pm.factors.u[:, :3], 2)
-        rep = residual_ratio_bounds(res, spec, k=2, side="left")
+        a, f = gen_gaussian_decay(30, 25, spec, seed=4)
+        res = residual_spectrum(a, f.u[:, :3], 2)
+        rep = residual_ratio_bounds(res, spec, k=2)
         # min(residual_2 / sigma_2, residual_1 / sigma_1) = min(0.25/2, 0.5/3)
         assert rep.values[0] == pytest.approx(0.125, abs=1e-9)
         assert rep.values[1] == pytest.approx(min(0.5 / 2.0, 0.5 / 2.0), abs=1e-9)
-        sines = canonical_sines(pm.factors.u[:, :3], pm.factors.u[:, :2])
+        sines = canonical_sines(f.u[:, :3], f.u[:, :2])
         assert (rep.values >= sines).all()
 
     def test_zero_residual_gives_zero_bounds(self):
@@ -168,11 +166,11 @@ class TestRatioBounds:
 
     def test_scale_invariance(self):
         spec = Spectrum.from_values(np.geomspace(4.0, 0.1, 25))
-        pm = gen_gaussian_decay(40, 40, spec, seed=5)
-        out = rsvd(pm.a, SketchConfig(4, 10, 1, seed=0))
-        res = residual_spectrum(pm.a, out.u, 4)
+        a, f = gen_gaussian_decay(40, 40, spec, seed=5)
+        out = rsvd(a, 10, 1, 0)
+        res = residual_spectrum(a, out.u, 4)
         rep = residual_ratio_bounds(res, spec, 4)
-        res_c = residual_spectrum(1e4 * pm.a, out.u, 4)
+        res_c = residual_spectrum(1e4 * a, out.u, 4)
         scaled = Spectrum(spec.values * 1e4, spec.declared_rank)
         rep_c = residual_ratio_bounds(res_c, scaled, 4)
         assert np.allclose(rep.values, rep_c.values, rtol=1e-10)
@@ -187,10 +185,10 @@ class TestRatioBounds:
 class TestResidualBlocks:
     def test_norms_match_dense_residual(self):
         spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
-        pm = gen_gaussian_decay(50, 40, spec, seed=8)
-        out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=3))
-        stats = residual_blocks(pm.a, out, k=5)
-        err = pm.a - (out.u * out.sigma) @ out.v.T
+        a, f = gen_gaussian_decay(50, 40, spec, seed=8)
+        out = rsvd(a, 12, 0, 3)
+        stats = residual_blocks(a, out, k=5)
+        err = a - (out.u * out.sigma) @ out.v.T
         assert stats.resid_in_basis_2 == pytest.approx(
             np.linalg.norm(err @ out.v, 2), rel=1e-12)
         assert stats.resid_beyond_k_2 == pytest.approx(
@@ -206,29 +204,28 @@ class TestResidualBlocks:
         # unit residual norms, sigma_hat_2 = 2 and sigma_1 = 4: gaps
         # (16 - 4)/4 = 3 and (16 - 4)/2 = 6 from sigma_hat, (16 - 1)/4 and
         # (16 - 1)/1 = 15 from the out-of-basis norm
-        hand = ResidualStats(1.0, 1.0, Spectrum.from_values([1.0]), 2.0)
-        reports = {(r.kind, r.side): r.values
-                   for r in gap_bounds(hand, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)}
-        assert reports[("gap_norm_rank_l", "left")][0] == pytest.approx(4.0 / 15.0)
-        assert reports[("gap_norm_rank_l", "right")][0] == pytest.approx(1.0 / 15.0)
-        assert reports[("gap_norm_rank_k", "left")][0] == pytest.approx(
+        hand = ResidualStats(1.0, 1.0, Spectrum.from_values([1.0]), 2.0, 0.0)
+        reports = gap_bounds(hand, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)
+        assert reports["gap_norm_rank_l", "left"].values[0] == pytest.approx(4.0 / 15.0)
+        assert reports["gap_norm_rank_l", "right"].values[0] == pytest.approx(1.0 / 15.0)
+        assert reports["gap_norm_rank_k", "left"].values[0] == pytest.approx(
             2.0 * np.sqrt(37.0) / 45.0)
-        assert reports[("gap_norm_rank_k", "right")][0] == pytest.approx(1.0 / 9.0)
+        assert reports["gap_norm_rank_k", "right"].values[0] == pytest.approx(1.0 / 9.0)
 
     def test_full_rank_capture_zeroes_all_norms(self):
         spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.4])
-        pm = gen_gaussian_decay(14, 12, spec, seed=6)
-        out = rsvd(pm.a, SketchConfig(2, 4, 1, seed=1))
-        stats = residual_blocks(pm.a, out, k=2)
+        a, f = gen_gaussian_decay(14, 12, spec, seed=6)
+        out = rsvd(a, 4, 1, 1)
+        stats = residual_blocks(a, out, k=2)
         assert stats.resid_in_basis_2 <= 1e-10
         assert stats.resid_out_of_basis_2 <= 1e-10
         assert len(gap_bounds(stats, spec, 2)) == 8
 
     def test_pythagorean_split_of_residual(self):
         spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
-        pm = gen_gaussian_decay(50, 40, spec, seed=7)
-        out = rsvd(pm.a, SketchConfig(5, 12, 0, seed=2))
-        err = pm.a - (out.u * out.sigma) @ out.v.T
+        a, f = gen_gaussian_decay(50, 40, spec, seed=7)
+        out = rsvd(a, 12, 0, 2)
+        err = a - (out.u * out.sigma) @ out.v.T
         in_basis = np.linalg.norm(err @ out.v) ** 2
         out_basis = np.linalg.norm(err - (err @ out.v) @ out.v.T) ** 2
         assert np.linalg.norm(err) ** 2 == pytest.approx(in_basis + out_basis, rel=1e-10)
@@ -247,17 +244,17 @@ class TestGapBounds:
         out = exact_rank_l_output(a, 3)
         stats = residual_blocks(a, out, k=2)
         spec = Spectrum.from_values([4.0, 2.0, 1.0, 0.5])
-        reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 2)}
+        reports = gap_bounds(stats, spec, 2)
         for side in ("left", "right"):
             assert np.all(reports[("gap_norm_rank_l", side)].values <= 1e-12)
             assert np.all(reports[("gap_anglewise_rank_l", side)].values <= 1e-12)
 
     def test_flat_top_block_collapses_anglewise_factor(self):
         spec = Spectrum.from_values([2.0, 2.0, 2.0, 1.0, 0.5])
-        pm = gen_gaussian_decay(20, 18, spec, seed=9)
-        out = rsvd(pm.a, SketchConfig(3, 4, 1, seed=4))
-        stats = residual_blocks(pm.a, out, k=3)
-        reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 3)}
+        a, f = gen_gaussian_decay(20, 18, spec, seed=9)
+        out = rsvd(a, 4, 1, 4)
+        stats = residual_blocks(a, out, k=3)
+        reports = gap_bounds(stats, spec, 3)
         for side in ("left", "right"):
             norm = reports[("gap_norm_rank_l", side)].values
             angle = reports[("gap_anglewise_rank_l", side)].values
@@ -265,10 +262,10 @@ class TestGapBounds:
 
     def test_right_bound_is_left_scaled_by_residual_ratio(self):
         spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
-        pm = gen_gaussian_decay(60, 50, spec, seed=10)
-        out = rsvd(pm.a, SketchConfig(6, 15, 0, seed=5))
-        stats = residual_blocks(pm.a, out, k=6)
-        reports = {(r.kind, r.side): r for r in gap_bounds(stats, spec, 6)}
+        a, f = gen_gaussian_decay(60, 50, spec, seed=10)
+        out = rsvd(a, 15, 0, 5)
+        stats = residual_blocks(a, out, k=6)
+        reports = gap_bounds(stats, spec, 6)
         left = reports[("gap_norm_rank_l", "left")].values
         right = reports[("gap_norm_rank_l", "right")].values
         sigma_k, out2 = spec.values[5], stats.resid_out_of_basis_2
@@ -290,38 +287,60 @@ class TestGapBounds:
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
 
+    def test_a_tie_across_sigma_k_is_gap_violated(self):
+        # sigma_18 = sigma_19 = 1 and l = rank: the sketch catches the tie, so
+        # sigma_hat_19 rounds to one ulp below sigma_18 = 1. The leading
+        # 18-subspace is undefined; the planted v_18 lies at sine 0.9993.
+        values = np.geomspace(1.0, 0.1, 22)
+        values[:19] = 1.0
+        spec = Spectrum.from_values(values)
+        a, planted = gen_gaussian_decay(39, 33, spec, 450672396)
+        k, out = 18, rsvd(a, 22, 1, 606649342)
+        assert canonical_sines(out.v[:, :k], planted.v[:, :k])[-1] > 0.99
+        stats = residual_blocks(a, out, k)
+        assert 0.0 < 1.0 - stats.sigma_hat_next < stats.sigma_hat_margin < 1e-12
+        with pytest.raises(GapViolated, match="gap assumption violated"):
+            gap_bounds(stats, spec, k)
+
+    def test_keys_are_every_gap_kind_on_both_sides(self):
+        spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
+        a, _ = gen_gaussian_decay(60, 50, spec, seed=17)
+        stats = residual_blocks(a, rsvd(a, 15, 0, 3), 6)
+        assert set(gap_bounds(stats, spec, 6)) == {
+            (kind, side) for kind in GAP_KINDS for side in ("left", "right")}
+
     def test_scale_invariance(self):
         spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
-        pm = gen_gaussian_decay(60, 50, spec, seed=11)
-        out = rsvd(pm.a, SketchConfig(6, 15, 1, seed=6))
+        a, f = gen_gaussian_decay(60, 50, spec, seed=11)
+        out = rsvd(a, 15, 1, 6)
         for c in (1e-4, 1e4):
-            base = residual_blocks(pm.a, out, k=6)
-            out_c = rsvd(c * pm.a, SketchConfig(6, 15, 1, seed=6))
-            scaled = residual_blocks(c * pm.a, out_c, k=6)
+            base = residual_blocks(a, out, k=6)
+            out_c = rsvd(c * a, 15, 1, 6)
+            scaled = residual_blocks(c * a, out_c, k=6)
             a_reports = gap_bounds(base, spec, 6)
             b_reports = gap_bounds(scaled, Spectrum(spec.values * c, spec.declared_rank), 6)
-            for ra, rb in zip(a_reports, b_reports):
-                assert np.allclose(ra.values, rb.values, rtol=1e-9)
+            assert a_reports.keys() == b_reports.keys()
+            for key, ra in a_reports.items():
+                assert np.allclose(ra.values, b_reports[key].values, rtol=1e-9)
 
     def test_domination_on_fast_decay_runs(self):
         spec = spectrum_faster(120, 10)
-        pm = gen_gaussian_decay(120, 120, spec, seed=12)
+        a, f = gen_gaussian_decay(120, 120, spec, seed=12)
         k, l = 12, 48
         for seed in range(3):
             for q in (0, 1):
-                out = rsvd(pm.a, SketchConfig(k, l, q, seed))
-                stats = residual_blocks(pm.a, out, k)
+                out = rsvd(a, l, q, seed)
+                stats = residual_blocks(a, out, k)
                 reports = gap_bounds(stats, spec, k)
                 truth = {
-                    ("left", "rank_l"): canonical_sines(out.u, pm.factors.u[:, :k]),
-                    ("right", "rank_l"): canonical_sines(out.v, pm.factors.v[:, :k]),
-                    ("left", "rank_k"): canonical_sines(out.u[:, :k], pm.factors.u[:, :k]),
-                    ("right", "rank_k"): canonical_sines(out.v[:, :k], pm.factors.v[:, :k]),
+                    ("left", "rank_l"): canonical_sines(out.u, f.u[:, :k]),
+                    ("right", "rank_l"): canonical_sines(out.v, f.v[:, :k]),
+                    ("left", "rank_k"): canonical_sines(out.u[:, :k], f.u[:, :k]),
+                    ("right", "rank_k"): canonical_sines(out.v[:, :k], f.v[:, :k]),
                 }
-                for rep in reports:
-                    width = "rank_k" if rep.kind.endswith("rank_k") else "rank_l"
-                    assert (rep.values >= truth[(rep.side, width)]).all(), (
-                        rep.kind, rep.side, seed, q)
+                for (kind, side), rep in reports.items():
+                    width = "rank_k" if kind.endswith("rank_k") else "rank_l"
+                    assert (rep.values >= truth[(side, width)]).all(), (kind, side, seed, q)
 
 
 # The kinds a run writes as certificates: each must lie at or above its true
@@ -368,6 +387,13 @@ def _truth_floor(f: SvdFactors, k: int) -> float:
     return float(np.sqrt(2) * e / gap) if gap > 0 else np.inf
 
 
+# derandomize seeds hypothesis from the source of the function it runs; the
+# property test pins the seed that an earlier text of its check gave, so its
+# 500 examples stay the same when that text changes
+PLANTED_SEED = int("3821193801668525623530621155854572825600013868408462585931546907"
+                   "2892066421409624378260207546060398753339343795396034")
+
+
 @st.composite
 def planted_runs(draw):
     """A planted matrix of 12-40 rows and columns and a (k, l, q, seed) run on
@@ -390,9 +416,9 @@ def planted_runs(draw):
     else:
         values = np.geomspace(1.0, 0.1, r)
         values[:draw(st.integers(2, r))] = 1.0
-    pm = gen_gaussian_decay(m, n, Spectrum.from_values(values),
-                            draw(st.integers(0, 2**32 - 1)))
-    return pm, (k, l, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
+    a, planted = gen_gaussian_decay(m, n, Spectrum.from_values(values),
+                                    draw(st.integers(0, 2**32 - 1)))
+    return a, planted, (k, l, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
 
 
 def test_certificates_hold_on_planted_matrices():
@@ -402,18 +428,19 @@ def test_certificates_hold_on_planted_matrices():
     undetermined (a tie across sigma_k) are counted, not compared."""
     compared, below, undetermined = Counter(), Counter(), Counter()
 
+    @seed(PLANTED_SEED)
     @settings(derandomize=True, max_examples=500, deadline=None, database=None)
     @given(run=planted_runs())
     def check(run):
-        pm, task = run
+        a, planted, task = run
         k, l = task[:2]
-        spec = pm.spectrum()
-        target = Target(pm.name, pm.a, pm.factors, spec, spec.declared_rank, True)
+        spec = Spectrum.from_values(planted.sigma)
+        target = Target("gaussian_decay", a, planted, spec, spec.declared_rank, True)
         rows = _run_single(target, ExperimentConfig(matrix={}, grid=[task[:3]],
                                                     estimator_trials=1), task)
         truth = {(row.side, row.kind, row.i): row.value for row in rows
                  if row.kind in ("true_angle", "true_angle_rank_k")}
-        truth_floor = _truth_floor(pm.factors, k)
+        truth_floor = _truth_floor(planted, k)
         for row in rows:
             if row.kind not in CERTIFICATES or row.status not in (STATUS_OK, STATUS_TRIVIAL):
                 continue
@@ -423,7 +450,7 @@ def test_certificates_hold_on_planted_matrices():
                 continue
             rank_k = row.kind.endswith("rank_k")
             sine = truth[row.side, "true_angle_rank_k" if rank_k else "true_angle", row.i]
-            d = pm.a.shape[0] if row.side == "left" else pm.a.shape[1]
+            d = a.shape[0] if row.side == "left" else a.shape[1]
             floor = _sines_floor(d, k if rank_k else l) + truth_floor
             assert row.value >= sine - floor, (row, sine, floor)
             compared[key] += 1

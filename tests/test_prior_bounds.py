@@ -203,7 +203,7 @@ class TestSubspaceAwareUpper:
 
 
 def test_report_clamping_marks_trivial_indices():
-    rep = make_report(np.array([0.5, 1.2]), "space_agnostic_upper", "left")
+    rep = make_report(np.array([0.5, 1.2]))
     assert np.array_equal(rep.values, [0.5, 1.0])
     assert np.array_equal(rep.trivial, [False, True])
 

@@ -9,7 +9,7 @@ from rsvdangles.angles import canonical_sines
 from rsvdangles.linalg import RankDeficient, Spectrum, ortho, seeded_rng, svd_full
 from rsvdangles.matgen import gen_gaussian_decay, spectrum_slower
 from rsvdangles.prior_bounds import SketchCollapsed
-from rsvdangles.rsvd import SketchConfig, gaussian_sketch, rsvd
+from rsvdangles.rsvd import gaussian_sketch, rsvd
 
 
 class TestGaussianSketch:
@@ -53,30 +53,25 @@ class TestGaussianSketch:
             gaussian_sketch(5, 2, seed=0, out=np.empty((6, 2)))
 
 
-class TestSketchConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            SketchConfig(k=0, l=4, q=0, seed=0)
-        with pytest.raises(ValueError):
-            SketchConfig(k=5, l=4, q=0, seed=0)
-        with pytest.raises(ValueError):
-            SketchConfig(k=2, l=4, q=-1, seed=0)
-        cfg = SketchConfig(k=2, l=4, q=0, seed=0)
-        with pytest.raises(ValueError, match="exceeds min"):
-            cfg.validate_for_shape(3, 10)
-
-
 class TestRsvd:
+    def test_argument_validation(self):
+        a = np.ones((3, 10))
+        for l, q in ((0, 0), (2, -1)):
+            with pytest.raises(ValueError, match=r"^need l >= 1 and q >= 0$"):
+                rsvd(a, l, q, 0)
+        with pytest.raises(ValueError, match=r"^sample size l=4 exceeds min\(m, n\)=3$"):
+            rsvd(a, 4, 0, 0)
+
     def test_full_width_sketch_reproduces_matrix(self):
         a = np.diag([3.0, 2.0, 1.0, 0.5])
-        out = rsvd(a, SketchConfig(k=2, l=4, q=0, seed=1))
+        out = rsvd(a, 4, 0, 1)
         assert np.linalg.norm((out.u * out.sigma) @ out.v.T - a) <= 1e-10
 
     def test_deterministic_rerun(self):
         rng = seeded_rng(2)
         a = rng.standard_normal((30, 20))
-        o1 = rsvd(a, SketchConfig(3, 6, 0, seed=9))
-        o2 = rsvd(a, SketchConfig(3, 6, 0, seed=9))
+        o1 = rsvd(a, 6, 0, 9)
+        o2 = rsvd(a, 6, 0, 9)
         assert np.array_equal(o1.u, o2.u)
         assert np.array_equal(o1.sigma, o2.sigma)
         assert np.array_equal(o1.v, o2.v)
@@ -85,21 +80,21 @@ class TestRsvd:
 
     def test_planted_decay_leading_values_match(self):
         spec = Spectrum.from_values(0.9 ** np.arange(1, 201))
-        pm = gen_gaussian_decay(200, 200, spec, seed=6)
-        out = rsvd(pm.a, SketchConfig(k=10, l=40, q=2, seed=0))
-        exact = svd_full(pm.a).sigma[:10]
+        a, _ = gen_gaussian_decay(200, 200, spec, seed=6)
+        out = rsvd(a, 40, 2, 0)
+        exact = svd_full(a).sigma[:10]
         assert np.allclose(out.sigma[:10], exact, rtol=1e-6)
 
     def test_interlacing_never_exceeds_true_values(self):
         spec = spectrum_slower(80, 8)
-        pm = gen_gaussian_decay(80, 80, spec, seed=4)
-        out = rsvd(pm.a, SketchConfig(k=10, l=30, q=1, seed=3))
+        a, _ = gen_gaussian_decay(80, 80, spec, seed=4)
+        out = rsvd(a, 30, 1, 3)
         assert (out.sigma <= spec.values[:30] + 1e-8).all()
 
     def test_output_factor_invariants(self):
         rng = seeded_rng(12)
         a = rng.standard_normal((40, 25))
-        out = rsvd(a, SketchConfig(5, 10, 1, seed=0))
+        out = rsvd(a, 10, 1, 0)
         assert np.linalg.norm(out.u.T @ out.u - np.eye(10), 2) <= 1e-10
         assert np.linalg.norm(out.v.T @ out.v - np.eye(10), 2) <= 1e-10
         # the left factor lives inside the column space of a
@@ -110,32 +105,31 @@ class TestRsvd:
         rng = seeded_rng(0)
         a = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 20))
         with pytest.raises(SketchCollapsed, match="rank deficient sketch"):
-            rsvd(a, SketchConfig(k=2, l=6, q=0, seed=0))
+            rsvd(a, 6, 0, 0)
 
     def test_overflowing_sketch_is_not_a_collapse(self):
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite") as info:
-            rsvd(np.full((6, 6), 1e308), SketchConfig(k=1, l=2, q=0, seed=0))
+            rsvd(np.full((6, 6), 1e308), 2, 0, 0)
         assert not isinstance(info.value, (SketchCollapsed, RankDeficient))
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError, match="nonzero"):
-            rsvd(np.zeros((5, 5)), SketchConfig(1, 2, 0, seed=0))
+            rsvd(np.zeros((5, 5)), 2, 0, 0)
 
     def test_huge_entries_run_without_warnings(self):
         # ||a||_F^2 overflows: the zero test must not square the entries
         a = np.diag([3.0, 2.0, 1.0, 0.5]) * 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = rsvd(a, SketchConfig(k=2, l=4, q=1, seed=1))
+            out = rsvd(a, 4, 1, 1)
         assert np.allclose(out.sigma, [3e160, 2e160, 1e160, 0.5e160], rtol=1e-12)
 
     def test_mean_largest_angle_improves_with_power_iterations(self):
         spec = spectrum_slower(120, 10)
-        pm = gen_gaussian_decay(120, 120, spec, seed=5)
+        a, planted = gen_gaussian_decay(120, 120, spec, seed=5)
         means = []
         for q in (0, 1, 2):
-            worst = [canonical_sines(rsvd(pm.a, SketchConfig(8, 16, q, seed)).u,
-                                     pm.factors.u[:, :8])[-1]
+            worst = [canonical_sines(rsvd(a, 16, q, seed).u, planted.u[:, :8])[-1]
                      for seed in range(20)]
             means.append(np.mean(worst))
         assert means[0] >= means[1] >= means[2]
