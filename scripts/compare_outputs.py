@@ -11,6 +11,10 @@ fresh child process:
   config, each at ``--jobs 1`` and ``--jobs 2``;
 * ``run`` on each of ``harness.PRESETS`` over the acceptance grid
   (k = 50, l in {80, 200}, q in {0, 1}) at 2 seeds, at ``--jobs 2``;
+* ``run`` on a 40-by-30 matrix of rank 12 read from a MatrixMarket file
+  that this script writes from a fixed seed, so the file branch of
+  ``build_matrix`` runs: a spectrum of numerical rank, padded to min(m, n);
+* ``gen`` for each of its four kinds at a small size;
 * ``estimate`` and ``balance`` on the seed-0 benchmark inputs.
 
 The benchmark inputs come from the ``*_inputs`` builders of
@@ -34,10 +38,18 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "perfbench"), str(ROOT / "src")]
 
 from rsvdangles.harness import PRESETS  # noqa: E402
+from rsvdangles.linalg import seeded_rng  # noqa: E402
+from rsvdangles.mmio import write_matrix  # noqa: E402
 from run import DEFAULT_SEED, balance_inputs, estimate_inputs, sweep_inputs  # noqa: E402
 
 # thread counts are the program's own choice, as in the benchmark
 CLEARED_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# gen's four kinds at a small size; the step spectrum has 2 + 2 * 8 values
+GEN_ARGS = {"snn": ["--r1", "4", "--density", "0.3"],
+            "gaussian-slower": ["--r1", "4"],
+            "gaussian-faster": ["--r1", "4"],
+            "step": ["--k", "2", "--beta", "8", "--gap", "1.5"]}
 
 
 def cases(work: Path) -> dict[str, tuple[list[str], Path]]:
@@ -58,6 +70,20 @@ def cases(work: Path) -> dict[str, tuple[list[str], Path]]:
                   "grid": [{"k": 50, "l": l, "q": q} for l in (80, 200) for q in (0, 1)]}
         (cwd / "config.json").write_text(json.dumps(config))
         found[cwd.name] = ["run", "config.json", "--jobs", "2", "--outdir", "out"], cwd
+    cwd = work / "file_rank12"
+    cwd.mkdir(parents=True)
+    rng = seeded_rng(7)
+    write_matrix(rng.standard_normal((40, 12)) @ rng.standard_normal((12, 30)),
+                 cwd / "rank12.mtx")
+    config = {"schema_version": 1, "matrix": {"path": "rank12.mtx"}, "n_seeds": 2,
+              "grid": [{"k": 4, "l": l, "q": q} for l in (8, 12) for q in (0, 1)]}
+    (cwd / "config.json").write_text(json.dumps(config))
+    found[cwd.name] = ["run", "config.json", "--jobs", "2", "--outdir", "out"], cwd
+    for kind, extra in GEN_ARGS.items():
+        cwd = work / f"gen_{kind}"
+        cwd.mkdir(parents=True)
+        found[cwd.name] = ["gen", kind, "--m", "24", "--n", "20", "--seed", "3",
+                           *extra, "--outdir", "out"], cwd
     for name, make, outdir in (("estimate", estimate_inputs, []),
                                ("balance", balance_inputs, ["--outdir", "out"])):
         cwd = work / name

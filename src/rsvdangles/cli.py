@@ -98,7 +98,7 @@ def _cmd_estimate(args) -> int:
         # an empty file: Spectrum rejects the empty array in one line below
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         values = np.loadtxt(args.spectrum, ndmin=1)
-    spec = Spectrum.from_values(np.sort(values)[::-1])
+    spec = Spectrum(np.sort(values)[::-1])
     # as in balance, the trials go to every usable CPU without a flag
     report = unbiased_estimate(spec, args.k, args.l, args.q, args.trials,
                                args.side, args.seed, jobs=args.trials)

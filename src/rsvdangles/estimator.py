@@ -21,8 +21,8 @@ would redraw every ``estimate`` row, so it waits for a new benchmark reference.
 One draw per trial serves several (spectrum, side) weightings at once
 (``estimate_weightings``), as a sweep run needs.
 
-The trials allocate nothing of size r-by-l: the draw, the weighted tail and
-``sv_x_pinv``'s scaled copy of it go into three buffers that each worker
+The trials allocate nothing of size r-by-l: the draw and the weighted tail,
+which ``sv_x_pinv`` scales in place, go into two buffers that each worker
 holds for the whole call. Arrays of that size lie above glibc's mmap
 threshold, so allocated per trial they were mapped and faulted in again
 every trial: the benchmark's seed-0 ``estimate`` command (r = 525, l = 100,
@@ -115,9 +115,9 @@ def estimate_weightings(weightings: list, k: int, l: int, q: int, n_trials: int,
     blocks = [range(start, min(start + TRIAL_BLOCK, n_trials))
               for start in range(0, n_trials, TRIAL_BLOCK)]
     r = max(ranks)
-    # the draw, the weighted tail and sv_x_pinv's workspace, reused by every
-    # trial of a worker's share; a forked worker writes its own copy
-    buffers = (np.empty((r, l)), np.empty((r - k, l)), np.empty((r - k, l)))
+    # the draw and the weighted tail, which sv_x_pinv scales in place, reused
+    # by every trial of a worker's share; a forked worker writes its own copy
+    buffers = (np.empty((r, l)), np.empty((r - k, l)))
     results = _share(_estimate_block, (r, k, l, seed, weights, buffers), blocks, jobs)
     outcomes = []
     for parts in zip(*results):  # the blocks of one pair, in trial order
@@ -163,12 +163,12 @@ def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
     sines of trials ``trials``, one row per trial, or the BoundFailure of
     its first failing trial among them; a BoundFailure in ``weights`` is
     passed through. Each trial draws one r-by-l Gaussian into the first of
-    ``buffers`` (r-by-l, then two (r - k)-by-l arrays), and a triple of rank
-    r' weights its first r' rows into the leading r' - k rows of the others.
+    ``buffers`` (r-by-l, then (r - k)-by-l), and a triple of rank r' weights
+    its first r' rows into the leading r' - k rows of the second, in place.
     A trial fails as TailTooShort where its weighted tail is rank deficient,
     even if its head overflows too, and as WeightsOverflow where the finite
     head weights overflow with the draw."""
-    omega, tail, work = buffers
+    omega, tail = buffers
     out = [w if isinstance(w, BoundFailure) else np.empty((len(trials), k))
            for w in weights]
     for row, j in enumerate(trials):
@@ -181,7 +181,7 @@ def _estimate_block(r: int, k: int, l: int, seed: int, weights: list,
                 w1 = top_w[:, None] * omega[:k]
             w2 = np.multiply(tail_w[:, None], omega[k:rank], out=tail[:rank - k])
             try:
-                nu = sv_x_pinv(w1, w2, work=work[:rank - k])
+                nu = sv_x_pinv(w1, w2, work=w2)
             except RankDeficient:
                 out[w] = TailTooShort("tail too short for estimator")
                 continue

@@ -10,8 +10,8 @@ A bound family that raises a ``BoundFailure`` gets NaN rows with the
 failure's ``status`` and never aborts a sweep, and a run whose sketch
 collapses gets NaN rows of every kind; any other exception aborts it. A
 grid entry that cannot run (l above rank(A), which is at most min(m, n), or
-upper_c * sqrt(k/l) >= 1) is rejected before any run, and so is a matrix
-whose squared Frobenius norm overflows.
+upper_c * sqrt(k/l) >= 1) is rejected before any run, and ``build_matrix``
+rejects a matrix whose squared Frobenius norm overflows.
 Re-running with an identical config reproduces identical CSV bytes.
 """
 
@@ -179,15 +179,19 @@ PRESETS = [
 
 class Target(NamedTuple):
     """A materialized matrix descriptor: the matrix ``a``, its exact factors
-    and true spectrum, the length its approximated spectra are padded to,
-    and whether the comparator bound may read the factors (``known``)."""
+    and true spectrum, and whether the comparator bound may read the factors
+    (``known``)."""
 
     name: str
     a: np.ndarray
     factors: SvdFactors
     spectrum: Spectrum
-    pad_rank: int
     known: bool
+
+    @property
+    def pad_rank(self) -> int:
+        """Length approximated spectra pad to: declared rank if known, else min(m, n)."""
+        return self.spectrum.declared_rank if self.known else min(self.a.shape)
 
 
 def build_matrix(desc: dict) -> Target:
@@ -198,19 +202,17 @@ def build_matrix(desc: dict) -> Target:
     ground-truth evaluation, and a spectrum of numerical rank: values at or
     below numpy's ``matrix_rank`` tolerance max(m, n) * eps * sigma_1 are
     round-off and become exact zeros. Image and file-backed matrices are
-    treated as having unknown subspaces for the comparator bound, and their
-    padding rank is min(m, n).
+    treated as having unknown subspaces for the comparator bound. A matrix
+    whose squared Frobenius norm overflows, which every run's residual Grams
+    would square, is rejected before any dense SVD.
     """
-    gen = desc.get("generator")
+    gen = name = desc.get("generator")
     if gen == "gaussian_decay":
         spec = _spectrum_from_desc(_desc_value(desc, "spectrum", _is_object))
         a, f = gen_gaussian_decay(_desc_value(desc, "m", _is_length),
                                   _desc_value(desc, "n", _is_length), spec,
                                   _desc_value(desc, "seed", _is_int, 0))
-        return Target(_desc_value(desc, "name", _is_name, gen), a, f,
-                      Spectrum.from_values(f.sigma), spec.declared_rank, True)
-    name = gen
-    if gen == "snn":
+    elif gen == "snn":
         a = gen_snn(_desc_value(desc, "m", _is_length), _desc_value(desc, "n", _is_length),
                     _desc_value(desc, "r1"), _desc_value(desc, "a", _is_finite),
                     _desc_value(desc, "density", _is_finite, 0.05),
@@ -227,11 +229,14 @@ def build_matrix(desc: dict) -> Target:
     else:
         raise ValueError(f"unrecognized matrix descriptor: {desc}")
     name = _desc_value(desc, "name", _is_name, name)
+    with np.errstate(over="ignore"):
+        if not math.isfinite(np.vdot(a, a)):
+            raise ValueError(f"matrix {name} too large: its squared Frobenius norm overflows")
+    if gen == "gaussian_decay":
+        return Target(name, a, f, Spectrum(f.sigma), True)
     f = svd_full(a)
-    spec = Spectrum.from_values(np.where(f.sigma > max(a.shape) * _EPS * f.sigma[0],
-                                         f.sigma, 0.0))
-    known = gen == "snn"
-    return Target(name, a, f, spec, spec.declared_rank if known else min(a.shape), known)
+    spec = Spectrum(np.where(f.sigma > max(a.shape) * _EPS * f.sigma[0], f.sigma, 0.0))
+    return Target(name, a, f, spec, gen == "snn")
 
 
 def _desc_value(desc: dict, key: str, ok=_is_int, default=None):
@@ -259,12 +264,12 @@ def _spectrum_from_desc(sd: dict) -> Spectrum:
     raise ValueError(f"unknown spectrum kind {kind!r}")
 
 
-def pad_spectrum(approx: Spectrum, r: int) -> Spectrum:
-    """Extend an approximated spectrum to length r by repeating its last value."""
-    if r < approx.size:
+def pad_spectrum(values: np.ndarray, r: int) -> Spectrum:
+    """The spectrum of approximated singular values extended to length r by
+    repeating the last value."""
+    if r < values.size:
         raise ValueError("padding length below the approximated spectrum size")
-    values = np.concatenate([approx.values, np.full(r - approx.size, approx.values[-1])])
-    return Spectrum.from_values(values)
+    return Spectrum(np.concatenate([values, np.full(r - values.size, values[-1])]))
 
 
 def _attempt(compute):
@@ -299,7 +304,7 @@ def _run_single(target: Target, cfg: ExperimentConfig, task) -> list[Row]:
         if "left" in cfg.sides:
             resids["left"] = residual_spectrum(a, out.u, k)
         specs = {"true": true_spec,
-                 "padded": pad_spectrum(Spectrum.from_values(out.sigma), target.pad_rank)}
+                 "padded": pad_spectrum(out.sigma, target.pad_rank)}
         # one Gaussian draw per estimator trial, weighted for every source and side
         estimates = estimate_weightings([(specs[source], side) for source, side in keys],
                                         k, l, q, cfg.estimator_trials, seed)
@@ -355,9 +360,6 @@ def run_experiment(cfg: ExperimentConfig, outdir=None, jobs: int = 1) -> list[Ro
         if cfg.upper_c * math.sqrt(k / l) >= 1.0:
             raise ValueError(f"grid entry (k={k}, l={l}, q={q}) needs"
                              f" upper_c * sqrt(k/l) < 1 (upper_c={cfg.upper_c})")
-    with np.errstate(over="ignore"):  # a run's residual Grams square a's entries
-        if not math.isfinite(np.vdot(a, a)):
-            raise ValueError(f"matrix {name} too large: its squared Frobenius norm overflows")
     seeds = range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)
     tasks = [(k, l, q, seed) for (k, l, q) in cfg.grid for seed in seeds]
     chunks = _share(_run_single, (target, cfg), tasks, jobs)

@@ -4,7 +4,8 @@ Everything in this package moves plain float64 numpy arrays around with
 (row, col) access semantics. The functions here never mutate their inputs
 and are safe to call concurrently. The one exception is a workspace that a
 caller lends (``sv_x_pinv``'s ``work``): it is overwritten, and it must not
-be shared between concurrent calls.
+be shared between concurrent calls. That workspace may be ``sv_x_pinv``'s
+``y`` itself, which the call then overwrites.
 
 Randomness is always drawn from a counter-based Philox generator keyed by a
 64-bit seed (see :func:`seeded_rng`), so a (seed, draw index) pair fully
@@ -14,7 +15,7 @@ determines every random draw, independent of scheduling or platform.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,14 +74,13 @@ def _max_abs(m: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Non-increasing, non-negative singular values with a declared rank.
-
-    Entries at positions >= ``declared_rank`` are exactly zero; entries
-    before are strictly positive.
+    """Non-increasing, non-negative singular values and their declared rank,
+    the count of positive values: entries at positions >= ``declared_rank``
+    are exactly zero, entries before are strictly positive.
     """
 
     values: np.ndarray
-    declared_rank: int
+    declared_rank: int = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -91,17 +91,7 @@ class Spectrum:
             raise ValueError("spectrum values must be finite and nonnegative")
         if (np.diff(v) > 0).any():
             raise ValueError("spectrum values must be non-increasing")
-        r = self.declared_rank
-        if not (0 <= r <= v.size):
-            raise ValueError("declared_rank out of range")
-        if (v[:r] <= 0).any() or (v[r:] != 0).any():
-            raise ValueError("declared_rank must separate positive values from exact zeros")
-
-    @classmethod
-    def from_values(cls, values) -> "Spectrum":
-        """Build a spectrum inferring the declared rank as the nonzero count."""
-        v = np.asarray(values, dtype=np.float64)
-        return cls(v, int(np.count_nonzero(v)))
+        object.__setattr__(self, "declared_rank", int(np.count_nonzero(v)))
 
     @property
     def size(self) -> int:
@@ -222,7 +212,8 @@ def sv_x_pinv(x, y, *, work: np.ndarray | None = None) -> np.ndarray:
 
     y~ is written into ``work``, an n-by-l float64 array the caller lends
     and this call overwrites, or into a new array where it is None; the
-    values do not depend on which. x and y are never written to.
+    values do not depend on which. ``work`` may be y itself, which the call
+    then overwrites with y~. x is never written to, nor is y otherwise.
     """
     y = as_matrix(y, "y")
     if y.shape[0] < y.shape[1]:

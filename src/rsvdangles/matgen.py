@@ -86,7 +86,7 @@ def spectrum_slower(r: int, r1: int) -> Spectrum:
         raise ValueError("need 1 <= r1 <= r")
     i = np.arange(1, r + 1, dtype=np.float64)
     vals = np.where(i <= r1, 1.0, 1.0 / np.sqrt(np.maximum(i - r1 + 1, 1.0)))
-    return Spectrum(vals, r)
+    return Spectrum(vals)
 
 
 def spectrum_faster(r: int, r1: int) -> Spectrum:
@@ -95,7 +95,7 @@ def spectrum_faster(r: int, r1: int) -> Spectrum:
         raise ValueError("need 1 <= r1 <= r")
     i = np.arange(1, r + 1, dtype=np.float64)
     vals = np.where(i <= r1, 1.0, np.maximum(0.99 ** (i - r1), 1e-3))
-    return Spectrum(vals, r)
+    return Spectrum(vals)
 
 
 def gen_step_spectrum(k: int, beta: float, gap: float) -> Spectrum:
@@ -109,7 +109,7 @@ def gen_step_spectrum(k: int, beta: float, gap: float) -> Spectrum:
         raise ValueError("(1 + beta) * k must be integral")
     tail = int(round(tail))
     vals = np.concatenate([np.full(k, float(gap)), np.ones(tail)])
-    return Spectrum(vals, k + tail)
+    return Spectrum(vals)
 
 
 def _is_int(v) -> bool:

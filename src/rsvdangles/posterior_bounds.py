@@ -106,8 +106,7 @@ def _residual_top(a: np.ndarray, resid, k: int) -> Spectrum:
     r = resid()
     gram = r @ r.T if a.shape[0] <= a.shape[1] else r.T @ r
     del r
-    return Spectrum.from_values(_certified_top(gram, sum(a.shape), k,
-                                               lambda: _svdvals(resid())))
+    return Spectrum(_certified_top(gram, sum(a.shape), k, lambda: _svdvals(resid())))
 
 
 def residual_spectrum(a, basis, k: int) -> Spectrum:
@@ -198,20 +197,26 @@ def gap_bounds(stats: ResidualStats, spectrum: Spectrum,
     gaps are computed here from the sigma_k of ``spectrum``, so each
     spectrum source gets its own. Failed gap assumptions raise GapViolated.
 
-    sigma_k must exceed sigma_hat_{k+1} by more than its rounding margin
-    (``ResidualStats.sigma_hat_margin``): on a tie sigma_k = sigma_{k+1}
-    that the sketch caught, sigma_hat_{k+1} may round below sigma_k. The
-    check takes sigma_k as given, exact for a planted spectrum; on the
-    padded source it is sigma_hat_k, whose own rounding the margin does not
-    cover. The margin enters the check only, not the bound values.
+    sigma_k must exceed sigma_hat_{k+1} by more than 2 delta, delta the
+    rounding margin of sigma_hat_{k+1} (``ResidualStats.sigma_hat_margin``):
+    on a tie sigma_k = sigma_{k+1} that the sketch caught, sigma_hat_{k+1}
+    may round below sigma_k. The second delta covers an unplanted sigma_k. On
+    the padded source it is sigma_hat_k, a value of the same SVD of
+    fl(a^T x), whose rounding ``residual_blocks``' argument bounds by delta
+    too; and sigma_k(a^T x) <= sigma_k(a), as ||x||_2 = 1. For snn, image
+    and file matrices the dense SVD of a returns the exact values of a + F,
+    ||F||_2 <= (m + n) eps ||a||_2 (p = m + n, as there). As ||a||_F >=
+    ||a||_2, delta covers that where n <= (sqrt(l) - 1) m or sigma_hat_1 >=
+    ||a||_2 / 2; elsewhere a certified check takes (m + n) eps sigma_1 for
+    that sigma_k. The margin enters the check only, not the bound values.
     """
     if k > spectrum.size or k < 1:
         raise ValueError("k out of range for the spectrum")
     sigma_k = float(spectrum.values[k - 1])
     shat = stats.sigma_hat_next
     out2 = stats.resid_out_of_basis_2
-    if sigma_k - shat <= stats.sigma_hat_margin or sigma_k <= out2:
-        raise GapViolated("gap assumption violated (sigma_k - sigma_hat_{k+1} <= its"
+    if sigma_k - shat <= 2.0 * stats.sigma_hat_margin or sigma_k <= out2:
+        raise GapViolated("gap assumption violated (sigma_k - sigma_hat_{k+1} <= twice its"
                           " rounding margin or sigma_k <= residual norm)")
     d_sigma = sigma_k**2 - shat**2
     d_resid = sigma_k**2 - out2**2

@@ -204,10 +204,10 @@ def test_criterion_5_unbiasedness_two_sample():
 
 def test_criterion_6_space_agnosticism_is_bitwise():
     spec_vals = spectrum_slower(120, 10).values
-    a, fa = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals), seed=21)
-    b, fb = gen_gaussian_decay(120, 120, Spectrum.from_values(spec_vals.copy()), seed=22)
+    a, fa = gen_gaussian_decay(120, 120, Spectrum(spec_vals), seed=21)
+    b, fb = gen_gaussian_decay(120, 120, Spectrum(spec_vals.copy()), seed=22)
     assert not np.array_equal(a, b)
-    spec_a, spec_b = Spectrum.from_values(fa.sigma), Spectrum.from_values(fb.sigma)
+    spec_a, spec_b = Spectrum(fa.sigma), Spectrum(fb.sigma)
     k, l, q = 8, 16, 1
     est_a = unbiased_estimate(spec_a, k, l, q, 5, "left", seed=9)
     est_b = unbiased_estimate(spec_b, k, l, q, 5, "left", seed=9)
@@ -258,7 +258,7 @@ def test_criterion_8_kernel_correctness():
         f = svd_full(a)
         recon_ok &= (np.linalg.norm((f.u * f.sigma) @ f.v.T - a)
                      <= 1e-10 * max(1.0, np.linalg.norm(a)))
-    spec = Spectrum.from_values(np.geomspace(3.0, 0.4, 12))
+    spec = Spectrum(np.geomspace(3.0, 0.4, 12))
     a, _ = gen_gaussian_decay(60, 50, spec, seed=31)
     out = rsvd(a, 12, 0, 0)
     rsvd_ok = (np.linalg.norm((out.u * out.sigma) @ out.v.T - a)

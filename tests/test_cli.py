@@ -42,6 +42,16 @@ def test_gen_writes_matrix_and_descriptor(tmp_path):
     assert desc["matrix"]["generator"] == "gaussian_decay"
 
 
+def test_gen_refuses_a_matrix_that_run_rejects(tmp_path, capsys):
+    from rsvdangles import cli
+
+    assert cli.main(["gen", "step", "--k", "2", "--beta", "14", "--gap", "1e200",
+                     "--m", "30", "--n", "30", "--outdir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: matrix step too large: its squared"
+                                       " Frobenius norm overflows\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_executes_config(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(RUN_CONFIG))
@@ -169,7 +179,7 @@ def test_estimate_matches_library_call(tmp_path):
     lines = [ln for ln in res.stdout.splitlines()
              if ln and not ln.startswith(("#", "index"))]
     got = np.array([[float(tok) for tok in ln.split()[1:]] for ln in lines])
-    rep = unbiased_estimate(Spectrum.from_values(values), 3, 6, 1, 3, "left", 5)
+    rep = unbiased_estimate(Spectrum(values), 3, 6, 1, 3, "left", 5)
     assert np.allclose(got[:, 0], rep.mean, rtol=1e-15)
     assert np.allclose(got[:, 1], rep.min_band, rtol=1e-15)
     assert np.allclose(got[:, 2], rep.max_band, rtol=1e-15)
@@ -391,7 +401,7 @@ def test_bound_failure_in_estimate_worker_keeps_its_type(monkeypatch):
         raise TailTooShort("tail too short for estimator")
 
     fail_in_forked_workers(monkeypatch, estimator, "_estimate_block", raise_tail_too_short)
-    spec = Spectrum.from_values(np.geomspace(3.0, 0.5, 16))
+    spec = Spectrum(np.geomspace(3.0, 0.5, 16))
     with pytest.raises(TailTooShort, match="^tail too short for estimator$") as info:
         unbiased_estimate(spec, 3, 6, 1, 60, "left", 5, jobs=2)
     assert info.value.status == "tail_short"

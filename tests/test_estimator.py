@@ -16,28 +16,28 @@ from rsvdangles.rsvd import gaussian_sketch
 
 class TestGuards:
     def test_zero_tail_beyond_k_cannot_be_estimated(self):
-        spec = Spectrum.from_values([2.0, 1.0, 0.0, 0.0])
+        spec = Spectrum([2.0, 1.0, 0.0, 0.0])
         with pytest.raises(TailTooShort, match="tail too short for estimator"):
             unbiased_estimate(spec, k=2, l=2, q=0, n_trials=1, side="left", seed=0)
 
     def test_tail_shorter_than_sample_size_rejected(self):
-        spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
+        spec = Spectrum(np.geomspace(2.0, 0.5, 12))
         with pytest.raises(TailTooShort, match="tail too short for estimator"):
             unbiased_estimate(spec, k=4, l=10, q=0, n_trials=1, side="left", seed=0)
 
     def test_trial_count_validation(self):
-        spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
+        spec = Spectrum(np.geomspace(2.0, 0.5, 12))
         with pytest.raises(ValueError, match="n_trials"):
             unbiased_estimate(spec, 2, 4, 0, 0, "left", 0)
 
     def test_negative_power_count_rejected(self):
-        spec = Spectrum.from_values(np.geomspace(2.0, 0.5, 12))
+        spec = Spectrum(np.geomspace(2.0, 0.5, 12))
         with pytest.raises(ValueError, match="^q must be >= 0$"):
             unbiased_estimate(spec, 2, 4, -1, 1, "left", 0)
 
     @pytest.mark.filterwarnings("error")
     def test_power_weight_overflow_named_without_warning(self):
-        spec = Spectrum.from_values([1e200, 1e-100, 1e-120, 1e-140, 1e-160])
+        spec = Spectrum([1e200, 1e-100, 1e-120, 1e-140, 1e-160])
         with pytest.raises(WeightsOverflow, match="power weights overflow"):
             unbiased_estimate(spec, k=1, l=2, q=3, n_trials=1, side="left", seed=0)
 
@@ -46,7 +46,7 @@ class TestGuards:
     def test_head_overflowing_with_the_draw_is_weights_overflow(self, head):
         # the weights are finite; 1.7e308 overflows in weights times draw,
         # 1e308 in the solve against the tail
-        spec = Spectrum.from_values([head] + [1.0] * 6)
+        spec = Spectrum([head] + [1.0] * 6)
         with pytest.raises(WeightsOverflow, match="with the Gaussian draw"):
             unbiased_estimate(spec, k=1, l=2, q=0, n_trials=20, side="left", seed=0)
 
@@ -55,7 +55,7 @@ class TestGuards:
         # the tail weights below the first are subnormal, so every weighted
         # tail has rank 1 < l; the head of trial 0 (stream 0 ^ 0) also
         # overflows with its draw
-        spec = Spectrum.from_values([1.7e308, 1.0] + [1e-320] * 4)
+        spec = Spectrum([1.7e308, 1.0] + [1e-320] * 4)
         with np.errstate(over="ignore"):
             assert np.isinf(1.7e308 * gaussian_sketch(6, 2, 0)[0]).any()
         with pytest.raises(TailTooShort, match="^tail too short for estimator$"):
@@ -77,7 +77,7 @@ class TestSinesFromNu:
 
 class TestReportStructure:
     def _report(self, n_trials=8, seed=3):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.2, 60))
+        spec = Spectrum(np.geomspace(4.0, 0.2, 60))
         return unbiased_estimate(spec, k=5, l=12, q=1, n_trials=n_trials,
                                  side="left", seed=seed)
 
@@ -107,7 +107,7 @@ class TestSharedTrials:
     @pytest.mark.parametrize("n_trials", [1, 30, 77])
     def test_report_does_not_depend_on_workers(self, monkeypatch, n_trials):
         assert TRIAL_BLOCK == 25
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.2, 60))
+        spec = Spectrum(np.geomspace(4.0, 0.2, 60))
         one = unbiased_estimate(spec, 5, 12, 1, n_trials, "left", 3)
         for n in (2, 3):
             monkeypatch.setattr(workers, "_usable_workers", lambda: n)
@@ -122,10 +122,10 @@ class TestWeightings:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_weighting_is_its_own_estimator_call(self, monkeypatch, jobs):
         monkeypatch.setattr(workers, "_usable_workers", lambda: 2)
-        ok = Spectrum.from_values(np.geomspace(4.0, 0.2, 30))
+        ok = Spectrum(np.geomspace(4.0, 0.2, 30))
         # finite weights that overflow with a draw, as in TestGuards
-        overflow = Spectrum.from_values([1.7e308] + [1.0] * 6)
-        short = Spectrum.from_values(np.geomspace(2.0, 0.5, 3))
+        overflow = Spectrum([1.7e308] + [1.0] * 6)
+        short = Spectrum(np.geomspace(2.0, 0.5, 3))
         weightings = [(ok, "left"), (overflow, "left"), (short, "right"), (ok, "right")]
         outcomes = estimate_weightings(weightings, 1, 3, 0, 60, 5, jobs)
         assert isinstance(outcomes[1], WeightsOverflow)
@@ -147,8 +147,8 @@ class TestWeightings:
         monkeypatch.setattr(estimator, "sv_x_pinv", lambda x, y, work=None:
                             lent.append(work) or pinv(x, y, work=work))
         k, l, q, n_trials, seed = 2, 4, 1, 2 * TRIAL_BLOCK + 1, 7
-        weightings = [(Spectrum.from_values(np.geomspace(4.0, 0.2, 30)), "left"),
-                      (Spectrum.from_values(np.geomspace(3.0, 0.1, 12)), "right")]
+        weightings = [(Spectrum(np.geomspace(4.0, 0.2, 30)), "left"),
+                      (Spectrum(np.geomspace(3.0, 0.1, 12)), "right")]
         outcomes = estimate_weightings(weightings, k, l, q, n_trials, seed)
         assert len(drawn_into) == n_trials and drawn_into[0] is not None
         assert all(out is drawn_into[0] for out in drawn_into)
@@ -165,8 +165,8 @@ class TestWeightings:
 class TestSpaceAgnosticism:
     def test_identical_spectra_give_bitwise_identical_reports(self):
         vals = np.geomspace(3.0, 0.4, 50)
-        a = unbiased_estimate(Spectrum.from_values(vals), 4, 10, 1, 5, "left", 9)
-        b = unbiased_estimate(Spectrum.from_values(vals.copy()), 4, 10, 1, 5, "left", 9)
+        a = unbiased_estimate(Spectrum(vals), 4, 10, 1, 5, "left", 9)
+        b = unbiased_estimate(Spectrum(vals.copy()), 4, 10, 1, 5, "left", 9)
         assert np.array_equal(a.per_trial, b.per_trial)
         assert np.array_equal(a.mean, b.mean)
 
@@ -184,7 +184,7 @@ class TestStatisticalBehavior:
         assert (np.abs(a.mean - b.mean) <= 3.0 * se).all()
 
     def test_right_side_sees_more_effective_powers(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.05, 80))
+        spec = Spectrum(np.geomspace(4.0, 0.05, 80))
         left = unbiased_estimate(spec, 4, 12, 0, 50, "left", seed=2)
         right = unbiased_estimate(spec, 4, 12, 0, 50, "right", seed=2)
         assert (right.mean <= left.mean).all()

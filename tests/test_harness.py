@@ -45,22 +45,21 @@ def tiny_config(**overrides):
 
 class TestPadSpectrum:
     def test_repeats_last_value(self):
-        padded = pad_spectrum(Spectrum.from_values([3.0, 1.0]), 4)
+        padded = pad_spectrum(np.array([3.0, 1.0]), 4)
         assert np.array_equal(padded.values, [3.0, 1.0, 1.0, 1.0])
 
     def test_no_padding_needed(self):
-        spec = Spectrum.from_values([3.0, 1.0])
-        assert np.array_equal(pad_spectrum(spec, 2).values, spec.values)
+        values = np.array([3.0, 1.0])
+        assert np.array_equal(pad_spectrum(values, 2).values, values)
 
     def test_cannot_shrink(self):
         with pytest.raises(ValueError, match="padding length"):
-            pad_spectrum(Spectrum.from_values([3.0, 1.0]), 1)
+            pad_spectrum(np.array([3.0, 1.0]), 1)
 
     def test_padding_loosens_bounds_under_tail_decay(self):
         # decaying true tail vs padded flat continuation of the approx values
-        true = Spectrum.from_values(np.geomspace(2.0, 0.01, 40))
-        approx = Spectrum.from_values(true.values[:10] * 0.999)
-        padded = pad_spectrum(approx, 40)
+        true = Spectrum(np.geomspace(2.0, 0.01, 40))
+        padded = pad_spectrum(true.values[:10] * 0.999, 40)
         for q in (0, 1):
             t = space_agnostic_upper(true, 3, 6, q, "left", c=1.0)
             p = space_agnostic_upper(padded, 3, 6, q, "left", c=1.0)
@@ -255,15 +254,21 @@ class TestRunExperiment:
         return {"path": str(path)}
 
     @pytest.mark.usefixtures("forbid_fork")
-    def test_matrix_with_overflowing_norm_rejected_before_any_run(self):
-        # each head value squared overflows; the sketch itself would not
+    def test_matrix_with_overflowing_norm_rejected_before_any_run(self, tmp_path):
+        # each head value squared overflows; the sketch itself would not. The
+        # file's dense SVD would overflow too, ahead of the grid check
         step = {"generator": "gaussian_decay", "m": 30, "n": 30,
                 "spectrum": {"kind": "step", "k": 2, "beta": 14, "gap": 1e200}}
-        assert build_matrix(step).spectrum.values[0] == 1e200
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
-                run_experiment(ExperimentConfig(matrix=step, grid=[(2, 6, 1)]), jobs=2)
+        assert gen_step_spectrum(2, 14, 1e200).values[0] == 1e200
+        path = tmp_path / "huge.mtx"
+        write_matrix(np.linspace(1.0e308, 1.7e308, 9).reshape(3, 3), path)
+        for desc, grid in ((step, [(2, 6, 1)]), ({"path": str(path)}, [(1, 2, 0)])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
+                    build_matrix(desc)
+                with pytest.raises(ValueError, match="squared Frobenius norm overflows"):
+                    run_experiment(ExperimentConfig(matrix=desc, grid=grid), jobs=2)
 
     def test_roundoff_values_do_not_count_toward_rank(self, rank3_file):
         spec = build_matrix(rank3_file).spectrum
@@ -301,7 +306,7 @@ class TestRunExperiment:
         want = {}
         for (k, l, q), seed in itertools.product(cfg.grid, range(cfg.n_seeds)):
             sigma = rsvd(a, l, q, seed).sigma
-            padded = pad_spectrum(Spectrum.from_values(sigma), target.pad_rank)
+            padded = pad_spectrum(sigma, target.pad_rank)
             for (source, spec), side in itertools.product(
                     (("true", true_spec), ("padded", padded)), cfg.sides):
                 try:
@@ -314,6 +319,15 @@ class TestRunExperiment:
         assert got == want
         assert {key[4] for key, rows in got.items() if rows[0][1] == "tail_short"} == {"true"}
         assert {rows[0][1] for key, rows in got.items() if key[1] == 4} == {"ok"}
+
+    def test_known_targets_pad_to_their_declared_rank(self):
+        # both below min(m, n) = 20: a planted spectrum of length 12, and an
+        # snn matrix whose sparse terms leave it numerical rank 8
+        planted = build_matrix({"generator": "gaussian_decay", "m": 30, "n": 20,
+                                "spectrum": {"kind": "slower", "r": 12, "r1": 3}})
+        snn = build_matrix({"generator": "snn", "m": 30, "n": 20, "r1": 3, "a": 1.0})
+        assert [(t.known, t.spectrum.declared_rank, t.pad_rank)
+                for t in (planted, snn)] == [(True, 12, 12), (True, 8, 8)]
 
     @pytest.mark.parametrize("sides, per_run", [(("left", "right"), ["blocks", "left"]),
                                                 (("right",), ["blocks"])])

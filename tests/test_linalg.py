@@ -104,7 +104,7 @@ class TestSvdFull:
 
     def test_planted_spectrum_recovered(self):
         from rsvdangles.matgen import gen_gaussian_decay
-        spec = Spectrum.from_values(np.linspace(5.0, 0.1, 30))
+        spec = Spectrum(np.linspace(5.0, 0.1, 30))
         a, _ = gen_gaussian_decay(60, 45, spec, seed=8)
         f = svd_full(a)
         assert np.allclose(f.sigma[:30], spec.values, rtol=1e-8)
@@ -259,6 +259,13 @@ class TestSvXPinv:
         assert x.tobytes() == x0.tobytes() and y.tobytes() == y0.tobytes()
         # it took the scaled y and nothing past it
         assert not np.isnan(work[:60]).any() and np.isnan(work[60:]).all()
+        # y lent as its own workspace, as the estimator lends its weighted tail
+        with mock.patch.object(np.linalg, "qr", wraps=np.linalg.qr) as qr:
+            got = sv_x_pinv(x, y, work=y)
+        assert qr.call_count == qr_calls
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == x0.tobytes()
+        assert y.tobytes() == work[:60].tobytes()  # overwritten with the scaled y
 
     def test_householder_r_is_right_near_overflow(self):
         # the fast shift declines cond 1e8; at 1e308, a QR of y itself
@@ -324,16 +331,18 @@ class TestMatrixInequalities:
 
 class TestSpectrum:
     def test_declared_rank_separates_zeros(self):
-        s = Spectrum(np.array([3.0, 1.0, 0.0, 0.0]), 2)
+        s = Spectrum(np.array([3.0, 1.0, 0.0, 0.0]))
         assert np.array_equal(s.tail(1), [1.0])
-        with pytest.raises(ValueError):
-            Spectrum(np.array([3.0, 1.0, 0.0]), 3)
-        with pytest.raises(ValueError):
-            Spectrum(np.array([1.0, 2.0]), 2)
+        with pytest.raises(ValueError, match="non-increasing"):
+            Spectrum(np.array([1.0, 2.0]))
 
-    def test_from_values_counts_nonzeros(self):
-        s = Spectrum.from_values([2.0, 1.0, 0.0])
-        assert s.declared_rank == 2
+    @pytest.mark.parametrize("values, rank", [([2.0, 1.0, 0.0], 2), ([2.0, 1.0, 0.5], 3),
+                                              ([0.0, 0.0], 0)],
+                             ids=["trailing_zero", "all_positive", "all_zero"])
+    def test_declared_rank_is_the_nonzero_count(self, values, rank):
+        s = Spectrum(values)
+        assert s.declared_rank == rank
+        assert s.tail(0).size == rank
 
     def test_factors_validation(self):
         with pytest.raises(ValueError):

@@ -17,7 +17,7 @@ from rsvdangles.rsvd import gaussian_sketch
 
 class TestGaussianDecay:
     def test_rank_one(self):
-        a, _ = gen_gaussian_decay(15, 12, Spectrum.from_values([1.0]), seed=0)
+        a, _ = gen_gaussian_decay(15, 12, Spectrum([1.0]), seed=0)
         assert np.allclose(svd_full(a).sigma[0], 1.0, atol=1e-12)
         assert svd_full(a).sigma[1] <= 1e-12
 
@@ -29,7 +29,7 @@ class TestGaussianDecay:
         assert np.linalg.norm(f.v.T @ f.v - np.eye(60), 2) <= 1e-10
 
     def test_planted_subspace_matches_computed_svd(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.5, 30))  # strictly decreasing
+        spec = Spectrum(np.geomspace(4.0, 0.5, 30))  # strictly decreasing
         a, planted = gen_gaussian_decay(50, 40, spec, seed=2)
         computed = svd_full(a)
         sines = canonical_sines(planted.u[:, :6], computed.u[:, :6])

@@ -33,14 +33,14 @@ class TestResidualSpectrum:
         assert res.values[0] <= 1e-12 * np.linalg.norm(a)
 
     def test_exact_leading_basis_exposes_tail(self):
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
+        spec = Spectrum([3.0, 2.0, 1.0, 0.5, 0.25])
         a, f = gen_gaussian_decay(30, 25, spec, seed=1)
         res = residual_spectrum(a, f.u[:, :3], 3)
         assert np.allclose(res.values[:2], [0.5, 0.25], atol=1e-10)
         assert res.values[2] <= 1e-10
 
     def test_orthogonal_basis_leaves_spectrum_unchanged(self):
-        spec = Spectrum.from_values([2.0, 1.5, 1.0])
+        spec = Spectrum([2.0, 1.5, 1.0])
         a, f = gen_gaussian_decay(12, 10, spec, seed=2)
         # a unit vector orthogonal to the column space of a
         v = np.linalg.qr(f.u, mode="complete")[0][:, 3:4]
@@ -49,7 +49,7 @@ class TestResidualSpectrum:
 
     def test_right_side_uses_row_space(self):
         # residual_blocks gives the right residual a - a v v^T
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
+        spec = Spectrum([3.0, 2.0, 1.0, 0.5, 0.25])
         a, f = gen_gaussian_decay(18, 16, spec, seed=3)
         res = residual_blocks(a, SvdFactors(f.u[:, :3], f.sigma[:3], f.v[:, :3]),
                               2).right_residual
@@ -102,7 +102,7 @@ class TestCertifiedValues:
         # 3 and 4 are round-off, far below the Gram route's margin; on the
         # right the basis is that of the rank-5 truncation, as residual_blocks
         # needs l > k
-        spec = Spectrum.from_values([4.0, 3.5, 3.0, 2.0, 1.0, 0.5, 0.25])
+        spec = Spectrum([4.0, 3.5, 3.0, 2.0, 1.0, 0.5, 0.25])
         a, f = gen_gaussian_decay(30, 25, spec, seed=13)
         calls = self.dense_calls(monkeypatch)
         if side == "left":
@@ -122,7 +122,7 @@ class TestCertifiedValues:
         assert np.array_equal(got, [0.0, 0.0])
 
     def test_fast_decaying_residual_takes_dense_fallback(self, monkeypatch):
-        spec = Spectrum.from_values(np.geomspace(1.0, 1e-12, 10))
+        spec = Spectrum(np.geomspace(1.0, 1e-12, 10))
         a, f = gen_gaussian_decay(30, 25, spec, seed=14)
         basis = f.u[:, :2]
         calls = self.dense_calls(monkeypatch)
@@ -132,7 +132,7 @@ class TestCertifiedValues:
         assert np.array_equal(got, np.linalg.svd(resid, compute_uv=False)[:6])
 
     def test_slow_decaying_residual_takes_gram_route(self, monkeypatch):
-        spec = Spectrum.from_values(np.geomspace(1.0, 0.1, 20))
+        spec = Spectrum(np.geomspace(1.0, 0.1, 20))
         a, f = gen_gaussian_decay(30, 25, spec, seed=16)
         calls = self.dense_calls(monkeypatch)
         got = residual_spectrum(a, f.u[:, :2], 6).values
@@ -141,14 +141,14 @@ class TestCertifiedValues:
 
     @pytest.mark.parametrize("k", [0, 26])
     def test_k_out_of_range_rejected(self, k):
-        a, f = gen_gaussian_decay(30, 25, Spectrum.from_values([2.0, 1.0, 0.5]), seed=15)
+        a, f = gen_gaussian_decay(30, 25, Spectrum([2.0, 1.0, 0.5]), seed=15)
         with pytest.raises(ValueError, match="k out of range"):
             residual_spectrum(a, f.u[:, :1], k)
 
 
 class TestRatioBounds:
     def test_hand_example_with_exact_basis(self):
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.5, 0.25])
+        spec = Spectrum([3.0, 2.0, 1.0, 0.5, 0.25])
         a, f = gen_gaussian_decay(30, 25, spec, seed=4)
         res = residual_spectrum(a, f.u[:, :3], 2)
         rep = residual_ratio_bounds(res, spec, k=2)
@@ -159,32 +159,32 @@ class TestRatioBounds:
         assert (rep.values >= sines).all()
 
     def test_zero_residual_gives_zero_bounds(self):
-        res = Spectrum(np.zeros(3), 0)
-        spec = Spectrum.from_values([4.0, 3.0, 2.0, 1.0, 0.5, 0.2])
+        res = Spectrum(np.zeros(3))
+        spec = Spectrum([4.0, 3.0, 2.0, 1.0, 0.5, 0.2])
         rep = residual_ratio_bounds(res, spec, k=3)
         assert np.all(rep.values == 0.0)
 
     def test_scale_invariance(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.1, 25))
+        spec = Spectrum(np.geomspace(4.0, 0.1, 25))
         a, f = gen_gaussian_decay(40, 40, spec, seed=5)
         out = rsvd(a, 10, 1, 0)
         res = residual_spectrum(a, out.u, 4)
         rep = residual_ratio_bounds(res, spec, 4)
         res_c = residual_spectrum(1e4 * a, out.u, 4)
-        scaled = Spectrum(spec.values * 1e4, spec.declared_rank)
+        scaled = Spectrum(spec.values * 1e4)
         rep_c = residual_ratio_bounds(res_c, scaled, 4)
         assert np.allclose(rep.values, rep_c.values, rtol=1e-10)
 
     def test_rank_beyond_numerical_rank_rejected(self):
-        res = Spectrum.from_values([1.0, 0.5])
-        spec = Spectrum.from_values([2.0, 0.0])
+        res = Spectrum([1.0, 0.5])
+        spec = Spectrum([2.0, 0.0])
         with pytest.raises(ValueError, match="target rank exceeds numerical rank"):
             residual_ratio_bounds(res, spec, k=2)
 
 
 class TestResidualBlocks:
     def test_norms_match_dense_residual(self):
-        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
+        spec = Spectrum(np.geomspace(3.0, 0.05, 30))
         a, f = gen_gaussian_decay(50, 40, spec, seed=8)
         out = rsvd(a, 12, 0, 3)
         stats = residual_blocks(a, out, k=5)
@@ -204,8 +204,8 @@ class TestResidualBlocks:
         # unit residual norms, sigma_hat_2 = 2 and sigma_1 = 4: gaps
         # (16 - 4)/4 = 3 and (16 - 4)/2 = 6 from sigma_hat, (16 - 1)/4 and
         # (16 - 1)/1 = 15 from the out-of-basis norm
-        hand = ResidualStats(1.0, 1.0, Spectrum.from_values([1.0]), 2.0, 0.0)
-        reports = gap_bounds(hand, Spectrum.from_values([4.0, 2.0, 1.0, 0.5]), 1)
+        hand = ResidualStats(1.0, 1.0, Spectrum([1.0]), 2.0, 0.0)
+        reports = gap_bounds(hand, Spectrum([4.0, 2.0, 1.0, 0.5]), 1)
         assert reports["gap_norm_rank_l", "left"].values[0] == pytest.approx(4.0 / 15.0)
         assert reports["gap_norm_rank_l", "right"].values[0] == pytest.approx(1.0 / 15.0)
         assert reports["gap_norm_rank_k", "left"].values[0] == pytest.approx(
@@ -213,7 +213,7 @@ class TestResidualBlocks:
         assert reports["gap_norm_rank_k", "right"].values[0] == pytest.approx(1.0 / 9.0)
 
     def test_full_rank_capture_zeroes_all_norms(self):
-        spec = Spectrum.from_values([3.0, 2.0, 1.0, 0.4])
+        spec = Spectrum([3.0, 2.0, 1.0, 0.4])
         a, f = gen_gaussian_decay(14, 12, spec, seed=6)
         out = rsvd(a, 4, 1, 1)
         stats = residual_blocks(a, out, k=2)
@@ -222,7 +222,7 @@ class TestResidualBlocks:
         assert len(gap_bounds(stats, spec, 2)) == 8
 
     def test_pythagorean_split_of_residual(self):
-        spec = Spectrum.from_values(np.geomspace(3.0, 0.05, 30))
+        spec = Spectrum(np.geomspace(3.0, 0.05, 30))
         a, f = gen_gaussian_decay(50, 40, spec, seed=7)
         out = rsvd(a, 12, 0, 2)
         err = a - (out.u * out.sigma) @ out.v.T
@@ -233,7 +233,7 @@ class TestResidualBlocks:
     def test_gaps_absent_when_assumptions_fail(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
-        spec = Spectrum.from_values([0.9, 0.5, 0.25, 0.1])  # sigma_k below both norms
+        spec = Spectrum([0.9, 0.5, 0.25, 0.1])  # sigma_k below both norms
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
 
@@ -243,14 +243,14 @@ class TestGapBounds:
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         out = exact_rank_l_output(a, 3)
         stats = residual_blocks(a, out, k=2)
-        spec = Spectrum.from_values([4.0, 2.0, 1.0, 0.5])
+        spec = Spectrum([4.0, 2.0, 1.0, 0.5])
         reports = gap_bounds(stats, spec, 2)
         for side in ("left", "right"):
             assert np.all(reports[("gap_norm_rank_l", side)].values <= 1e-12)
             assert np.all(reports[("gap_anglewise_rank_l", side)].values <= 1e-12)
 
     def test_flat_top_block_collapses_anglewise_factor(self):
-        spec = Spectrum.from_values([2.0, 2.0, 2.0, 1.0, 0.5])
+        spec = Spectrum([2.0, 2.0, 2.0, 1.0, 0.5])
         a, f = gen_gaussian_decay(20, 18, spec, seed=9)
         out = rsvd(a, 4, 1, 4)
         stats = residual_blocks(a, out, k=3)
@@ -261,7 +261,7 @@ class TestGapBounds:
             assert np.allclose(norm, angle, rtol=1e-12)
 
     def test_right_bound_is_left_scaled_by_residual_ratio(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
+        spec = Spectrum(np.geomspace(4.0, 0.02, 40))
         a, f = gen_gaussian_decay(60, 50, spec, seed=10)
         out = rsvd(a, 15, 0, 5)
         stats = residual_blocks(a, out, k=6)
@@ -283,7 +283,7 @@ class TestGapBounds:
     def test_gap_violation_raises(self):
         a = np.diag([4.0, 2.0, 1.0, 0.5])
         stats = residual_blocks(a, exact_rank_l_output(a, 2), k=1)
-        spec = Spectrum.from_values([1.5, 1.0, 0.5, 0.25])  # sigma_k below sigma_hat_next
+        spec = Spectrum([1.5, 1.0, 0.5, 0.25])  # sigma_k below sigma_hat_next
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, 1)
 
@@ -293,7 +293,7 @@ class TestGapBounds:
         # 18-subspace is undefined; the planted v_18 lies at sine 0.9993.
         values = np.geomspace(1.0, 0.1, 22)
         values[:19] = 1.0
-        spec = Spectrum.from_values(values)
+        spec = Spectrum(values)
         a, planted = gen_gaussian_decay(39, 33, spec, 450672396)
         k, out = 18, rsvd(a, 22, 1, 606649342)
         assert canonical_sines(out.v[:, :k], planted.v[:, :k])[-1] > 0.99
@@ -302,15 +302,23 @@ class TestGapBounds:
         with pytest.raises(GapViolated, match="gap assumption violated"):
             gap_bounds(stats, spec, k)
 
+    def test_a_gap_within_twice_the_margin_is_gap_violated(self):
+        # margin delta = 0.25 below sigma_hat_2 = 2: a gap of 1.5 delta clears
+        # the rounding of sigma_hat_2 but not that of a computed sigma_1 too
+        hand = ResidualStats(1.0, 1.0, Spectrum([1.0]), 2.0, 0.25)
+        with pytest.raises(GapViolated, match="gap assumption violated"):
+            gap_bounds(hand, Spectrum([2.375, 2.0, 1.0]), 1)
+        assert len(gap_bounds(hand, Spectrum([2.625, 2.0, 1.0]), 1)) == 8
+
     def test_keys_are_every_gap_kind_on_both_sides(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
+        spec = Spectrum(np.geomspace(4.0, 0.02, 40))
         a, _ = gen_gaussian_decay(60, 50, spec, seed=17)
         stats = residual_blocks(a, rsvd(a, 15, 0, 3), 6)
         assert set(gap_bounds(stats, spec, 6)) == {
             (kind, side) for kind in GAP_KINDS for side in ("left", "right")}
 
     def test_scale_invariance(self):
-        spec = Spectrum.from_values(np.geomspace(4.0, 0.02, 40))
+        spec = Spectrum(np.geomspace(4.0, 0.02, 40))
         a, f = gen_gaussian_decay(60, 50, spec, seed=11)
         out = rsvd(a, 15, 1, 6)
         for c in (1e-4, 1e4):
@@ -318,7 +326,7 @@ class TestGapBounds:
             out_c = rsvd(c * a, 15, 1, 6)
             scaled = residual_blocks(c * a, out_c, k=6)
             a_reports = gap_bounds(base, spec, 6)
-            b_reports = gap_bounds(scaled, Spectrum(spec.values * c, spec.declared_rank), 6)
+            b_reports = gap_bounds(scaled, Spectrum(spec.values * c), 6)
             assert a_reports.keys() == b_reports.keys()
             for key, ra in a_reports.items():
                 assert np.allclose(ra.values, b_reports[key].values, rtol=1e-9)
@@ -416,7 +424,7 @@ def planted_runs(draw):
     else:
         values = np.geomspace(1.0, 0.1, r)
         values[:draw(st.integers(2, r))] = 1.0
-    a, planted = gen_gaussian_decay(m, n, Spectrum.from_values(values),
+    a, planted = gen_gaussian_decay(m, n, Spectrum(values),
                                     draw(st.integers(0, 2**32 - 1)))
     return a, planted, (k, l, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1)))
 
@@ -434,8 +442,7 @@ def test_certificates_hold_on_planted_matrices():
     def check(run):
         a, planted, task = run
         k, l = task[:2]
-        spec = Spectrum.from_values(planted.sigma)
-        target = Target("gaussian_decay", a, planted, spec, spec.declared_rank, True)
+        target = Target("gaussian_decay", a, planted, Spectrum(planted.sigma), True)
         rows = _run_single(target, ExperimentConfig(matrix={}, grid=[task[:3]],
                                                     estimator_trials=1), task)
         truth = {(row.side, row.kind, row.i): row.value for row in rows

@@ -46,7 +46,7 @@ class TestLogSumExp:
 class TestUpperBound:
     def test_closed_form_hand_value(self):
         # (1 + (1-0.5)/(1+1.0) * (4/4) * 2^2)^(-1/2) = 2^(-1/2)
-        spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
+        spec = Spectrum([2.0, 1.0, 1.0, 1.0, 1.0])
         rep = space_agnostic_upper(spec, k=1, l=4, q=0, side="left", c=1.0)
         head, tail = _distortions(spec, 1, 4, 1.0)
         assert head == pytest.approx(0.5)
@@ -57,7 +57,7 @@ class TestUpperBound:
     def test_direct_formula_cross_check(self):
         # independent dense evaluation of the same expression
         vals = np.array([4.0, 2.5, 1.3, 0.9, 0.7, 0.45, 0.31, 0.2])
-        spec = Spectrum.from_values(vals)
+        spec = Spectrum(vals)
         k, l, q = 3, 5, 1
         rep = space_agnostic_upper(spec, k, l, q, "left", c=1.0)
         e1, e2 = math.sqrt(k / l), math.sqrt(l / (8 - k))
@@ -69,7 +69,7 @@ class TestUpperBound:
     def test_growing_gap_drives_bound_to_zero(self):
         prev = 1.0
         for g in (2.0, 8.0, 64.0, 1e4, 1e8):
-            spec = Spectrum.from_values([g] + [1.0] * 9)
+            spec = Spectrum([g] + [1.0] * 9)
             val = space_agnostic_upper(spec, 1, 4, 0, "left", c=1.0).values[0]
             assert val < prev
             prev = val
@@ -83,12 +83,12 @@ class TestUpperBound:
             assert (b <= a + 1e-15).all()
 
     def test_head_distortion_must_stay_below_one(self):
-        spec = Spectrum.from_values([2.0] + [1.0] * 9)
+        spec = Spectrum([2.0] + [1.0] * 9)
         with pytest.raises(ValueError, match="head distortion"):
             space_agnostic_upper(spec, 4, 5, 0, "left", c=2.0)
 
     def test_values_ascend_with_angle_index(self):
-        spec = Spectrum.from_values(np.geomspace(8.0, 0.25, 20))
+        spec = Spectrum(np.geomspace(8.0, 0.25, 20))
         rep = space_agnostic_upper(spec, 6, 10, 1, "left", c=1.0)
         assert (np.diff(rep.values) >= -1e-15).all()
 
@@ -96,7 +96,7 @@ class TestUpperBound:
 class TestLowerBound:
     def test_closed_form_hand_value(self):
         # multiplier (1+0.5)/(1-sqrt(0.5)), spectrum (2, 1*8), k=1, l=4
-        spec = Spectrum.from_values([2.0] + [1.0] * 8)
+        spec = Spectrum([2.0] + [1.0] * 8)
         rep = space_agnostic_lower(spec, 1, 4, 0, "left", c=1.0)
         mult = (1.0 + 0.5) / (1.0 - math.sqrt(4.0 / 8.0))
         expect = (1.0 + mult * (4.0 / 8.0) * 4.0) ** -0.5
@@ -104,12 +104,12 @@ class TestLowerBound:
         assert rep.values[0] == pytest.approx(0.2982, abs=5e-5)
 
     def test_tail_distortion_of_exactly_one_is_singular(self):
-        spec = Spectrum.from_values([2.0, 1.0, 1.0, 1.0, 1.0])
+        spec = Spectrum([2.0, 1.0, 1.0, 1.0, 1.0])
         with pytest.raises(TailTooShort, match="insufficient tail"):
             space_agnostic_lower(spec, 1, 4, 0, "left", c=1.0)
 
     def test_reflected_branch_beyond_one_stays_finite(self):
-        spec = Spectrum.from_values([2.0] + [1.0] * 8)
+        spec = Spectrum([2.0] + [1.0] * 8)
         rep = space_agnostic_lower(spec, 1, 4, 0, "left")  # doubled defaults
         _, tail = _distortions(spec, 1, 4, 2.0)
         assert tail == pytest.approx(2 * math.sqrt(0.5))
@@ -117,14 +117,14 @@ class TestLowerBound:
         assert 0.0 < rep.values[0] < 1.0
 
     def test_lower_below_upper_on_shared_valid_configuration(self):
-        spec = Spectrum.from_values(np.geomspace(6.0, 0.5, 40))
+        spec = Spectrum(np.geomspace(6.0, 0.5, 40))
         for q in (0, 1):
             up = space_agnostic_upper(spec, 5, 10, q, "left", c=1.0)
             lo = space_agnostic_lower(spec, 5, 10, q, "left", c=1.0)
             assert (lo.values <= up.values).all()
 
     def test_default_multipliers_are_doubled(self):
-        spec = Spectrum.from_values(np.geomspace(6.0, 0.5, 40))
+        spec = Spectrum(np.geomspace(6.0, 0.5, 40))
         rep = space_agnostic_lower(spec, 5, 10, 0, "left")
         assert np.array_equal(rep.values,
                               space_agnostic_lower(spec, 5, 10, 0, "left", c=2.0).values)
@@ -135,8 +135,8 @@ class TestLowerBound:
 class TestScalingInvariance:
     @pytest.mark.parametrize("c", [1e-6, 1e6])
     def test_bounds_invariant_under_uniform_scaling(self, c):
-        spec = Spectrum.from_values(np.geomspace(3.0, 0.2, 30))
-        scaled = Spectrum(spec.values * c, spec.declared_rank)
+        spec = Spectrum(np.geomspace(3.0, 0.2, 30))
+        scaled = Spectrum(spec.values * c)
         for fn in (space_agnostic_upper, space_agnostic_lower):
             a = fn(spec, 4, 8, 2, "left", c=1.0)
             b = fn(scaled, 4, 8, 2, "left", c=1.0)
@@ -146,7 +146,7 @@ class TestScalingInvariance:
 class TestExponentRule:
     def test_right_side_equals_left_at_half_extra_power(self):
         assert power_exponent(3, "right") == power_exponent(3.5, "left")
-        spec = Spectrum.from_values(np.geomspace(5.0, 0.3, 25))
+        spec = Spectrum(np.geomspace(5.0, 0.3, 25))
         k, l, q = 4, 8, 2
         right = space_agnostic_upper(spec, k, l, q, "right", c=1.0)
         head, tail = _distortions(spec, k, l, 1.0)
@@ -161,7 +161,7 @@ class TestExponentRule:
 
 class TestSubspaceAwareUpper:
     def _spectrum(self):
-        return Spectrum.from_values([3.0, 2.0, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
+        return Spectrum([3.0, 2.0, 1.0, 0.9, 0.8, 0.7, 0.6, 0.5])
 
     def test_zero_tail_projection_gives_zero_bound(self):
         spec = self._spectrum()
@@ -173,7 +173,7 @@ class TestSubspaceAwareUpper:
 
     def test_matched_levels_give_inverse_sqrt_two(self):
         # sigma_i = sigma_{k+1} and projected-sketch ratio exactly 1
-        spec = Spectrum.from_values([1.0, 1.0, 1.0, 0.2])
+        spec = Spectrum([1.0, 1.0, 1.0, 0.2])
         omega1 = np.hstack([np.eye(2), np.zeros((2, 2))])
         omega2 = np.zeros((2, 4))
         omega2[0, 0] = 1.0

@@ -79,7 +79,7 @@ class TestRsvd:
         assert np.array_equal(o1.sketch, gaussian_sketch(20, 6, seed=9))
 
     def test_planted_decay_leading_values_match(self):
-        spec = Spectrum.from_values(0.9 ** np.arange(1, 201))
+        spec = Spectrum(0.9 ** np.arange(1, 201))
         a, _ = gen_gaussian_decay(200, 200, spec, seed=6)
         out = rsvd(a, 40, 2, 0)
         exact = svd_full(a).sigma[:10]
